@@ -31,12 +31,6 @@ class CoarseMatch:
     j: int
     confidence: float
 
-    def cell_a(self, grid_a: tuple[int, int]) -> tuple[int, int]:
-        return divmod(self.i, grid_a[1])
-
-    def cell_b(self, grid_b: tuple[int, int]) -> tuple[int, int]:
-        return divmod(self.j, grid_b[1])
-
 
 def correlate(f_a: Tensor, f_b: Tensor, inv_temperature: float = 1.0,
               valid_a: np.ndarray | None = None, valid_b: np.ndarray | None = None) -> ScoreMatrix:

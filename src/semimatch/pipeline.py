@@ -164,12 +164,14 @@ class Matcher:
                 valid_a=_valid_cells(padded_a.shape, dims_a),
                 valid_b=_valid_cells(padded_b.shape, dims_b),
             )
-            t3 = time.perf_counter()
-            fine_a = normalize_cells(self.fusion.forward(fa_t, pyr_a.f_quarter, pyr_a.f_half))
-            fine_b = normalize_cells(self.fusion.forward(fb_t, pyr_b.f_quarter, pyr_b.f_half))
-            t4 = time.perf_counter()
-            fine = refine(coarse, fine_a, fine_b, score.grid_a, score.grid_b,
-                          w=self.fine_patch_width, two_stage=two_stage)
+            t3 = t4 = time.perf_counter()
+            fine: list[FineMatch] = []
+            if coarse:  # the fine maps are only read to refine coarse matches
+                fine_a = normalize_cells(self.fusion.forward(fa_t, pyr_a.f_quarter, pyr_a.f_half))
+                fine_b = normalize_cells(self.fusion.forward(fb_t, pyr_b.f_quarter, pyr_b.f_half))
+                t4 = time.perf_counter()
+                fine = refine(coarse, fine_a, fine_b, score.grid_a, score.grid_b,
+                              w=self.fine_patch_width, two_stage=two_stage)
             t5 = time.perf_counter()
         fine = [m for m in fine if _in_bounds(m, dims_a, dims_b)]
         timings.update(

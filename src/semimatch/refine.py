@@ -4,6 +4,10 @@ Stage 1 picks the best mutual pixel pair inside a local patch (pure argmax,
 no spatial averaging); stage 2 moves the point in B by a softmax-expectation
 over a 3x3 correlation window, so the final offset is bounded by one pixel
 per axis.
+
+Every match is handled in one batch: patches and windows are read with one
+index-array gather per image, so inference (``refine``) and training
+(``train._fine_losses``, with gradients) run the same functions.
 """
 from __future__ import annotations
 
@@ -20,16 +24,7 @@ COARSE_STRIDE = 8
 CELL_CENTER_OFFSET = 4
 
 # window cell (row r, col c) corresponds to offset (dx, dy) = (c-1, r-1)
-_OFFSET_GRID = np.array([[c - 1, r - 1] for r in range(3) for c in range(3)], dtype=np.float64)
-
-
-@dataclass
-class FinePatchPair:
-    patch_a: Tensor  # (d_f, w, w)
-    patch_b: Tensor
-    origin_a: tuple[int, int]  # (x0, y0) full-resolution top-left
-    origin_b: tuple[int, int]
-    padded: bool
+_OFFSET_GRID = np.array([[c - 1, r - 1] for r in range(3) for c in range(3)], dtype=np.int64)
 
 
 @dataclass
@@ -85,100 +80,76 @@ def _conv_param(rng, out_c, in_c, k, dtype):
 
 
 def cell_center_fullres(cell: tuple[int, int]) -> tuple[int, int]:
-    """Full-resolution (x, y) center of a coarse cell given as (row, col)."""
+    """Full-resolution (x, y) center of a coarse cell given as (row, col).
+
+    Also works elementwise on arrays of rows and columns.
+    """
     row, col = cell
     return (col * COARSE_STRIDE + CELL_CENTER_OFFSET, row * COARSE_STRIDE + CELL_CENTER_OFFSET)
 
 
-def crop_patches(fine_a: Tensor, fine_b: Tensor, matches: list[CoarseMatch],
-                 grid_a: tuple[int, int], grid_b: tuple[int, int], w: int = 8) -> list[FinePatchPair]:
-    """w-by-w patches centered on each coarse match's full-resolution center.
+def patch_origins(cells: np.ndarray, grid: tuple[int, int], map_shape, w: int) -> np.ndarray:
+    """(n, 2) top-left (x0, y0) of the w-by-w patches centred on flat coarse cells.
 
-    Origins are clamped into the image; a pair is flagged when either origin
-    sits at the clamp boundary.
+    Origins are clamped so every patch lies inside the (d, H, W) map.
     """
     if w % 2:
         raise ValueError("patch width must be even")
-    pairs = []
-    for match in matches:
-        origin_a, pad_a = _clamped_origin(match.cell_a(grid_a), fine_a.shape, w)
-        origin_b, pad_b = _clamped_origin(match.cell_b(grid_b), fine_b.shape, w)
-        patch_a = fine_a[:, origin_a[1]:origin_a[1] + w, origin_a[0]:origin_a[0] + w]
-        patch_b = fine_b[:, origin_b[1]:origin_b[1] + w, origin_b[0]:origin_b[0] + w]
-        pairs.append(FinePatchPair(patch_a, patch_b, origin_a, origin_b, pad_a or pad_b))
-    return pairs
-
-
-def _clamped_origin(cell: tuple[int, int], map_shape, w: int) -> tuple[tuple[int, int], bool]:
     _, height, width = map_shape
     if w > height or w > width:
         raise ValueError(f"patch width {w} exceeds map size {height}x{width}")
-    cx, cy = cell_center_fullres(cell)
-    x0 = min(max(cx - w // 2, 0), width - w)
-    y0 = min(max(cy - w // 2, 0), height - w)
-    at_border = x0 in (0, width - w) or y0 in (0, height - w)
-    return (x0, y0), at_border
+    cx, cy = cell_center_fullres(np.divmod(cells, grid[1]))
+    return np.stack([np.clip(cx - w // 2, 0, width - w), np.clip(cy - w // 2, 0, height - w)], axis=1)
 
 
-def local_score_matrix(pair: FinePatchPair) -> Tensor:
-    """(w^2, w^2) correlation of the two patches, scaled by 1/sqrt(d_f)."""
-    d = pair.patch_a.shape[0]
-    w2 = pair.patch_a.shape[1] * pair.patch_a.shape[2]
-    ta = pair.patch_a.reshape((d, w2)).transpose((1, 0))
-    tb = pair.patch_b.reshape((d, w2))
-    return T.matmul(ta, tb) * (1.0 / math.sqrt(d))
+def local_scores(fine_a: Tensor, fine_b: Tensor, origins_a: np.ndarray, origins_b: np.ndarray,
+                 w: int) -> Tensor:
+    """(n, w^2, w^2) correlations of the patch pairs at the given origins, scaled by 1/sqrt(d).
 
-
-def stack_score_matrices(pairs: list[FinePatchPair]) -> Tensor:
-    """(n, w^2, w^2) batch of local score matrices."""
-    d = pairs[0].patch_a.shape[0]
-    w2 = pairs[0].patch_a.shape[1] * pairs[0].patch_a.shape[2]
-    ta = T.concat([p.patch_a.reshape((1, d, w2)) for p in pairs], axis=0).transpose((0, 2, 1))
-    tb = T.concat([p.patch_b.reshape((1, d, w2)) for p in pairs], axis=0)
-    return T.matmul(ta, tb) * (1.0 / math.sqrt(d))
-
-
-def stage1_mnn(pair: FinePatchPair) -> tuple[tuple[int, int], tuple[int, int], float]:
-    """Top-scoring mutual pixel pair of the local score matrix.
-
-    The global argmax of the matrix is always mutual, so this is the global
-    argmax with ties broken toward the smallest row-major flat index.
-    Returns ((x_a, y_a), (x_b, y_b), score) in full-resolution pixels.
+    Patch pixels are numbered row-major; each image's patches come from one gather.
     """
-    with T.no_grad():
-        scores = local_score_matrix(pair).data
-    w = pair.patch_a.shape[1]
-    flat = int(scores.argmax())
-    a_idx, b_idx = divmod(flat, scores.shape[1])
-    ar, ac = divmod(a_idx, w)
-    br, bc = divmod(b_idx, w)
-    pixel_a = (pair.origin_a[0] + ac, pair.origin_a[1] + ar)
-    pixel_b = (pair.origin_b[0] + bc, pair.origin_b[1] + br)
-    return pixel_a, pixel_b, float(scores[a_idx, b_idx])
+    dy, dx = np.divmod(np.arange(w * w), w)
+    d = fine_a.shape[0]
+    # chained so no unscaled or untransposed copy outlives its use; the scale
+    # folds into the small A operand, saving a pass over the scores
+    ta = T.gather_nd(fine_a, (slice(None), origins_a[:, 1:] + dy, origins_a[:, :1] + dx)).transpose((1, 2, 0))
+    ta = ta * (1.0 / math.sqrt(d))
+    tb = T.gather_nd(fine_b, (slice(None), origins_b[:, 1:] + dy, origins_b[:, :1] + dx)).transpose((1, 0, 2))
+    return T.matmul(ta, tb)
 
 
-def stage2_windows(fine_b: Tensor, pixels_b: list[tuple[int, int]]) -> tuple[Tensor, np.ndarray]:
-    """3x3 windows of fine_b around each pixel plus an in-image mask.
+def stage1_pixels(scores: np.ndarray, origins_a: np.ndarray,
+                  origins_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top-scoring mutual pixel pair of each (w^2, w^2) local score matrix.
 
-    Border windows are zero-filled outside the image and the mask marks the
-    out-of-image cells so they can be pushed to -inf before the softmax.
+    The global argmax of a matrix is always mutual, so this is the argmax of
+    the flattened matrix, ties broken toward the smallest row-major flat
+    index. Returns (n, 2) integer (x, y) pixels in A and in B, and the (n,)
+    scores.
     """
-    d, height, width = fine_b.shape
-    windows = []
-    masks = np.zeros((len(pixels_b), 9), dtype=bool)
-    for n, (x, y) in enumerate(pixels_b):
-        rows = []
-        for r in range(3):
-            for c in range(3):
-                yy, xx = y + r - 1, x + c - 1
-                inside = 0 <= yy < height and 0 <= xx < width
-                masks[n, r * 3 + c] = inside
-                if inside:
-                    rows.append(fine_b[:, yy:yy + 1, xx:xx + 1].reshape((1, d, 1)))
-                else:
-                    rows.append(T.tensor(np.zeros((1, d, 1)), dtype=fine_b.dtype))
-        windows.append(T.concat(rows, axis=2))
-    return T.concat(windows, axis=0), masks
+    n, w2, _ = scores.shape
+    w = math.isqrt(w2)
+    flat = scores.reshape(n, -1).argmax(axis=1)
+    idx_a, idx_b = np.divmod(flat, w2)
+    ar, ac = np.divmod(idx_a, w)
+    br, bc = np.divmod(idx_b, w)
+    pixels_a = origins_a + np.stack([ac, ar], axis=1)
+    pixels_b = origins_b + np.stack([bc, br], axis=1)
+    return pixels_a, pixels_b, scores.reshape(n, -1)[np.arange(n), flat]
+
+
+def stage2_windows(fine_b: Tensor, pixels_b: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """(n, d, 9) 3x3 windows of fine_b around (n, 2) integer (x, y) pixels, and their (n, 9) in-image mask.
+
+    Out-of-image cells are read from the nearest in-image pixel; the mask
+    marks them so stage2_offsets pushes them to -inf before the softmax.
+    """
+    _, height, width = fine_b.shape
+    xs = pixels_b[:, :1] + _OFFSET_GRID[:, 0]
+    ys = pixels_b[:, 1:] + _OFFSET_GRID[:, 1]
+    masks = (xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)
+    windows = T.gather_nd(fine_b, (slice(None), ys.clip(0, height - 1), xs.clip(0, width - 1)))
+    return windows.transpose((1, 0, 2)), masks
 
 
 def stage2_offsets(feats_a: Tensor, windows: Tensor, masks: np.ndarray) -> Tensor:
@@ -196,16 +167,12 @@ def stage2_offsets(feats_a: Tensor, windows: Tensor, masks: np.ndarray) -> Tenso
     return T.matmul(probs, T.tensor(_OFFSET_GRID, dtype=probs.dtype))
 
 
-def stage2_expectation(feat_a: Tensor, window_b: Tensor, mask: np.ndarray | None = None) -> tuple[float, float]:
-    """Single-match convenience wrapper around stage2_offsets."""
-    if mask is None:
-        mask = np.ones((1, 9), dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool).reshape(1, 9)
-    d = feat_a.shape[0]
-    with T.no_grad():
-        offsets = stage2_offsets(feat_a.reshape((1, d)), window_b.reshape((1, d, 9)), mask)
-    return float(offsets.data[0, 0]), float(offsets.data[0, 1])
+def stage2_pixel_offsets(fine_a: Tensor, fine_b: Tensor, pixels_a: np.ndarray,
+                         pixels_b: np.ndarray) -> Tensor:
+    """(n, 2) stage-2 offsets of the B pixels of stage-1 pairs, each given as (n, 2) integer (x, y)."""
+    feats = T.gather_nd(fine_a, (slice(None), pixels_a[:, 1], pixels_a[:, 0])).transpose((1, 0))
+    windows, masks = stage2_windows(fine_b, pixels_b)
+    return stage2_offsets(feats, windows, masks)
 
 
 def refine(matches: list[CoarseMatch], fine_a: Tensor, fine_b: Tensor,
@@ -218,25 +185,16 @@ def refine(matches: list[CoarseMatch], fine_a: Tensor, fine_b: Tensor,
     """
     if not matches:
         return []
+    cells = np.array([(m.i, m.j) for m in matches], dtype=np.int64)
     with T.no_grad():
-        pairs = crop_patches(fine_a, fine_b, matches, grid_a, grid_b, w)
-        stage1 = [stage1_mnn(pair) for pair in pairs]
-        if not two_stage:
-            return [
-                FineMatch(pa, (float(pb[0]), float(pb[1])), score)
-                for (pa, pb, score) in stage1
-            ]
-        pixels_b = [pb for (_, pb, _) in stage1]
-        feats = T.concat(
-            [fine_a[:, pa[1]:pa[1] + 1, pa[0]:pa[0] + 1].reshape((1, -1)) for (pa, _, _) in stage1],
-            axis=0,
-        )
-        windows, masks = stage2_windows(fine_b, pixels_b)
-        keep = masks.any(axis=1)
-        offsets = stage2_offsets(feats, windows, np.where(keep[:, None], masks, True)).data
-    out = []
-    for n, (pa, pb, score) in enumerate(stage1):
-        if not keep[n]:
-            continue
-        out.append(FineMatch(pa, (pb[0] + float(offsets[n, 0]), pb[1] + float(offsets[n, 1])), score))
-    return out
+        origins_a = patch_origins(cells[:, 0], grid_a, fine_a.shape, w)
+        origins_b = patch_origins(cells[:, 1], grid_b, fine_b.shape, w)
+        scores = local_scores(fine_a, fine_b, origins_a, origins_b, w).data
+        pixels_a, pixels_b, confidence = stage1_pixels(scores, origins_a, origins_b)
+        pts_b = pixels_b.astype(np.float64)
+        if two_stage:
+            pts_b += stage2_pixel_offsets(fine_a, fine_b, pixels_a, pixels_b).data
+    return [
+        FineMatch((xa, ya), (xb, yb), c)
+        for (xa, ya), (xb, yb), c in zip(pixels_a.tolist(), pts_b.tolist(), confidence.tolist())
+    ]

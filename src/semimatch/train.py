@@ -13,7 +13,7 @@ import numpy as np
 
 from . import refine as R
 from . import tensor as T
-from .matching import CoarseMatch, correlate, dual_softmax
+from .matching import correlate, dual_softmax
 from .pipeline import normalize_cells
 from .supervision import (
     EmptySupervisionError,
@@ -138,50 +138,33 @@ def _fine_losses(fine_a: Tensor, fine_b: Tensor, gt: GroundTruth, w: int,
     order = np.arange(n_pairs)
     if n_pairs > cfg.max_fine_matches:
         order = rng.choice(n_pairs, size=cfg.max_fine_matches, replace=False)
-    matches = [CoarseMatch(int(gt.pairs_a[k]), int(gt.pairs_b[k]), 1.0) for k in order]
-    patches = R.crop_patches(fine_a, fine_b, matches, gt.grid_a, gt.grid_b, w)
+    cells_a = gt.pairs_a[order]
+    origins_a = R.patch_origins(cells_a, gt.grid_a, fine_a.shape, w)
+    origins_b = R.patch_origins(gt.pairs_b[order], gt.grid_b, fine_b.shape, w)
+    scores = R.local_scores(fine_a, fine_b, origins_a, origins_b, w)
 
     # stage-1 targets: patch-A center pixel against the rounded warp in B
-    idx_a = np.zeros(len(patches), dtype=np.int64)
-    idx_b = np.zeros(len(patches), dtype=np.int64)
-    valid = np.zeros(len(patches), dtype=bool)
-    for n, (patch, match) in enumerate(zip(patches, matches)):
-        center = R.cell_center_fullres(match.cell_a(gt.grid_a))
-        ax = center[0] - patch.origin_a[0]
-        ay = center[1] - patch.origin_a[1]
-        idx_a[n] = ay * w + ax
-        target, ok = gt.warp(np.array([center], dtype=np.float64))
-        bx = int(round(target[0, 0])) - patch.origin_b[0]
-        by = int(round(target[0, 1])) - patch.origin_b[1]
-        if ok[0] and 0 <= bx < w and 0 <= by < w:
-            idx_b[n] = by * w + bx
-            valid[n] = True
-    score_matrices = R.stack_score_matrices(patches)
+    centers = np.stack(R.cell_center_fullres(np.divmod(cells_a, gt.grid_a[1])), axis=1)
+    local_a = centers - origins_a
+    target, ok = gt.warp(centers)
+    local_b = np.round(target).astype(np.int64) - origins_b
+    valid = ok & ((local_b >= 0) & (local_b < w)).all(axis=1)
+    idx_a = local_a[:, 1] * w + local_a[:, 0]
+    idx_b = np.where(valid, local_b[:, 1] * w + local_b[:, 0], 0)
     try:
-        l_f1 = fine_loss_stage1(score_matrices, idx_a, idx_b, valid)
+        l_f1 = fine_loss_stage1(scores, idx_a, idx_b, valid)
     except EmptySupervisionError:
         l_f1 = None
 
     # stage-2: supervise the expectation only where the target is reachable
-    stage1 = [R.stage1_mnn(p) for p in patches]
-    targets, reach = [], []
-    for (pa, pb, _score), _patch in zip(stage1, patches):
-        target, ok = gt.warp(np.array([pa], dtype=np.float64))
-        reach.append(bool(ok[0]) and abs(target[0, 0] - pb[0]) <= 1.0 and abs(target[0, 1] - pb[1]) <= 1.0)
-        targets.append(target[0])
-    keep = np.flatnonzero(reach)
+    pixels_a, pixels_b, _ = R.stage1_pixels(scores.data, origins_a, origins_b)
+    target, ok = gt.warp(pixels_a)
+    keep = np.flatnonzero(ok & (np.abs(target - pixels_b) <= 1.0).all(axis=1))
     if keep.size == 0:
         return l_f1, None
-    feats = T.concat(
-        [fine_a[:, stage1[k][0][1]:stage1[k][0][1] + 1, stage1[k][0][0]:stage1[k][0][0] + 1].reshape((1, -1))
-         for k in keep],
-        axis=0,
-    )
-    windows, masks = R.stage2_windows(fine_b, [stage1[k][1] for k in keep])
-    offsets = R.stage2_offsets(feats, windows, masks)
-    base = np.array([stage1[k][1] for k in keep], dtype=np.float64)
-    pred_b = offsets + T.tensor(base, dtype=offsets.dtype)
-    l_f2 = fine_loss_stage2(pred_b, np.array([targets[k] for k in keep]))
+    offsets = R.stage2_pixel_offsets(fine_a, fine_b, pixels_a[keep], pixels_b[keep])
+    pred_b = offsets + T.tensor(pixels_b[keep], dtype=offsets.dtype)
+    l_f2 = fine_loss_stage2(pred_b, target[keep])
     return l_f1, l_f2
 
 

@@ -159,10 +159,9 @@ class AggAttentionBlock:
             raise ValueError("self block expects the same map as target and source")
         s = self.config.s
         _, h, w = target.shape
-        if h % s or w % s:
-            raise ValueError(f"grid {h}x{w} not divisible by aggregation range {s}")
-        q_map = T.depthwise_conv2d(target, self.agg_conv, stride=s, pad=0)
-        kv_map = source if s == 1 else T.maxpool2d(source, s, s)
+        q_map, kv_map = aggregate_tokens(target, s, self.agg_conv)
+        if source is not target:  # cross block: keys and values come from the other map
+            kv_map = aggregate_tokens(source, s, self.agg_conv)[1]
         ah, aw = q_map.shape[1], q_map.shape[2]
 
         q_tokens = T.layer_norm(_to_tokens(q_map))

@@ -15,7 +15,7 @@ from semimatch.geometry import apply_homography, corner_reprojection_error, rans
 from semimatch.instrument import counters
 from semimatch.matching import match_coarse, mnn_select
 from semimatch.pipeline import Matcher, MatcherConfig
-from semimatch.refine import FinePatchPair, stage1_mnn, stage2_expectation, stage2_offsets
+from semimatch.refine import local_scores, stage1_pixels, stage2_offsets
 from semimatch.supervision import total_loss
 from semimatch.synth import SynthConfig, SyntheticPairs
 from semimatch.train import TrainConfig, pair_losses, train_toy
@@ -296,9 +296,9 @@ def test_criterion_05_mnn_oracle_equivalence():
             coarse_ok = False
             break
 
-    def brute_stage1(pair):
-        a = pair.patch_a.data.reshape(pair.patch_a.shape[0], -1)
-        b = pair.patch_b.data.reshape(pair.patch_b.shape[0], -1)
+    def brute_stage1(patch_a, patch_b):
+        a = patch_a.reshape(patch_a.shape[0], -1)
+        b = patch_b.reshape(patch_b.shape[0], -1)
         scores = (a.T @ b) / np.sqrt(a.shape[0])
         best = None
         for ai in range(scores.shape[0]):
@@ -307,7 +307,7 @@ def test_criterion_05_mnn_oracle_equivalence():
                     key = (scores[ai, bi], -(ai * scores.shape[1] + bi))
                     if best is None or key > best[0]:
                         best = (key, ai, bi)
-        w = pair.patch_a.shape[1]
+        w = patch_a.shape[1]
         ar, ac = divmod(best[1], w)
         br, bc = divmod(best[2], w)
         return (ac, ar), (bc, br)
@@ -315,13 +315,13 @@ def test_criterion_05_mnn_oracle_equivalence():
     fine_ok = True
     for seed in range(1000):
         gen = np.random.default_rng(10_000 + seed)
-        pair = FinePatchPair(
-            T.tensor(gen.standard_normal((5, 4, 4)).astype(np.float32)),
-            T.tensor(gen.standard_normal((5, 4, 4)).astype(np.float32)),
-            (0, 0), (0, 0), False,
-        )
-        got = stage1_mnn(pair)[:2]
-        if got != brute_stage1(pair):
+        patch_a = gen.standard_normal((5, 4, 4)).astype(np.float32)
+        patch_b = gen.standard_normal((5, 4, 4)).astype(np.float32)
+        origin = np.zeros((1, 2), dtype=np.int64)
+        scores = local_scores(T.tensor(patch_a), T.tensor(patch_b), origin, origin, w=4).data
+        pixels_a, pixels_b, _ = stage1_pixels(scores, origin, origin)
+        got = tuple(pixels_a[0]), tuple(pixels_b[0])
+        if got != brute_stage1(patch_a, patch_b):
             fine_ok = False
             break
     elapsed = time.perf_counter() - start
@@ -348,7 +348,9 @@ def test_criterion_06_stage2_offset_bound(rng):
             window[r * 3 + c, r, c] = 1.0
     feat = np.zeros(9, dtype=np.float32)
     feat[2 * 3 + 0] = 1e6  # cell (r=2, c=0): corner offset (-1, +1)
-    dx, dy = stage2_expectation(T.tensor(feat), T.tensor(window))
+    all_in = np.ones((1, 9), dtype=bool)
+    corner = stage2_offsets(T.tensor(feat.reshape(1, 9)), T.tensor(window.reshape(1, 9, 9)), all_in).data
+    dx, dy = float(corner[0, 0]), float(corner[0, 1])
     corner_exact = (dx, dy) == (-1.0, 1.0)
     report(
         6, "two-stage-refinement-bound",

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
+from semimatch import tensor as T
 from semimatch.bench import STAGES, bench_pipeline, timings_csv
+from semimatch.instrument import counters
 from semimatch.pipeline import Matcher, MatcherConfig
 from semimatch.synth import SynthConfig, render_pair
 
@@ -44,8 +47,6 @@ class TestBenchPipeline:
             bench_pipeline(matcher, *pair, repetitions=0)
 
     def test_warmup_count_respected(self, matcher, pair):
-        from semimatch.instrument import counters
-
         counters.reset("dual_softmax")
         bench_pipeline(matcher, *pair, mode="full", repetitions=2, warmup=3)
         # every full-mode run computes exactly one dual-softmax
@@ -57,3 +58,21 @@ class TestBenchPipeline:
         assert lines[0] == "stage,mean_ms,median_ms"
         assert len(lines) == len(STAGES) + 2
         assert "pipeline timings" in timings.summary()
+
+
+class TestMatchPair:
+    def test_no_coarse_matches_skips_fine_fusion(self, matcher, pair):
+        # full-mode confidences are probabilities, so tau > 1 leaves nothing to refine
+        fused = matcher.fuse()
+        image_a, image_b = (T.tensor(np.asarray(x, dtype=matcher.dtype)[None]) for x in pair)
+        counters.reset("conv2d")
+        with T.no_grad():
+            pyr_a, pyr_b = fused.forward_deploy(image_a), fused.forward_deploy(image_b)
+            # the transform's depthwise token aggregation counts as conv2d too
+            matcher.transform.forward(pyr_a.f_coarse, pyr_b.f_coarse)
+        before_fusion = counters["conv2d"]
+        counters.reset("conv2d")
+        result = matcher.match_pair(*pair, mode="full", tau=1.5, fused=fused)
+        assert result.coarse == [] and result.fine == []
+        assert counters["conv2d"] == before_fusion
+        assert set(STAGES) <= set(result.timings)

@@ -5,14 +5,11 @@ from semimatch import tensor as T
 from semimatch.matching import CoarseMatch
 from semimatch.refine import (
     FineFusion,
-    FinePatchPair,
     cell_center_fullres,
-    crop_patches,
-    local_score_matrix,
+    local_scores,
+    patch_origins,
     refine,
-    stack_score_matrices,
-    stage1_mnn,
-    stage2_expectation,
+    stage1_pixels,
     stage2_offsets,
     stage2_windows,
 )
@@ -30,15 +27,38 @@ def pyramid_inputs(rng, d_model=8, c_quarter=6, c_half=4, h8=4, w8=4):
 
 
 def random_pair(rng, d=6, w=8):
-    pa = T.tensor(rng.standard_normal((d, w, w)).astype(np.float32))
-    pb = T.tensor(rng.standard_normal((d, w, w)).astype(np.float32))
-    return FinePatchPair(pa, pb, (0, 0), (0, 0), False)
+    pa = rng.standard_normal((d, w, w)).astype(np.float32)
+    pb = rng.standard_normal((d, w, w)).astype(np.float32)
+    return pa, pb
 
 
-def brute_force_stage1(pair):
-    a = pair.patch_a.data.reshape(pair.patch_a.shape[0], -1)
-    b = pair.patch_b.data.reshape(pair.patch_b.shape[0], -1)
-    w = pair.patch_a.shape[1]
+def tile(patches):
+    """Patches side by side in one (d, w, n*w) map; patch k has origin (k*w, 0)."""
+    w = patches[0].shape[1]
+    return T.tensor(np.concatenate(patches, axis=2)), np.array([[k * w, 0] for k in range(len(patches))])
+
+
+def embed(patch, origin):
+    """A zero map holding the (d, w, w) patch with its top-left corner at origin (x0, y0)."""
+    d, w, _ = patch.shape
+    x0, y0 = origin
+    fine = np.zeros((d, y0 + w, x0 + w), dtype=patch.dtype)
+    fine[:, y0:, x0:] = patch
+    return T.tensor(fine)
+
+
+def stage1_single(patch_a, patch_b, origin_a=(0, 0), origin_b=(0, 0)):
+    """Stage 1 of one patch pair through the batched functions: ((x_a, y_a), (x_b, y_b), score)."""
+    oa, ob = np.array([origin_a]), np.array([origin_b])
+    scores = local_scores(embed(patch_a, origin_a), embed(patch_b, origin_b), oa, ob, patch_a.shape[1])
+    pa, pb, score = stage1_pixels(scores.data, oa, ob)
+    return tuple(pa[0]), tuple(pb[0]), score[0]
+
+
+def brute_force_stage1(patch_a, patch_b, origin_a=(0, 0), origin_b=(0, 0)):
+    a = patch_a.reshape(patch_a.shape[0], -1)
+    b = patch_b.reshape(patch_b.shape[0], -1)
+    w = patch_a.shape[1]
     scores = (a.T @ b) / np.sqrt(a.shape[0])
     best = None
     for ai in range(scores.shape[0]):
@@ -51,10 +71,24 @@ def brute_force_stage1(pair):
     ar, ac = divmod(ai, w)
     br, bc = divmod(bi, w)
     return (
-        (pair.origin_a[0] + ac, pair.origin_a[1] + ar),
-        (pair.origin_b[0] + bc, pair.origin_b[1] + br),
+        (origin_a[0] + ac, origin_a[1] + ar),
+        (origin_b[0] + bc, origin_b[1] + br),
         scores[ai, bi],
     )
+
+
+def brute_force_window(fine, x, y):
+    """3x3 window around pixel (x, y), zero outside the image, and its in-image mask."""
+    d, height, width = fine.shape
+    window = np.zeros((d, 9), dtype=fine.dtype)
+    mask = np.zeros(9, dtype=bool)
+    for r in range(3):
+        for c in range(3):
+            yy, xx = y + r - 1, x + c - 1
+            if 0 <= yy < height and 0 <= xx < width:
+                window[:, r * 3 + c] = fine[:, yy, xx]
+                mask[r * 3 + c] = True
+    return window, mask
 
 
 class TestFineFusion:
@@ -100,34 +134,39 @@ class TestFineFusion:
 
 
 class TestCropPatches:
-    def test_corner_cell_flagged_at_border(self, rng):
-        fine = T.tensor(rng.standard_normal((3, 32, 32)).astype(np.float32))
-        pairs = crop_patches(fine, fine, [CoarseMatch(0, 0, 1.0)], (4, 4), (4, 4), w=8)
-        assert pairs[0].origin_a == (0, 0)
-        assert pairs[0].padded is True
+    def test_corner_cells_clamp_into_map(self):
+        origins = patch_origins(np.array([0, 15]), (4, 4), (3, 32, 32), w=8)
+        np.testing.assert_array_equal(origins, [[0, 0], [24, 24]])
 
-    def test_interior_origin_arithmetic(self, rng):
-        fine = T.tensor(rng.standard_normal((3, 32, 32)).astype(np.float32))
-        match = CoarseMatch(1 * 4 + 2, 2 * 4 + 1, 1.0)  # cells (1,2) and (2,1)
-        (pair,) = crop_patches(fine, fine, [match], (4, 4), (4, 4), w=8)
-        assert pair.origin_a == (2 * 8 + 4 - 4, 1 * 8 + 4 - 4)
-        assert pair.origin_b == (1 * 8 + 4 - 4, 2 * 8 + 4 - 4)
-        assert pair.padded is False
+    def test_interior_origin_arithmetic(self):
+        cells_a = np.array([1 * 4 + 2])  # cell (1,2)
+        cells_b = np.array([2 * 4 + 1])  # cell (2,1)
+        assert patch_origins(cells_a, (4, 4), (3, 32, 32), w=8).tolist() == [[2 * 8 + 4 - 4, 1 * 8 + 4 - 4]]
+        assert patch_origins(cells_b, (4, 4), (3, 32, 32), w=8).tolist() == [[1 * 8 + 4 - 4, 2 * 8 + 4 - 4]]
 
     def test_patch_content_matches_direct_slice(self, rng):
-        fine = T.tensor(rng.standard_normal((3, 32, 32)).astype(np.float32))
-        (pair,) = crop_patches(fine, fine, [CoarseMatch(5, 10, 1.0)], (4, 4), (4, 4), w=8)
-        x0, y0 = pair.origin_a
-        np.testing.assert_array_equal(pair.patch_a.data, fine.data[:, y0:y0 + 8, x0:x0 + 8])
+        # non-square map, clamped and interior origins on both sides
+        fine_a = rng.standard_normal((3, 24, 40)).astype(np.float32)
+        fine_b = rng.standard_normal((3, 24, 40)).astype(np.float32)
+        origins_a = patch_origins(np.array([0, 4, 7, 14]), (3, 5), fine_a.shape, w=8)
+        origins_b = patch_origins(np.array([14, 12, 0, 6]), (3, 5), fine_b.shape, w=8)
+        got = local_scores(T.tensor(fine_a), T.tensor(fine_b), origins_a, origins_b, w=8).data
+        for k, ((xa, ya), (xb, yb)) in enumerate(zip(origins_a, origins_b)):
+            a = fine_a[:, ya:ya + 8, xa:xa + 8].reshape(3, -1)
+            b = fine_b[:, yb:yb + 8, xb:xb + 8].reshape(3, -1)
+            np.testing.assert_allclose(got[k], a.T @ b / np.sqrt(3), atol=1e-6)
 
     def test_cell_center(self):
         assert cell_center_fullres((0, 0)) == (4, 4)
         assert cell_center_fullres((2, 3)) == (28, 20)
 
-    def test_odd_width_rejected(self, rng):
-        fine = T.tensor(rng.standard_normal((3, 32, 32)).astype(np.float32))
+    def test_odd_width_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            crop_patches(fine, fine, [], (4, 4), (4, 4), w=7)
+            patch_origins(np.array([], dtype=np.int64), (4, 4), (3, 32, 32), w=7)
+
+    def test_width_larger_than_map_rejected(self):
+        with pytest.raises(ValueError, match="exceeds map size"):
+            patch_origins(np.array([0]), (1, 1), (3, 8, 16), w=10)
 
 
 class TestStage1:
@@ -136,11 +175,10 @@ class TestStage1:
         feats = np.linalg.qr(rng.standard_normal((16, 16)))[0].astype(np.float32) * np.linspace(
             1.0, 2.0, 16
         ).astype(np.float32)
-        patch = T.tensor(feats.T.reshape(d, 4, 4))
-        pair = FinePatchPair(patch, patch, (8, 8), (8, 8), False)
-        pa, pb, score = stage1_mnn(pair)
+        patch = feats.T.reshape(d, 4, 4)
+        pa, pb, score = stage1_single(patch, patch, (8, 8), (8, 8))
         assert pa == pb  # self match
-        assert brute_force_stage1(pair)[:2] == (pa, pb)
+        assert brute_force_stage1(patch, patch, (8, 8), (8, 8))[:2] == (pa, pb)
 
     def test_one_hot_score_matrix(self, rng):
         d, w = 4, 4
@@ -148,53 +186,58 @@ class TestStage1:
         b = np.zeros((d, w, w), dtype=np.float32)
         a[:, 1, 2] = [10, 0, 0, 0]
         b[:, 3, 0] = [10, 0, 0, 0]
-        pair = FinePatchPair(T.tensor(a), T.tensor(b), (0, 0), (16, 8), False)
-        pa, pb, _ = stage1_mnn(pair)
+        pa, pb, _ = stage1_single(a, b, (0, 0), (16, 8))
         assert pa == (2, 1)
         assert pb == (16 + 0, 8 + 3)
 
     def test_matches_brute_force_over_seeds(self):
-        for seed in range(1000):
-            rng = np.random.default_rng(seed)
-            pair = random_pair(rng, d=5, w=4)
-            got = stage1_mnn(pair)
-            want = brute_force_stage1(pair)
-            assert got[:2] == want[:2], f"seed {seed}"
-            assert np.isclose(got[2], want[2], atol=1e-6)
+        pairs = [random_pair(np.random.default_rng(seed), d=5, w=4) for seed in range(1000)]
+        fine_a, origins = tile([a for a, _ in pairs])
+        fine_b, _ = tile([b for _, b in pairs])
+        scores = local_scores(fine_a, fine_b, origins, origins, w=4).data
+        pixels_a, pixels_b, got_scores = stage1_pixels(scores, origins, origins)
+        for seed, (a, b) in enumerate(pairs):
+            want = brute_force_stage1(a, b, tuple(origins[seed]), tuple(origins[seed]))
+            assert (tuple(pixels_a[seed]), tuple(pixels_b[seed])) == want[:2], f"seed {seed}"
+            assert np.isclose(got_scores[seed], want[2], atol=1e-6)
 
     def test_invariant_under_monotone_transform_of_features(self, rng):
         # argmax selection: scaling all features scales scores monotonically
-        pair = random_pair(rng, d=6, w=6)
-        before = stage1_mnn(pair)[:2]
-        scaled = FinePatchPair(pair.patch_a * 3.0, pair.patch_b * 1.0, pair.origin_a, pair.origin_b, False)
-        assert stage1_mnn(scaled)[:2] == before
+        a, b = random_pair(rng, d=6, w=6)
+        before = stage1_single(a, b)[:2]
+        assert stage1_single(a * 3.0, b * 1.0)[:2] == before
 
 
 class TestStage2:
     def test_uniform_scores_give_zero_offset(self):
         d = 4
-        feat = T.tensor(np.zeros(d, dtype=np.float32))
-        window = T.tensor(np.ones((d, 3, 3), dtype=np.float32))
-        dx, dy = stage2_expectation(feat, window)
+        feat = T.tensor(np.zeros((1, d), dtype=np.float32))
+        window = T.tensor(np.ones((1, d, 9), dtype=np.float32))
+        dx, dy = stage2_offsets(feat, window, np.ones((1, 9), dtype=bool)).data[0]
         assert abs(dx) < 1e-6 and abs(dy) < 1e-6
 
     def test_one_hot_corner_offset_is_exact(self):
         d = 9
-        window = np.eye(d, dtype=np.float32).reshape(d, 3, 3, order="F").transpose(0, 1, 2)
         window = np.zeros((d, 3, 3), dtype=np.float32)
         for r in range(3):
             for c in range(3):
                 window[r * 3 + c, r, c] = 1.0
         feat = np.zeros(d, dtype=np.float32)
         feat[1 * 3 + 2] = 1e6  # cell (r=1, c=2) => offset (+1, 0)
-        dx, dy = stage2_expectation(T.tensor(feat), T.tensor(window))
-        assert (dx, dy) == (1.0, 0.0)
+        offsets = stage2_offsets(
+            T.tensor(feat.reshape(1, d)), T.tensor(window.reshape(1, d, 9)), np.ones((1, 9), dtype=bool)
+        ).data
+        assert (float(offsets[0, 0]), float(offsets[0, 1])) == (1.0, 0.0)
 
     def test_matches_float64_softmax_expectation(self, rng):
         d = 8
         feat = rng.standard_normal(d)
         window = rng.standard_normal((d, 3, 3))
-        dx, dy = stage2_expectation(T.tensor(feat, dtype=np.float64), T.tensor(window, dtype=np.float64))
+        dx, dy = stage2_offsets(
+            T.tensor(feat.reshape(1, d), dtype=np.float64),
+            T.tensor(window.reshape(1, d, 9), dtype=np.float64),
+            np.ones((1, 9), dtype=bool),
+        ).data[0]
         scores = np.einsum("d,drc->rc", feat, window).reshape(9) / np.sqrt(d)
         p = np.exp(scores - scores.max())
         p /= p.sum()
@@ -227,11 +270,31 @@ class TestStage2:
 
     def test_window_extraction_masks_borders(self, rng):
         fine = T.tensor(rng.standard_normal((3, 16, 16)).astype(np.float32))
-        windows, masks = stage2_windows(fine, [(0, 0), (8, 8), (15, 15)])
+        windows, masks = stage2_windows(fine, np.array([(0, 0), (8, 8), (15, 15)]))
         assert windows.shape == (3, 3, 9)
         assert masks[0].sum() == 4  # corner pixel: only 2x2 in-image
         assert masks[1].all()
         assert masks[2].sum() == 4
+
+    def test_windows_match_per_pixel_oracle(self, rng):
+        d, height, width = 5, 12, 16  # non-square, so swapped axes show
+        fine = rng.standard_normal((d, height, width)).astype(np.float32)
+        corners = [(0, 0), (width - 1, 0), (0, height - 1), (width - 1, height - 1)]
+        edges = [(7, 0), (0, 5), (width - 1, 6), (9, height - 1)]
+        interior = [(1, 1), (8, 5), (width - 2, height - 2), (3, 9)]
+        pixels = np.array(corners + edges + interior)
+        windows, masks = stage2_windows(T.tensor(fine), pixels)
+        feats = rng.standard_normal((len(pixels), d)).astype(np.float32)
+        got = stage2_offsets(T.tensor(feats), windows, masks).data
+        oracle = [brute_force_window(fine, x, y) for x, y in pixels]
+        want_windows = np.stack([w for w, _ in oracle])
+        want_masks = np.stack([m for _, m in oracle])
+        np.testing.assert_array_equal(masks, want_masks)
+        np.testing.assert_array_equal(np.where(masks[:, None, :], windows.data, 0.0), want_windows)
+        assert [int(m.sum()) for m in masks] == [4] * 4 + [6] * 4 + [9] * 4
+        # out-of-image cells get no weight, whatever the gather put there
+        want = stage2_offsets(T.tensor(feats), T.tensor(want_windows), want_masks).data
+        np.testing.assert_array_equal(got, want)
 
 
 class TestRefine:
@@ -279,6 +342,9 @@ class TestRefine:
 
     def test_batched_score_matrices_match_single(self, rng):
         pairs = [random_pair(np.random.default_rng(s), d=5, w=4) for s in range(3)]
-        batch = stack_score_matrices(pairs).data
-        for k, pair in enumerate(pairs):
-            np.testing.assert_allclose(batch[k], local_score_matrix(pair).data, atol=1e-6)
+        fine_a, origins = tile([a for a, _ in pairs])
+        fine_b, _ = tile([b for _, b in pairs])
+        batch = local_scores(fine_a, fine_b, origins, origins, w=4).data
+        for k, (a, b) in enumerate(pairs):
+            single = local_scores(T.tensor(a), T.tensor(b), np.zeros((1, 2), int), np.zeros((1, 2), int), w=4)
+            np.testing.assert_allclose(batch[k], single.data[0], atol=1e-6)
