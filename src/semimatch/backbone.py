@@ -15,27 +15,17 @@ from . import tensor as T
 from .tensor import Tensor
 
 BN_EPS = 1e-5
+STAGE_STRIDES = (1, 2, 2, 2)  # a 1/2, 1/4, 1/8 pyramid
 
 
 @dataclass
 class BackboneConfig:
     stage_widths: tuple[int, ...] = (64, 64, 128, 256)
     stage_blocks: tuple[int, ...] = (1, 2, 4, 14)
-    stage_strides: tuple[int, ...] = (1, 2, 2, 2)
-    scale_factor: float = 1.0  # toy models shrink every stage width by this
 
     def __post_init__(self):
-        if not (len(self.stage_widths) == len(self.stage_blocks) == len(self.stage_strides) == 4):
+        if not (len(self.stage_widths) == len(self.stage_blocks) == len(STAGE_STRIDES)):
             raise ValueError("backbone uses exactly four stages")
-        if tuple(self.stage_strides) != (1, 2, 2, 2):
-            raise ValueError("stage strides are fixed at (1, 2, 2, 2) for a 1/2, 1/4, 1/8 pyramid")
-        if self.scale_factor <= 0:
-            raise ValueError("scale_factor must be positive")
-
-    def widths(self) -> tuple[int, ...]:
-        if self.scale_factor == 1.0:
-            return tuple(self.stage_widths)
-        return tuple(max(1, round(w * self.scale_factor)) for w in self.stage_widths)
 
 
 @dataclass
@@ -154,7 +144,7 @@ class Backbone:
         self.config = config
         self.stages: list[list[RepVGGBlock]] = []
         c_in = in_channels
-        for width, n_blocks, stride in zip(config.widths(), config.stage_blocks, config.stage_strides):
+        for width, n_blocks, stride in zip(config.stage_widths, config.stage_blocks, STAGE_STRIDES):
             stage = []
             for b in range(n_blocks):
                 stage.append(RepVGGBlock(c_in, width, stride if b == 0 else 1, rng, dtype))

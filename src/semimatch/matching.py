@@ -73,14 +73,10 @@ def mnn_select(m: np.ndarray, tau: float = float("-inf")) -> list[CoarseMatch]:
     col_counts = at_max.sum(axis=0)
     mutual = best == col_max[row_best]
     keep = mutual & (best >= tau) & np.isfinite(best)
-    out = []
-    for i in rows[keep]:
-        j = row_best[i]
-        # ties: i must be the first row attaining the column max
-        if col_counts[j] > 1 and int(at_max[:, j].argmax()) != i:
-            continue
-        out.append(CoarseMatch(int(i), int(j), float(best[i])))
-    return out
+    # ties: a kept row must be the first row attaining its column's max
+    tied = np.flatnonzero(keep & (col_counts[row_best] > 1))
+    keep[tied] = at_max[:, row_best[tied]].argmax(axis=0) == tied
+    return [CoarseMatch(int(i), int(row_best[i]), float(best[i])) for i in np.flatnonzero(keep)]
 
 
 def match_coarse(

@@ -536,25 +536,24 @@ class Softmax(Function):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
-def _window_index(h: int, w: int, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Flat indices of every sliding-window element in the zero-padded plane.
+def _taps(x_shape, kh: int, kw: int, stride: int, pad: int):
+    """Output size and per-tap strided views of a sliding window.
 
-    Shape (out_h * out_w, kh * kw), row-major over output cells and window
-    elements; shared by conv, depthwise conv and max-pool kernels.
+    For a (C, H, W) input zero-padded by ``pad``, returns ``((oh, ow), taps)``
+    where ``taps`` holds one index tuple per kernel element in row-major
+    order; ``padded[taps[t]]`` is the (C, oh, ow) view of the values that
+    kernel tap ``t`` reads at every output cell. Shared by conv, depthwise
+    conv and max-pool: forward passes combine the views, backward passes
+    add into them.
     """
-    hp, wp = h + 2 * pad, w + 2 * pad
-    out_h = (hp - kh) // stride + 1
-    out_w = (wp - kw) // stride + 1
-    if out_h <= 0 or out_w <= 0:
+    hp, wp = x_shape[-2] + 2 * pad, x_shape[-1] + 2 * pad
+    oh = (hp - kh) // stride + 1
+    ow = (wp - kw) // stride + 1
+    if oh <= 0 or ow <= 0:
         raise ValueError(f"window {kh}x{kw} larger than padded input {hp}x{wp}")
-    r0 = np.repeat(np.arange(out_h) * stride, out_w)
-    c0 = np.tile(np.arange(out_w) * stride, out_h)
-    dr = np.repeat(np.arange(kh), kw)
-    dc = np.tile(np.arange(kw), kh)
-    rows = r0[:, None] + dr[None, :]
-    cols = c0[:, None] + dc[None, :]
-    return rows * wp + cols
+    rows = [slice(dr, dr + stride * (oh - 1) + 1, stride) for dr in range(kh)]
+    cols = [slice(dc, dc + stride * (ow - 1) + 1, stride) for dc in range(kw)]
+    return (oh, ow), [(slice(None), r, c) for r in rows for c in cols]
 
 
 def _pad_plane(x: np.ndarray, pad: int) -> np.ndarray:
@@ -563,78 +562,67 @@ def _pad_plane(x: np.ndarray, pad: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
 
 
-def _out_hw(h: int, w: int, kh: int, kw: int, stride: int, pad: int) -> tuple[int, int]:
-    return (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
+def _unpad_plane(x: np.ndarray, pad: int) -> np.ndarray:
+    if pad == 0:
+        return x
+    return np.ascontiguousarray(x[:, pad:-pad, pad:-pad])
 
 
 class Conv2d(Function):
     def forward(self, x, kernel, bias, stride, pad):
-        cin, h, w = x.shape
+        cin = x.shape[0]
         cout, kin, kh, kw = kernel.shape
         if kin != cin:
             raise ValueError(f"conv2d: input has {cin} channels, kernel expects {kin}")
-        idx = _window_index(h, w, kh, kw, stride, pad)
-        xp = _pad_plane(x, pad).reshape(cin, -1)
-        # cols: (out_cells, cin * kh * kw)
-        cols = xp[:, idx].transpose(1, 0, 2).reshape(idx.shape[0], cin * kh * kw)
-        out = cols @ kernel.reshape(cout, -1).T
+        (oh, ow), taps = _taps(x.shape, kh, kw, stride, pad)
+        xp = _pad_plane(x, pad)
+        # cols: (cin * kh * kw, out_cells), rows ordered like the kernel's
+        cols = np.stack([xp[t] for t in taps], axis=1).reshape(cin * kh * kw, oh * ow)
+        out = kernel.reshape(cout, -1) @ cols
         if bias is not None:
-            out += bias
-        oh, ow = _out_hw(h, w, kh, kw, stride, pad)
-        self.saved = (cols, kernel, x.shape, stride, pad, bias is not None)
+            out += bias[:, None]
+        self.saved = (cols, kernel, taps, xp.shape, pad, bias is not None)
         counters.add("conv2d")
-        return np.ascontiguousarray(out.T.reshape(cout, oh, ow))
+        return out.reshape(cout, oh, ow)
 
     def backward(self, grad):
-        cols, kernel, x_shape, stride, pad, has_bias = self.saved
-        cin, h, w = x_shape
-        cout, _, kh, kw = kernel.shape
-        gmat = grad.reshape(cout, -1).T  # (out_cells, cout)
-        dkernel = (gmat.T @ cols).reshape(kernel.shape)
+        cols, kernel, taps, padded_shape, pad, has_bias = self.saved
+        cout, cin, kh, kw = kernel.shape
+        g2 = grad.reshape(cout, -1)
+        dkernel = (g2 @ cols.T).reshape(kernel.shape)
         dbias = grad.sum(axis=(1, 2)) if has_bias else None
-        dcols = gmat @ kernel.reshape(cout, -1)  # (out_cells, cin*kh*kw)
-        idx = _window_index(h, w, kh, kw, stride, pad)
-        hp, wp = h + 2 * pad, w + 2 * pad
-        dcols = dcols.reshape(-1, cin, kh * kw).transpose(1, 0, 2)
-        flat = np.broadcast_to(idx, (cin, *idx.shape)) + (np.arange(cin) * hp * wp)[:, None, None]
-        dx = np.bincount(flat.ravel(), weights=dcols.ravel(), minlength=cin * hp * wp)
-        dx = dx.reshape(cin, hp, wp).astype(grad.dtype, copy=False)
-        if pad:
-            dx = dx[:, pad:-pad, pad:-pad]
-        grads = (np.ascontiguousarray(dx), dkernel)
+        dcols = (kernel.reshape(cout, -1).T @ g2).reshape(cin, kh * kw, *grad.shape[1:])
+        dxp = np.zeros(padded_shape, dtype=grad.dtype)
+        for t, tap in enumerate(taps):
+            dxp[tap] += dcols[:, t]
+        grads = (_unpad_plane(dxp, pad), dkernel)
         return grads + (dbias,) if has_bias else grads
 
 
 class DepthwiseConv2d(Function):
     def forward(self, x, kernel, stride, pad):
-        cin, h, w = x.shape
+        cin = x.shape[0]
         kc, kh, kw = kernel.shape
         if kc != cin:
             raise ValueError(f"depthwise_conv2d: input has {cin} channels, kernel has {kc}")
-        idx = _window_index(h, w, kh, kw, stride, pad)
-        xp = _pad_plane(x, pad).reshape(cin, -1)
-        cols = xp[:, idx]  # (cin, out_cells, kh*kw)
-        out = np.einsum("cok,ck->co", cols, kernel.reshape(cin, -1), optimize=False)
-        oh, ow = _out_hw(h, w, kh, kw, stride, pad)
-        self.saved = (cols, kernel, x.shape, stride, pad)
+        _, taps = _taps(x.shape, kh, kw, stride, pad)
+        xp = _pad_plane(x, pad)
+        weights = kernel.reshape(cin, -1, 1, 1)
+        out = xp[taps[0]] * weights[:, 0]
+        for t in range(1, len(taps)):
+            out += xp[taps[t]] * weights[:, t]
+        self.saved = (xp, kernel, taps, pad)
         counters.add("conv2d")
-        return np.ascontiguousarray(out.reshape(cin, oh, ow))
+        return out
 
     def backward(self, grad):
-        cols, kernel, x_shape, stride, pad = self.saved
-        cin, h, w = x_shape
-        kc, kh, kw = kernel.shape
-        g2 = grad.reshape(cin, -1)
-        dkernel = np.einsum("co,cok->ck", g2, cols, optimize=False).reshape(kernel.shape)
-        dcols = g2[:, :, None] * kernel.reshape(cin, 1, -1)
-        idx = _window_index(h, w, kh, kw, stride, pad)
-        hp, wp = h + 2 * pad, w + 2 * pad
-        flat = np.broadcast_to(idx, (cin, *idx.shape)) + (np.arange(cin) * hp * wp)[:, None, None]
-        dx = np.bincount(flat.ravel(), weights=dcols.ravel(), minlength=cin * hp * wp)
-        dx = dx.reshape(cin, hp, wp).astype(grad.dtype, copy=False)
-        if pad:
-            dx = dx[:, pad:-pad, pad:-pad]
-        return np.ascontiguousarray(dx), dkernel
+        xp, kernel, taps, pad = self.saved
+        weights = kernel.reshape(kernel.shape[0], -1, 1, 1)
+        dkernel = np.stack([(grad * xp[t]).sum(axis=(1, 2)) for t in taps], axis=1)
+        dxp = np.zeros(xp.shape, dtype=grad.dtype)
+        for t, tap in enumerate(taps):
+            dxp[tap] += grad * weights[:, t]
+        return _unpad_plane(dxp, pad), dkernel.reshape(kernel.shape)
 
 
 class MaxPool2d(Function):
@@ -642,21 +630,23 @@ class MaxPool2d(Function):
         cin, h, w = x.shape
         if k > h or k > w:
             raise ValueError(f"maxpool window {k} larger than input {h}x{w}")
-        idx = _window_index(h, w, k, k, stride, 0)
-        cols = x.reshape(cin, -1)[:, idx]  # (cin, out_cells, k*k)
-        arg = cols.argmax(axis=2)  # first max in row-major window order
-        out = np.take_along_axis(cols, arg[:, :, None], axis=2)[:, :, 0]
-        oh, ow = _out_hw(h, w, k, k, stride, 0)
-        self.saved = (idx, arg, x.shape)
-        return np.ascontiguousarray(out.reshape(cin, oh, ow))
+        _, taps = _taps(x.shape, k, k, stride, 0)
+        out = x[taps[0]].copy()
+        for tap in taps[1:]:
+            np.maximum(out, x[tap], out=out)
+        self.saved = (x, out, taps)
+        return out
 
     def backward(self, grad):
-        idx, arg, x_shape = self.saved
-        cin, h, w = x_shape
-        winners = np.take_along_axis(np.broadcast_to(idx, (cin, *idx.shape)), arg[:, :, None], axis=2)[:, :, 0]
-        flat = winners + (np.arange(cin) * h * w)[:, None]
-        dx = np.bincount(flat.ravel(), weights=grad.reshape(cin, -1).ravel(), minlength=cin * h * w)
-        return (dx.reshape(cin, h, w).astype(grad.dtype, copy=False),)
+        x, out, taps = self.saved
+        dx = np.zeros(x.shape, dtype=grad.dtype)
+        unrouted = np.ones(out.shape, dtype=bool)
+        for tap in taps:
+            # the first max in row-major window order takes the gradient
+            wins = unrouted & (x[tap] == out)
+            dx[tap] += np.where(wins, grad, 0)
+            unrouted &= ~wins
+        return (dx,)
 
 
 @lru_cache(maxsize=256)

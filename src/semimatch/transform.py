@@ -24,15 +24,12 @@ class AggAttnConfig:
     n_layers: int = 4
     n_heads: int = 8
     d_model: int = 256
-    ffn_dim: int | None = None
 
     def __post_init__(self):
         if self.d_model % self.n_heads:
             raise ValueError("d_model must divide evenly into heads")
         if (self.d_model // self.n_heads) % 4:
             raise ValueError("head dim must be divisible by 4 for 2D rotary encoding")
-        if self.ffn_dim is None:
-            self.ffn_dim = 2 * self.d_model
 
 
 @dataclass(frozen=True)
@@ -93,17 +90,19 @@ def _grid_positions(h: int, w: int, s: int) -> np.ndarray:
     return centers * s + (s - 1) / 2.0
 
 
-def aggregate_tokens(f: Tensor, s: int, conv_kernel: Tensor) -> tuple[Tensor, Tensor]:
-    """Reduce a (d, H, W) map to H*W/s^2 tokens per side.
+def aggregate_tokens(f_q: Tensor, f_kv: Tensor, s: int, conv_kernel: Tensor) -> tuple[Tensor, Tensor]:
+    """Reduce (d, H, W) maps to H*W/s^2 tokens per side.
 
-    Queries come from a learned strided depthwise conv, keys/values from a
-    max-pool with the same window; both outputs are (d, H/s, W/s).
+    Queries come from a learned strided depthwise conv over ``f_q``,
+    keys/values from a max-pool with the same window over ``f_kv``; both
+    outputs are (d, H/s, W/s). A self block passes its one map twice.
     """
-    _, h, w = f.shape
-    if h % s or w % s:
-        raise ValueError(f"grid {h}x{w} not divisible by aggregation range {s}")
-    q_map = T.depthwise_conv2d(f, conv_kernel, stride=s, pad=0)
-    kv_map = f if s == 1 else T.maxpool2d(f, s, s)
+    for f in (f_q, f_kv):
+        _, h, w = f.shape
+        if h % s or w % s:
+            raise ValueError(f"grid {h}x{w} not divisible by aggregation range {s}")
+    q_map = T.depthwise_conv2d(f_q, conv_kernel, stride=s, pad=0)
+    kv_map = f_kv if s == 1 else T.maxpool2d(f_kv, s, s)
     return q_map, kv_map
 
 
@@ -143,9 +142,9 @@ class AggAttentionBlock:
         self.v_proj = T.parameter(_xavier(rng, d, d), dtype=dtype)
         self.out_proj = T.parameter(_xavier(rng, d, d), dtype=dtype)
         self.fuse = T.parameter(_xavier(rng, d, 2 * d), dtype=dtype)
-        self.fc1 = T.parameter(_xavier(rng, config.ffn_dim, d), dtype=dtype)
-        self.fc1_bias = T.parameter(np.zeros(config.ffn_dim), dtype=dtype)
-        self.fc2 = T.parameter(_xavier(rng, d, config.ffn_dim), dtype=dtype)
+        self.fc1 = T.parameter(_xavier(rng, 2 * d, d), dtype=dtype)
+        self.fc1_bias = T.parameter(np.zeros(2 * d), dtype=dtype)
+        self.fc2 = T.parameter(_xavier(rng, d, 2 * d), dtype=dtype)
         self.fc2_bias = T.parameter(np.zeros(d), dtype=dtype)
         self._rope = rope_params(d // config.n_heads)
 
@@ -159,9 +158,7 @@ class AggAttentionBlock:
             raise ValueError("self block expects the same map as target and source")
         s = self.config.s
         _, h, w = target.shape
-        q_map, kv_map = aggregate_tokens(target, s, self.agg_conv)
-        if source is not target:  # cross block: keys and values come from the other map
-            kv_map = aggregate_tokens(source, s, self.agg_conv)[1]
+        q_map, kv_map = aggregate_tokens(target, source, s, self.agg_conv)
         ah, aw = q_map.shape[1], q_map.shape[2]
 
         q_tokens = T.layer_norm(_to_tokens(q_map))

@@ -156,11 +156,4 @@ class TestHelpers:
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="four stages"):
-            BackboneConfig(stage_widths=(8, 8), stage_blocks=(1, 1), stage_strides=(1, 2))
-
-    def test_scale_factor_shrinks_widths(self):
-        cfg = BackboneConfig(scale_factor=0.125)
-        assert cfg.widths() == (8, 8, 16, 32)
-        assert BackboneConfig().widths() == (64, 64, 128, 256)
-        with pytest.raises(ValueError, match="positive"):
-            BackboneConfig(scale_factor=0.0)
+            BackboneConfig(stage_widths=(8, 8), stage_blocks=(1, 1))

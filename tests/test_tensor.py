@@ -27,6 +27,40 @@ def naive_conv2d(x, kernel, bias, stride, pad):
     return out
 
 
+def naive_depthwise(x, kernel, stride, pad):
+    return np.stack([
+        naive_conv2d(x[c:c + 1], kernel[c][None, None], None, stride, pad)[0] for c in range(x.shape[0])
+    ])
+
+
+def naive_maxpool(x, k, stride):
+    cin, h, w = x.shape
+    oh, ow = (h - k) // stride + 1, (w - k) // stride + 1
+    out = np.zeros((cin, oh, ow))
+    for c in range(cin):
+        for r in range(oh):
+            for q in range(ow):
+                out[c, r, q] = x[c, r * stride:r * stride + k, q * stride:q * stride + k].max()
+    return out
+
+
+def check_backward(op, arrays):
+    """Float64 analytic gradients of weighted_sum(op(*arrays)) against finite differences."""
+    params = [T.parameter(a, dtype=np.float64) for a in arrays]
+    weighted_sum(op(*params), 5).backward()
+
+    def loss(*values):
+        return float(weighted_sum(op(*(T.tensor(v, dtype=np.float64) for v in values)), 5).data)
+
+    for which, p in enumerate(params):
+        assert_gradients_close(p.grad, numeric_gradient(loss, arrays, which))
+
+
+# rectangular odd-sized maps; every stride/pad pair, square, 1x1 and non-square kernels
+STRIDE_PAD = [(stride, pad) for stride in (1, 2, 3) for pad in (0, 1, 2)]
+KERNEL_HW = [(3, 3), (1, 1), (3, 5)]
+
+
 class TestConv2d:
     def test_identity_kernel(self, rng):
         x = T.tensor(rng.random((1, 4, 4)))
@@ -47,6 +81,21 @@ class TestConv2d:
             got = T.conv2d(T.tensor(x), T.tensor(k), T.tensor(b), stride, pad)
             want = naive_conv2d(x, k, b, stride, pad)
             np.testing.assert_allclose(got.data, want, atol=1e-5)
+
+    @pytest.mark.parametrize("kh,kw", KERNEL_HW)
+    def test_rectangular_map_matches_loop_oracle(self, rng, kh, kw):
+        x = rng.standard_normal((3, 7, 10))
+        k = rng.standard_normal((4, 3, kh, kw))
+        b = rng.standard_normal(4)
+        for stride, pad in STRIDE_PAD:
+            got = T.conv2d(T.tensor(x), T.tensor(k), T.tensor(b), stride, pad)
+            np.testing.assert_allclose(got.data, naive_conv2d(x, k, b, stride, pad), atol=1e-5)
+
+    @pytest.mark.parametrize("kh,kw", KERNEL_HW)
+    @pytest.mark.parametrize("stride,pad", STRIDE_PAD)
+    def test_backward_matches_finite_differences(self, rng, stride, pad, kh, kw):
+        arrays = [rng.standard_normal((3, 7, 10)), rng.standard_normal((2, 3, kh, kw)), rng.standard_normal(2)]
+        check_backward(lambda x, k, b: T.conv2d(x, k, b, stride, pad), arrays)
 
     def test_channel_mismatch_raises(self, rng):
         with pytest.raises(ValueError, match="channels"):
@@ -70,10 +119,21 @@ class TestDepthwiseConv2d:
         x = rng.standard_normal((4, 7, 7))
         k = rng.standard_normal((4, 3, 3))
         got = T.depthwise_conv2d(T.tensor(x), T.tensor(k), stride=2, pad=1)
-        grouped = np.stack([
-            naive_conv2d(x[c:c + 1], k[c][None, None], None, 2, 1)[0] for c in range(4)
-        ])
-        np.testing.assert_allclose(got.data, grouped, atol=1e-5)
+        np.testing.assert_allclose(got.data, naive_depthwise(x, k, 2, 1), atol=1e-5)
+
+    @pytest.mark.parametrize("kh,kw", KERNEL_HW)
+    def test_rectangular_map_matches_loop_oracle(self, rng, kh, kw):
+        x = rng.standard_normal((3, 7, 10))
+        k = rng.standard_normal((3, kh, kw))
+        for stride, pad in STRIDE_PAD:
+            got = T.depthwise_conv2d(T.tensor(x), T.tensor(k), stride, pad)
+            np.testing.assert_allclose(got.data, naive_depthwise(x, k, stride, pad), atol=1e-5)
+
+    @pytest.mark.parametrize("kh,kw", KERNEL_HW)
+    @pytest.mark.parametrize("stride,pad", STRIDE_PAD)
+    def test_backward_matches_finite_differences(self, rng, stride, pad, kh, kw):
+        arrays = [rng.standard_normal((3, 7, 10)), rng.standard_normal((3, kh, kw))]
+        check_backward(lambda x, k: T.depthwise_conv2d(x, k, stride, pad), arrays)
 
     def test_channel_mismatch_raises(self, rng):
         with pytest.raises(ValueError, match="channels"):
@@ -99,6 +159,18 @@ class TestMaxPool2d:
             for c in range(3)
         ])
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("k,stride", [(3, 2), (4, 4)])
+    def test_rectangular_map_matches_loop_oracle(self, rng, k, stride):
+        x = rng.standard_normal((3, 7, 10))
+        got = T.maxpool2d(T.tensor(x, dtype=np.float64), k, stride).data
+        np.testing.assert_array_equal(got, naive_maxpool(x, k, stride))
+
+    @pytest.mark.parametrize("k,stride", [(3, 2), (4, 4)])
+    def test_backward_matches_finite_differences(self, rng, k, stride):
+        # distinct values 0.01 apart: no max changes within the difference step
+        x = rng.permutation(3 * 7 * 10).reshape(3, 7, 10) * 0.01
+        check_backward(lambda t: T.maxpool2d(t, k, stride), [x])
 
     def test_window_larger_than_input(self, rng):
         with pytest.raises(ValueError, match="larger"):

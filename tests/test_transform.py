@@ -80,25 +80,33 @@ class TestAggregation:
     def test_s1_keeps_all_tokens_and_pool_is_identity(self, rng):
         f = T.tensor(rng.standard_normal((4, 6, 6)).astype(np.float32))
         kernel = T.tensor(np.ones((4, 1, 1), dtype=np.float32))
-        q_map, kv_map = aggregate_tokens(f, 1, kernel)
+        q_map, kv_map = aggregate_tokens(f, f, 1, kernel)
         assert q_map.shape == (4, 6, 6)
         np.testing.assert_array_equal(kv_map.data, f.data)
 
     def test_token_count_reduced_by_s_squared(self, rng):
         f = T.tensor(rng.standard_normal((8, 8, 8)).astype(np.float32))
         kernel = T.tensor(np.full((8, 4, 4), 1 / 16, dtype=np.float32))
-        q_map, kv_map = aggregate_tokens(f, 4, kernel)
+        q_map, kv_map = aggregate_tokens(f, f, 4, kernel)
         assert q_map.shape == (8, 2, 2) and kv_map.shape == (8, 2, 2)
 
     def test_constant_map_pools_to_constant(self):
         f = T.tensor(np.full((2, 8, 8), 1.25, dtype=np.float32))
-        _, kv_map = aggregate_tokens(f, 4, T.tensor(np.full((2, 4, 4), 1 / 16, np.float32)))
+        _, kv_map = aggregate_tokens(f, f, 4, T.tensor(np.full((2, 4, 4), 1 / 16, np.float32)))
         np.testing.assert_allclose(kv_map.data, 1.25, atol=1e-6)
 
     def test_indivisible_grid_rejected(self, rng):
         f = T.tensor(rng.standard_normal((2, 6, 6)).astype(np.float32))
         with pytest.raises(ValueError, match="divisible"):
-            aggregate_tokens(f, 4, T.tensor(np.full((2, 4, 4), 1 / 16, np.float32)))
+            aggregate_tokens(f, f, 4, T.tensor(np.full((2, 4, 4), 1 / 16, np.float32)))
+
+    def test_queries_and_keys_come_from_their_own_maps(self, rng):
+        f_q = T.tensor(rng.standard_normal((3, 8, 8)).astype(np.float32))
+        f_kv = T.tensor(rng.standard_normal((3, 8, 8)).astype(np.float32))
+        kernel = T.tensor(rng.standard_normal((3, 4, 4)).astype(np.float32))
+        q_map, kv_map = aggregate_tokens(f_q, f_kv, 4, kernel)
+        np.testing.assert_array_equal(q_map.data, aggregate_tokens(f_q, f_q, 4, kernel)[0].data)
+        np.testing.assert_array_equal(kv_map.data, aggregate_tokens(f_kv, f_kv, 4, kernel)[1].data)
 
 
 class TestAggAttentionBlock:
@@ -174,6 +182,16 @@ class TestAggAttentionBlock:
             out1 = block.forward(f, g)
             out2 = block.forward(f, g, position_offset=(100.0, 100.0))
         np.testing.assert_array_equal(out1.data, out2.data)
+
+    def test_cross_block_aggregates_queries_once(self, rng):
+        block = AggAttentionBlock("cross", CFG, rng)
+        f = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
+        g = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
+        counters.reset("conv2d")
+        with T.no_grad():
+            block.forward(f, g)
+        # one depthwise conv for the target's queries; the source is only pooled
+        assert counters["conv2d"] == 1
 
 
 class TestFeatureTransform:
