@@ -51,10 +51,7 @@ class BatchNormStats:
         self.eps = BN_EPS
 
     def apply(self, x: Tensor) -> Tensor:
-        inv_std = 1.0 / np.sqrt(self.var.data + self.eps)
-        w = (self.scale * T.tensor(inv_std, dtype=x.dtype)).reshape((-1, 1, 1))
-        b = (self.shift - self.scale * T.tensor(self.mean.data * inv_std, dtype=x.dtype)).reshape((-1, 1, 1))
-        return x * w + b
+        return T.batch_norm(x, self.scale, self.shift, self.mean.data, self.var.data, self.eps)
 
     def fold(self, kernel: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fold the normalization into a preceding conv's kernel and bias."""

@@ -60,7 +60,7 @@ def build_parser() -> _Parser:
     p.add_argument("--image-b", required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--mode", choices=("full", "optimized"), default="full")
-    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--tau", type=float, default=None, help="match probability threshold (full mode only)")
     p.add_argument("--out", default=None, help="match dump CSV path")
     p.add_argument("--viz", default=None, help="side-by-side PPM with match lines")
 
@@ -97,6 +97,8 @@ def build_parser() -> _Parser:
 
 
 def cmd_match(args) -> int:
+    if args.tau is not None and args.mode == "optimized":
+        raise UsageError("--tau applies to --mode full; optimized mode keeps every mutual nearest neighbour")
     matcher, model = load_matcher(args.weights)
     image_a = load_image(args.image_a)
     image_b = load_image(args.image_b)

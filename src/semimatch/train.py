@@ -52,6 +52,7 @@ class LossRow:
     l_f1: float
     l_f2: float
     total: float
+    grad_norm: float  # global L2 norm of the step's gradients, before clipping
 
 
 class AdamW:
@@ -200,7 +201,7 @@ def train_toy(matcher, dataset, cfg: TrainConfig, log=None) -> list[LossRow]:
         if not math.isfinite(value):
             raise DivergenceError(f"loss became {value} at step {step}")
         loss.backward()
-        clip_gradients(params, cfg.clip_norm)
+        grad_norm = clip_gradients(params, cfg.clip_norm)
         optimizer.step(lr_scale)
         row = LossRow(
             step=step,
@@ -208,6 +209,7 @@ def train_toy(matcher, dataset, cfg: TrainConfig, log=None) -> list[LossRow]:
             l_f1=float(l_f1.data) if isinstance(l_f1, Tensor) else float(l_f1),
             l_f2=float(l_f2.data) if isinstance(l_f2, Tensor) else float(l_f2),
             total=value,
+            grad_norm=grad_norm,
         )
         curve.append(row)
         if log is not None:
@@ -223,7 +225,7 @@ def _mean(terms):
 
 
 def loss_curve_csv(curve: list[LossRow]) -> str:
-    lines = ["step,l_c,l_f1,l_f2,total"]
+    lines = ["step,l_c,l_f1,l_f2,total,grad_norm"]
     for row in curve:
-        lines.append(f"{row.step},{row.l_c:.6f},{row.l_f1:.6f},{row.l_f2:.6f},{row.total:.6f}")
+        lines.append(f"{row.step},{row.l_c:.6f},{row.l_f1:.6f},{row.l_f2:.6f},{row.total:.6f},{row.grad_norm:.6f}")
     return "\n".join(lines) + "\n"

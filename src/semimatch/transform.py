@@ -55,14 +55,6 @@ def _rope_maps(params: RoPEParams, positions: np.ndarray, dtype) -> tuple[np.nda
     return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
 
 
-def _rotate_pairs(x: Tensor) -> Tensor:
-    # (a, b) -> (-b, a) within each channel pair
-    paired = x.reshape((*x.shape[:-1], x.shape[-1] // 2, 2))
-    even = paired[..., 0:1]
-    odd = paired[..., 1:2]
-    return T.concat([-odd, even], axis=-1).reshape(x.shape)
-
-
 def rope_encode(features: Tensor, positions: np.ndarray, params: RoPEParams | None = None) -> Tensor:
     """Rotate feature channels by position so dot products depend only on offsets.
 
@@ -79,7 +71,7 @@ def rope_encode(features: Tensor, positions: np.ndarray, params: RoPEParams | No
         raise ValueError("one (x, y) position per token is required")
     cos, sin = _rope_maps(params, positions, features.dtype)
     counters.add("rope")
-    return features * T.tensor(cos) + _rotate_pairs(features) * T.tensor(sin)
+    return T.rotary(features, cos, sin)
 
 
 @lru_cache(maxsize=64)

@@ -41,3 +41,16 @@ def weighted_sum(out: T.Tensor, seed: int = 0) -> T.Tensor:
     """Scalar loss with non-uniform output weighting for gradient checks."""
     w = np.random.default_rng(seed).standard_normal(out.shape)
     return (out * T.tensor(w, dtype=out.dtype)).sum()
+
+
+def tape_size(out: T.Tensor) -> int:
+    """Number of recorded ops reachable from ``out``."""
+    seen: set[int] = set()
+    stack = [out]
+    while stack:
+        node = stack.pop()
+        if node._ctx is None or id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._ctx.parents)
+    return len(seen)

@@ -11,6 +11,8 @@ from semimatch.backbone import (
 )
 from semimatch.instrument import counters
 
+from helpers import tape_size
+
 TOY = BackboneConfig(stage_widths=(8, 8, 16, 32), stage_blocks=(1, 1, 2, 2))
 
 
@@ -113,6 +115,12 @@ class TestBackboneForward:
         with T.no_grad():
             fused.forward_deploy(T.tensor(rng.random((1, 32, 32)).astype(np.float32)))
         assert counters["conv2d"] == sum(TOY.stage_blocks)
+
+    def test_identity_block_tape_size(self, rng):
+        # 2 convs, 3 one-op batch norms, 2 adds, relu
+        block = RepVGGBlock(8, 8, 1, rng)
+        out = block.forward(T.parameter(rng.standard_normal((8, 6, 6)).astype(np.float32)))
+        assert tape_size(out) <= 8
 
     def test_deploy_not_slower_than_train(self, rng):
         import time

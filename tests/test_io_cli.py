@@ -173,7 +173,7 @@ class TestCli:
         ])
         assert code == 0 and weights.exists()
         lines = curve.read_text().splitlines()
-        assert lines[0] == "step,l_c,l_f1,l_f2,total"
+        assert lines[0] == "step,l_c,l_f1,l_f2,total,grad_norm"
         assert len(lines) == 3
 
         out_csv = tmp_path / "matches.csv"
@@ -233,6 +233,19 @@ class TestCli:
         code = main(["match", "--image-a", str(img), "--image-b", str(img),
                      "--weights", str(weights)])
         assert code == 3
+
+    def test_tau_with_optimized_mode_is_a_usage_error(self, tmp_path, capsys):
+        img = tmp_path / "img.pgm"
+        save_pgm(str(img), np.zeros((16, 16)))
+        weights = tmp_path / "toy.smw"
+        save_matcher(str(weights), Matcher(TINY, seed=0))
+        out = tmp_path / "matches.csv"
+        code = main(["match", "--image-a", str(img), "--image-b", str(img), "--weights", str(weights),
+                     "--mode", "optimized", "--tau", "0.5", "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert "--tau" in capsys.readouterr().err
+        assert main(["match", "--image-a", str(img), "--image-b", str(img), "--weights", str(weights),
+                     "--mode", "full", "--tau", "0.5"]) == 0
 
     def test_unknown_mode_rejected_by_parser(self, tmp_path):
         assert main(["match", "--image-a", "a", "--image-b", "b", "--weights", "w",

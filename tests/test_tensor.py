@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semimatch import tensor as T
+from semimatch.instrument import counters
 
 from helpers import assert_gradients_close, numeric_gradient, weighted_sum
 
@@ -322,6 +323,141 @@ class TestBilinearUpsample:
         np.testing.assert_allclose(out, want, atol=1e-6)
 
 
+# The op chains the fused ops replaced, kept as oracles.
+
+
+def composite_linear(x, w, b=None):
+    out = T.matmul(x.reshape((-1, x.shape[-1])), w.T).reshape((*x.shape[:-1], w.shape[0]))
+    return out if b is None else out + b
+
+
+def composite_layer_norm(x, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered / (var + eps).sqrt()
+
+
+def composite_rotary(x, cos, sin):
+    paired = x.reshape((*x.shape[:-1], x.shape[-1] // 2, 2))
+    rotated = T.concat([-paired[..., 1:2], paired[..., 0:1]], axis=-1).reshape(x.shape)
+    return x * T.tensor(cos) + rotated * T.tensor(sin)
+
+
+def composite_attention(q, k, v, scale):
+    perm = list(range(k.ndim))
+    perm[-1], perm[-2] = perm[-2], perm[-1]
+    return T.matmul(T.softmax(T.matmul(q, k.transpose(perm)) * scale, axis=-1), v)
+
+
+def composite_batch_norm(x, scale, shift, mean, var, eps):
+    inv_std = 1.0 / np.sqrt(var + eps)
+    w = (scale * T.tensor(inv_std, dtype=x.dtype)).reshape((-1, 1, 1))
+    b = (shift - scale * T.tensor(mean * inv_std, dtype=x.dtype)).reshape((-1, 1, 1))
+    return x * w + b
+
+
+def assert_relative_close(got, want, rtol=1e-10):
+    scale = max(np.abs(want).max(), 1e-300)
+    assert np.abs(got - want).max() <= rtol * scale
+
+
+def check_fused_against_composite(fused, composite, arrays):
+    """Float64 forward values and gradients of a fused op equal its composite's."""
+    results = []
+    for op in (fused, composite):
+        leaves = [T.parameter(a, dtype=np.float64) for a in arrays]
+        out = op(*leaves)
+        weighted_sum(out, 11).backward()
+        results.append((out.data, [leaf.grad for leaf in leaves]))
+    (out_f, grads_f), (out_c, grads_c) = results
+    assert out_f.shape == out_c.shape
+    assert_relative_close(out_f, out_c)
+    for got, want in zip(grads_f, grads_c):
+        assert_relative_close(got, want)
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("x_shape", [(5, 6), (2, 5, 6)])
+    def test_linear_matches_composite(self, rng, x_shape):
+        arrays = [rng.standard_normal(x_shape), rng.standard_normal((4, 6)), rng.standard_normal(4)]
+        check_fused_against_composite(T.linear, composite_linear, arrays)
+        check_fused_against_composite(T.linear, composite_linear, arrays[:2])
+
+    @pytest.mark.parametrize("shape", [(7, 8), (2, 3, 8)])
+    def test_layer_norm_matches_composite(self, rng, shape):
+        x = rng.standard_normal(shape) * 3.0 + 1.5
+        check_fused_against_composite(T.layer_norm, composite_layer_norm, [x])
+
+    def test_rotary_on_heads_matches_composite(self, rng):
+        angles = rng.uniform(-np.pi, np.pi, (5, 8))  # per token, broadcast over 3 heads
+        cos, sin = np.cos(angles), np.sin(angles)
+        check_fused_against_composite(
+            lambda x: T.rotary(x, cos, sin), lambda x: composite_rotary(x, cos, sin),
+            [rng.standard_normal((3, 5, 8))],
+        )
+
+    @pytest.mark.parametrize("heads", [(), (2,)])
+    def test_attention_matches_composite(self, rng, heads):
+        arrays = [rng.standard_normal((*heads, 5, 8)), rng.standard_normal((*heads, 7, 8)),
+                  rng.standard_normal((*heads, 7, 6))]
+        scale = 1.0 / np.sqrt(8)
+        check_fused_against_composite(
+            lambda q, k, v: T.vanilla_attention(q, k, v), lambda q, k, v: composite_attention(q, k, v, scale),
+            arrays,
+        )
+
+    def test_attention_counts_one_softmax_and_its_score_entries(self, rng):
+        q, k, v = (T.tensor(rng.standard_normal(s)) for s in ((2, 5, 8), (2, 7, 8), (2, 7, 8)))
+        counters.reset("softmax", "attn_score_entries")
+        T.vanilla_attention(q, k, v)
+        assert counters["softmax"] == 1 and counters["attn_score_entries"] == 35
+
+    def test_attention_leading_dims_must_agree(self, rng):
+        q = T.tensor(rng.standard_normal((2, 5, 8)))
+        kv = T.tensor(rng.standard_normal((3, 7, 8)))
+        with pytest.raises(ValueError, match="leading dims"):
+            T.vanilla_attention(q, kv, kv)
+
+    def test_batch_norm_on_map_matches_composite(self, rng):
+        mean = rng.normal(0.0, 0.6, 3)
+        var = rng.uniform(0.2, 2.5, 3)
+        arrays = [rng.standard_normal((3, 5, 6)), rng.normal(1.0, 0.3, 3), rng.normal(0.0, 0.3, 3)]
+        check_fused_against_composite(
+            lambda x, a, b: T.batch_norm(x, a, b, mean, var, 1e-5),
+            lambda x, a, b: composite_batch_norm(x, a, b, mean, var, 1e-5),
+            arrays,
+        )
+
+
+def toposort_backward(root):
+    """Leaf gradients by a depth-first reverse topological walk, the order
+    ``Tensor.backward`` used before it visited ops by sequence number."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, emit = stack.pop()
+        if emit:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            if node._ctx is not None:
+                stack.extend((p, False) for p in node._ctx.parents if id(p) not in seen)
+    pending = {id(root): np.ones(())}
+    grads = {}
+    for node in reversed(order):
+        grad = pending.pop(id(node), None)
+        if grad is None:
+            continue
+        if node._ctx is None:
+            grads[id(node)] = grad
+            continue
+        for parent, pgrad in zip(node._ctx.parents, node._ctx.backward(grad)):
+            if pgrad is not None and (parent.requires_grad or parent._ctx is not None):
+                pending[id(parent)] = pending.get(id(parent), 0.0) + pgrad
+    return grads
+
+
 class TestBackward:
     def test_sum_gradient_is_ones(self, rng):
         x = T.parameter(rng.standard_normal((3, 4)))
@@ -358,6 +494,52 @@ class TestBackward:
         fd_k = numeric_gradient(lambda x, k: float(build(x, k).data), [x0, k0], which=1)
         assert_gradients_close(xt.grad, fd_x)
         assert_gradients_close(kt.grad, fd_k)
+
+
+    def test_diamond_with_shared_leaf_matches_finite_differences_and_toposort(self, rng):
+        x0 = rng.standard_normal((3, 4))
+        w0 = rng.standard_normal((3, 4))
+
+        def build(x, w):
+            a = x * w                    # x feeds four ops, w two
+            left = a.exp()
+            right = a * x + w            # diamond: a -> left, right -> joined
+            joined = left * right - x
+            return weighted_sum(joined + (x * x).sum(axis=0, keepdims=True) * w, 4)
+
+        x = T.parameter(x0, dtype=np.float64)
+        w = T.parameter(w0, dtype=np.float64)
+        loss = build(x, w)
+        oracle = toposort_backward(loss)
+        loss.backward()
+        for which, leaf in enumerate((x, w)):
+            fd = numeric_gradient(lambda a, b: float(build(T.tensor(a), T.tensor(b)).data), [x0, w0], which)
+            assert_gradients_close(leaf.grad, fd)
+            np.testing.assert_allclose(leaf.grad, oracle[id(leaf)], rtol=1e-12, atol=1e-14)
+
+    def test_each_op_backward_runs_once_with_its_complete_gradient(self, rng):
+        calls = []
+
+        class Identity(T.Function):
+            def forward(self, a):
+                return a.copy()
+
+            def backward(self, grad):
+                calls.append(grad.copy())
+                return (grad,)
+
+        x = T.parameter(rng.standard_normal(4), dtype=np.float64)
+        shared = Identity.apply(x)
+        ((shared * 2.0) + (shared * 3.0) + shared.exp()).sum().backward()
+        assert len(calls) == 1
+        np.testing.assert_allclose(calls[0], 5.0 + np.exp(x.data))
+        np.testing.assert_allclose(x.grad, 5.0 + np.exp(x.data))
+
+    def test_gradients_accumulate_across_backward_calls(self, rng):
+        x = T.parameter(rng.standard_normal(3), dtype=np.float64)
+        (x * 2.0).sum().backward()
+        (x * 3.0).sum().backward()
+        np.testing.assert_allclose(x.grad, 5.0)
 
 
 class TestTensorBasics:

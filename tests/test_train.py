@@ -71,9 +71,18 @@ class TestTrainToy:
         matcher = Matcher(TINY, seed=1)
         curve = train_toy(matcher, tiny_dataset(), TrainConfig(steps=2, batch_size=1, seed=0))
         lines = loss_curve_csv(curve).splitlines()
-        assert lines[0] == "step,l_c,l_f1,l_f2,total"
+        assert lines[0] == "step,l_c,l_f1,l_f2,total,grad_norm"
         assert len(lines) == 3
         assert lines[1].startswith("0,")
+        assert [float(line.split(",")[-1]) for line in lines[1:]] == [round(r.grad_norm, 6) for r in curve]
+
+    def test_grad_norm_is_the_unclipped_gradient_norm(self):
+        matcher = Matcher(TINY, seed=1)
+        # clip_norm 0 disables clipping, so the last step's gradients stay as backward left them
+        curve = train_toy(matcher, tiny_dataset(), TrainConfig(steps=2, batch_size=1, seed=0, clip_norm=0.0))
+        params = matcher.trainable_parameters()
+        norm = np.sqrt(sum(float((p.grad.astype(np.float64) ** 2).sum()) for p in params if p.grad is not None))
+        assert norm > 0 and curve[-1].grad_norm == pytest.approx(norm, rel=1e-12)
 
     def test_pair_losses_are_finite_and_weighted_total_matches(self, rng):
         matcher = Matcher(TINY, seed=2)

@@ -3,6 +3,7 @@ import pytest
 
 from semimatch import tensor as T
 from semimatch.instrument import counters
+from semimatch.pipeline import MatcherConfig
 from semimatch.transform import (
     AggAttnConfig,
     AggAttentionBlock,
@@ -11,6 +12,8 @@ from semimatch.transform import (
     rope_encode,
     rope_params,
 )
+
+from helpers import tape_size
 
 CFG = AggAttnConfig(s=2, n_layers=2, n_heads=4, d_model=32)
 
@@ -192,6 +195,17 @@ class TestAggAttentionBlock:
             block.forward(f, g)
         # one depthwise conv for the target's queries; the source is only pooled
         assert counters["conv2d"] == 1
+
+
+    @pytest.mark.parametrize("kind,ops", [("self", 37), ("cross", 35)])
+    def test_tape_size_per_block_call(self, rng, kind, ops):
+        # fused linear / layer norm / rotary / attention: one tape op each
+        toy = MatcherConfig.toy()
+        cfg = AggAttnConfig(s=toy.s, n_layers=toy.n_layers, n_heads=toy.n_heads, d_model=toy.d_model)
+        block = AggAttentionBlock(kind, cfg, rng)
+        f = T.parameter(rng.standard_normal((toy.d_model, 8, 8)).astype(np.float32))
+        g = f if kind == "self" else T.parameter(rng.standard_normal(f.shape).astype(np.float32))
+        assert tape_size(block.forward(f, g)) <= ops
 
 
 class TestFeatureTransform:
