@@ -1,9 +1,11 @@
 """Reparameterizable convolutional backbone producing a 1/2, 1/4, 1/8 pyramid.
 
-Training mode runs every block through its parallel 3x3 / 1x1 / identity
-branches (each with folded-statistics batch norm); ``fuse()`` collapses the
-branches into one 3x3 kernel + bias per block so the deploy path runs a
-single convolution per block with identical outputs.
+Each block is defined by parallel 3x3 / 1x1 / identity branches, each with
+stored-statistics batch norm (``RepVGGBlock.forward``). Because the
+statistics are stored, the branches fold exactly into one 3x3 kernel + bias
+per block (``RepVGGBlock.fold``). Training folds inside the autodiff graph
+and runs one convolution per block, gradients reaching every branch;
+``fuse()`` is the same fold without gradients, for deployment.
 """
 from __future__ import annotations
 
@@ -53,12 +55,6 @@ class BatchNormStats:
     def apply(self, x: Tensor) -> Tensor:
         return T.batch_norm(x, self.scale, self.shift, self.mean.data, self.var.data, self.eps)
 
-    def fold(self, kernel: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fold the normalization into a preceding conv's kernel and bias."""
-        t = self.scale.data / np.sqrt(self.var.data + self.eps)
-        shape = (-1,) + (1,) * (kernel.ndim - 1)
-        return kernel * t.reshape(shape), (bias - self.mean.data) * t + self.shift.data
-
     def named_tensors(self, prefix: str):
         yield f"{prefix}.bn_mean", self.mean
         yield f"{prefix}.bn_var", self.var
@@ -101,26 +97,31 @@ class RepVGGBlock:
             out = out + self.identity.apply(x)
         return out.relu()
 
-    def fuse(self) -> tuple[np.ndarray, np.ndarray]:
-        """Collapse all branches into one 3x3 kernel and bias.
+    def fold(self) -> tuple[Tensor, Tensor]:
+        """All branches as one 3x3 kernel and bias: two ops on the tape.
 
-        The 1x1 kernel is zero-padded into the center tap and the identity
-        branch becomes a per-channel centered Dirac kernel; batch norm folds
-        into each branch before summation.
+        Batch norm folds into each branch, the 1x1 kernel lands on the
+        centre tap and the identity branch is a centred Dirac kernel with a
+        zero bias; gradients flow back to every branch's parameters.
         """
-        k3, b3 = self.conv3x3.bn.fold(self.conv3x3.kernel.data, self.conv3x3.bias.data)
-        k1, b1 = self.conv1x1.bn.fold(self.conv1x1.kernel.data, self.conv1x1.bias.data)
-        k1_pad = np.zeros_like(k3)
-        k1_pad[:, :, 1:2, 1:2] = k1
-        kernel = k3 + k1_pad
-        bias = b3 + b1
+        branches = [(self.conv3x3.kernel, self.conv3x3.bias, self.conv3x3.bn),
+                    (self.conv1x1.kernel, self.conv1x1.bias, self.conv1x1.bn)]
         if self.identity is not None:
-            dirac = np.zeros_like(k3)
-            dirac[np.arange(self.out_c), np.arange(self.in_c), 1, 1] = 1.0
-            k_id, b_id = self.identity.fold(dirac, np.zeros(self.out_c, dtype=b3.dtype))
-            kernel = kernel + k_id
-            bias = bias + b_id
+            dtype = self.conv3x3.kernel.dtype
+            dirac = T.tensor(np.eye(self.out_c)[:, :, None, None], dtype=dtype)
+            branches.append((dirac, T.tensor(np.zeros(self.out_c), dtype=dtype), self.identity))
+        kernels, biases, norms = zip(*branches)
+        scales = [bn.scale for bn in norms]
+        stds = [np.sqrt(bn.var.data + bn.eps) for bn in norms]
+        kernel = T.fold_kernels(kernels, scales, stds)
+        bias = T.fold_biases(biases, scales, [bn.shift for bn in norms], [bn.mean.data for bn in norms], stds)
         return kernel, bias
+
+    def fuse(self) -> tuple[np.ndarray, np.ndarray]:
+        """The folded 3x3 kernel and bias as plain arrays."""
+        with T.no_grad():
+            kernel, bias = self.fold()
+        return kernel.data, bias.data
 
     def named_tensors(self, prefix: str):
         yield from self.conv3x3.named_tensors(f"{prefix}.conv3x3")
@@ -149,25 +150,17 @@ class Backbone:
             self.stages.append(stage)
 
     def forward_train(self, image: Tensor) -> FeaturePyramid:
-        """Run the multi-branch network; image is (1, H, W) with H, W % 8 == 0."""
-        _check_dims(image)
-        x = image
-        outputs = []
-        for stage in self.stages:
-            for block in stage:
-                x = block.forward(x)
-            outputs.append(x)
-        return FeaturePyramid(f_half=outputs[1], f_quarter=outputs[2], f_coarse=outputs[3])
+        """Fold every block with gradients and run the one-conv-per-block
+        network; image is (1, H, W) with H, W % 8 == 0."""
+        return self._fold().forward_deploy(image)
 
     def fuse(self) -> "FusedBackbone":
-        fused = []
-        for stage in self.stages:
-            row = []
-            for block in stage:
-                kernel, bias = block.fuse()
-                row.append(FusedBlock(T.tensor(kernel), T.tensor(bias), block.stride))
-            fused.append(row)
-        return FusedBackbone(fused)
+        with T.no_grad():
+            return self._fold()
+
+    def _fold(self) -> "FusedBackbone":
+        return FusedBackbone([[FusedBlock(*block.fold(), block.stride) for block in stage]
+                              for stage in self.stages])
 
     def named_tensors(self, prefix: str = "backbone"):
         for s, stage in enumerate(self.stages):

@@ -143,7 +143,11 @@ class Matcher:
         """Match two grayscale [0, 1] images end to end (inference path).
 
         ``two_stage=False`` keeps stage-1 pixel matches only (ablation).
+        Non-finite pixels raise ``NumericError`` before anything is computed.
         """
+        for name, image in (("image_a", image_a), ("image_b", image_b)):
+            if not np.isfinite(image).all():
+                raise T.NumericError(f"{name} holds non-finite pixels")
         tau = self.config.tau if tau is None else tau
         multiple = COARSE_STRIDE * self.config.s  # coarse grid must divide s too
         padded_a, dims_a = pad_to_multiple(np.asarray(image_a, dtype=self.dtype), multiple)

@@ -1,8 +1,11 @@
 """Ground-truth construction and the three loss terms.
 
-Coarse supervision targets the dual-softmax probability matrix at warped
-cell pairs; fine supervision splits into a log-likelihood over each local
-score matrix (stage 1) and an L2 penalty on the sub-pixel points (stage 2).
+Coarse supervision is the negative log dual-softmax probability of the
+coarse score matrix at warped cell pairs; fine supervision splits into the
+same log-likelihood over each local score matrix (stage 1) and an L2
+penalty on the sub-pixel points (stage 2). Both log-likelihoods come from
+one op, ``tensor.dual_softmax_nll``, which reads only the picked rows and
+columns of the scores and never builds the dense probability matrices.
 """
 from __future__ import annotations
 
@@ -123,12 +126,12 @@ class EmptySupervisionError(ValueError):
     """No supervised entries; returning 0 here would hide data bugs."""
 
 
-def coarse_loss(p: Tensor, gt: GroundTruth) -> Tensor:
-    """Mean negative log of p at the ground-truth cell pairs."""
+def coarse_loss(s: Tensor, gt: GroundTruth) -> Tensor:
+    """Mean negative log dual-softmax probability of the (Na, Nb) score
+    matrix s at the ground-truth cell pairs, probabilities floored at PROB_FLOOR."""
     if len(gt) == 0:
         raise EmptySupervisionError("ground truth holds no coarse pairs")
-    picked = T.gather_nd(p, (gt.pairs_a, gt.pairs_b))
-    return -(picked.clamp_min(PROB_FLOOR).log().mean())
+    return T.dual_softmax_nll(s, (gt.pairs_a, gt.pairs_b), PROB_FLOOR)
 
 
 def fine_loss_stage1(score_matrices: Tensor, idx_a: np.ndarray, idx_b: np.ndarray,
@@ -143,9 +146,8 @@ def fine_loss_stage1(score_matrices: Tensor, idx_a: np.ndarray, idx_b: np.ndarra
     if not valid.any():
         raise EmptySupervisionError("every fine ground-truth pixel fell outside its patch")
     keep = np.flatnonzero(valid)
-    probs = T.softmax(score_matrices, axis=2) * T.softmax(score_matrices, axis=1)
-    picked = T.gather_nd(probs, (keep, np.asarray(idx_a)[keep], np.asarray(idx_b)[keep]))
-    return -(picked.clamp_min(PROB_FLOOR).log().mean())
+    return T.dual_softmax_nll(score_matrices, (keep, np.asarray(idx_a)[keep], np.asarray(idx_b)[keep]),
+                              PROB_FLOOR)
 
 
 def fine_loss_stage2(pred_b: Tensor, target_b: np.ndarray) -> Tensor:

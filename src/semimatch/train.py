@@ -7,13 +7,14 @@ the local patches always contain signal.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import refine as R
 from . import tensor as T
-from .matching import correlate, dual_softmax
+from .matching import correlate
 from .pipeline import normalize_cells
 from .supervision import (
     EmptySupervisionError,
@@ -53,6 +54,7 @@ class LossRow:
     l_f2: float
     total: float
     grad_norm: float  # global L2 norm of the step's gradients, before clipping
+    step_s: float  # wall time of the step: batch, losses, backward, optimizer
 
 
 class AdamW:
@@ -119,11 +121,9 @@ def pair_losses(matcher, image_a: np.ndarray, image_b: np.ndarray, h: np.ndarray
     pyr_a = matcher.backbone.forward_train(ta)
     pyr_b = matcher.backbone.forward_train(tb)
     fa_t, fb_t = matcher.transform.forward(pyr_a.f_coarse, pyr_b.f_coarse)
-    score = dual_softmax(
-        correlate(normalize_cells(fa_t), normalize_cells(fb_t), matcher.inv_temperature)
-    )
+    score = correlate(normalize_cells(fa_t), normalize_cells(fb_t), matcher.inv_temperature)
     gt = build_gt_homography(h, image_a.shape, image_b.shape)
-    l_c = coarse_loss(score.p, gt)
+    l_c = coarse_loss(score.s, gt)
 
     fine_a = normalize_cells(matcher.fusion.forward(fa_t, pyr_a.f_quarter, pyr_a.f_half))
     fine_b = normalize_cells(matcher.fusion.forward(fb_t, pyr_b.f_quarter, pyr_b.f_half))
@@ -177,6 +177,7 @@ def train_toy(matcher, dataset, cfg: TrainConfig, log=None) -> list[LossRow]:
     curve: list[LossRow] = []
     zero = 0.0
     for step in range(cfg.steps):
+        start = time.perf_counter()
         if cfg.lr == 0.0:
             lr_scale = 0.0
         elif cfg.warmup_steps > 0 and step < cfg.warmup_steps:
@@ -210,6 +211,7 @@ def train_toy(matcher, dataset, cfg: TrainConfig, log=None) -> list[LossRow]:
             l_f2=float(l_f2.data) if isinstance(l_f2, Tensor) else float(l_f2),
             total=value,
             grad_norm=grad_norm,
+            step_s=time.perf_counter() - start,
         )
         curve.append(row)
         if log is not None:
@@ -225,7 +227,8 @@ def _mean(terms):
 
 
 def loss_curve_csv(curve: list[LossRow]) -> str:
-    lines = ["step,l_c,l_f1,l_f2,total,grad_norm"]
+    lines = ["step,l_c,l_f1,l_f2,total,grad_norm,step_ms"]
     for row in curve:
-        lines.append(f"{row.step},{row.l_c:.6f},{row.l_f1:.6f},{row.l_f2:.6f},{row.total:.6f},{row.grad_norm:.6f}")
+        lines.append(f"{row.step},{row.l_c:.6f},{row.l_f1:.6f},{row.l_f2:.6f},{row.total:.6f},"
+                     f"{row.grad_norm:.6f},{1e3 * row.step_s:.3f}")
     return "\n".join(lines) + "\n"

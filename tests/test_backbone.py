@@ -11,7 +11,7 @@ from semimatch.backbone import (
 )
 from semimatch.instrument import counters
 
-from helpers import tape_size
+from helpers import tape_size, weighted_sum
 
 TOY = BackboneConfig(stage_widths=(8, 8, 16, 32), stage_blocks=(1, 1, 2, 2))
 
@@ -68,6 +68,31 @@ class TestFuseBlock:
                 worst = max(worst, float(np.abs(a.data - b.data).max()))
             assert worst <= 1e-4
 
+    @pytest.mark.parametrize("in_c,out_c,stride", [(4, 4, 1), (3, 5, 1), (4, 4, 2)],
+                             ids=["identity", "no-identity", "stride-2"])
+    def test_fold_matches_multi_branch_with_gradients(self, rng, in_c, out_c, stride):
+        block = RepVGGBlock(in_c, out_c, stride, rng, dtype=np.float64)
+        randomize_block_stats(block, rng)
+        assert (block.identity is not None) == (in_c == out_c and stride == 1)
+        params = [t for _, t in block.named_tensors("b") if t.requires_grad]
+        x_data = rng.standard_normal((in_c, 9, 8))
+        results = []
+        for run in (block.forward, lambda x: T.conv2d(x, *block.fold(), stride=stride, pad=1).relu()):
+            for p in params:
+                p.grad = None
+            x = T.parameter(x_data, dtype=np.float64)
+            out = run(x)
+            weighted_sum(out, 3).backward()
+            results.append((out.data, x.grad, [p.grad for p in params]))
+        (out_m, dx_m, grads_m), (out_f, dx_f, grads_f) = results
+        for got, want in zip([out_f, dx_f, *grads_f], [out_m, dx_m, *grads_m]):
+            assert np.abs(got - want).max() <= 1e-10 * max(np.abs(want).max(), 1.0)
+
+    def test_fold_records_two_ops(self, rng):
+        block = RepVGGBlock(4, 4, 1, rng)
+        kernel, bias = block.fold()
+        assert tape_size(kernel) == tape_size(bias) == 1
+
     def test_forward_equivalence_float64(self, rng):
         block = RepVGGBlock(4, 4, 1, rng, dtype=np.float64)
         randomize_block_stats(block, rng)
@@ -122,12 +147,26 @@ class TestBackboneForward:
         out = block.forward(T.parameter(rng.standard_normal((8, 6, 6)).astype(np.float32)))
         assert tape_size(out) <= 8
 
+    def test_forward_train_records_at_most_four_ops_per_block(self, rng):
+        # per block: fold kernel, fold bias, conv, relu
+        backbone = Backbone(TOY, rng)
+        pyramid = backbone.forward_train(T.tensor(rng.random((1, 32, 32)).astype(np.float32)))
+        assert tape_size(pyramid.f_coarse) <= 4 * sum(TOY.stage_blocks)
+
     def test_deploy_not_slower_than_train(self, rng):
+        # against the multi-branch network the deploy form replaces; training
+        # runs the folded form, which costs the same as deploy
         import time
 
         backbone = Backbone(TOY, rng)
         image = T.tensor(rng.random((1, 256, 256)).astype(np.float32))
         fused = backbone.fuse()
+
+        def multi_branch(x):
+            for stage in backbone.stages:
+                for block in stage:
+                    x = block.forward(x)
+            return x
 
         def best_of(fn, reps=3):
             best = float("inf")
@@ -138,10 +177,10 @@ class TestBackboneForward:
             return best
 
         with T.no_grad():
-            backbone.forward_train(image); fused.forward_deploy(image)  # warm
-            train_time = best_of(lambda: backbone.forward_train(image))
+            multi_branch(image); fused.forward_deploy(image)  # warm
+            multi_time = best_of(lambda: multi_branch(image))
             deploy_time = best_of(lambda: fused.forward_deploy(image))
-        assert deploy_time <= train_time
+        assert deploy_time <= multi_time
 
     def test_rejects_bad_dims(self, rng):
         backbone = Backbone(TOY, rng)

@@ -61,6 +61,19 @@ class TestBenchPipeline:
 
 
 class TestMatchPair:
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_pixel_raises_before_any_compute(self, matcher, pair, side):
+        images = [np.array(x, dtype=np.float64) for x in pair]
+        images[side][5, 7] = np.nan if side == 0 else np.inf
+        counters.reset("conv2d")
+        previous = T.set_finite_checks(False)  # the library default: no per-op checks
+        try:
+            with pytest.raises(T.NumericError, match="non-finite pixels"):
+                matcher.match_pair(*images, mode="optimized")
+        finally:
+            T.set_finite_checks(previous)
+        assert counters["conv2d"] == 0
+
     def test_no_coarse_matches_skips_fine_fusion(self, matcher, pair):
         # full-mode confidences are probabilities, so tau > 1 leaves nothing to refine
         fused = matcher.fuse()

@@ -173,7 +173,7 @@ class TestCli:
         ])
         assert code == 0 and weights.exists()
         lines = curve.read_text().splitlines()
-        assert lines[0] == "step,l_c,l_f1,l_f2,total,grad_norm"
+        assert lines[0] == "step,l_c,l_f1,l_f2,total,grad_norm,step_ms"
         assert len(lines) == 3
 
         out_csv = tmp_path / "matches.csv"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from semimatch import tensor as T
+from semimatch.matching import ScoreMatrix, dual_softmax
 from semimatch.supervision import (
     EmptySupervisionError,
     LossWeights,
@@ -128,21 +129,33 @@ class TestWarpDepthPose:
         assert not valid[0]
 
 
+def dual_softmax_probs(s: np.ndarray) -> np.ndarray:
+    return dual_softmax(ScoreMatrix(T.tensor(s, dtype=np.float64), (1, 1), (1, 1))).p.data
+
+
 class TestCoarseLoss:
+    # coarse_loss takes the (Na, Nb) score matrix; expected values go
+    # through matching.dual_softmax
     def test_probability_one_gives_zero(self):
         gt = build_gt_homography(np.eye(3), (16, 16), (16, 16))
-        p = T.tensor(np.ones((4, 4), dtype=np.float32))
-        assert float(coarse_loss(p, gt).data) == 0.0
+        s = np.where(np.eye(4, dtype=bool), 1e4, -1e4).astype(np.float32)
+        assert np.all(dual_softmax_probs(s)[gt.pairs_a, gt.pairs_b] == 1.0)
+        assert float(coarse_loss(T.tensor(s), gt).data) == 0.0
 
     def test_log_identity(self):
-        gt = build_gt_homography(np.eye(3), (8, 8), (8, 8))
-        p = T.tensor(np.full((1, 1), np.exp(-1.0), dtype=np.float64))
-        assert np.isclose(float(coarse_loss(p, gt).data), 1.0, atol=1e-12)
+        # 4x4 scores, diagonal d, zero elsewhere: both softmaxes put e^d / (e^d + 3)
+        # on the diagonal, so d = log(3q / (1 - q)) with q = e^(-1/2) gives p = e^-1
+        gt = build_gt_homography(np.eye(3), (16, 16), (16, 16))
+        q = np.exp(-0.5)
+        s = np.eye(4) * np.log(3.0 * q / (1.0 - q))
+        assert np.allclose(dual_softmax_probs(s)[gt.pairs_a, gt.pairs_b], np.exp(-1.0), atol=1e-12)
+        assert np.isclose(float(coarse_loss(T.tensor(s, dtype=np.float64), gt).data), 1.0, atol=1e-12)
 
     def test_matches_float64_summation(self, rng):
         gt = build_gt_homography(np.eye(3), (32, 32), (32, 32))
-        p = rng.uniform(0.01, 1.0, (16, 16))
-        got = float(coarse_loss(T.tensor(p, dtype=np.float64), gt).data)
+        s = rng.standard_normal((16, 16)) * 3.0
+        p = dual_softmax_probs(s)
+        got = float(coarse_loss(T.tensor(s, dtype=np.float64), gt).data)
         want = -np.mean([np.log(p[i, j]) for i, j in zip(gt.pairs_a, gt.pairs_b)])
         assert abs(got - want) < 1e-6
 
@@ -155,11 +168,13 @@ class TestCoarseLoss:
 
     def test_gradient_finite_under_probability_floor(self):
         gt = build_gt_homography(np.eye(3), (16, 16), (16, 16))
-        p = T.parameter(np.full((4, 4), 1e-30, dtype=np.float64))
-        loss = coarse_loss(p, gt)
+        s_data = np.where(np.eye(4, dtype=bool), -100.0, 0.0)
+        assert np.all(dual_softmax_probs(s_data)[gt.pairs_a, gt.pairs_b] < 1e-30)
+        s = T.parameter(s_data, dtype=np.float64)
+        loss = coarse_loss(s, gt)
         assert np.isfinite(float(loss.data))
         loss.backward()
-        assert np.all(np.isfinite(p.grad))
+        assert np.all(np.isfinite(s.grad))
 
 
 class TestFineLosses:

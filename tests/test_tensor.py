@@ -357,6 +357,11 @@ def composite_batch_norm(x, scale, shift, mean, var, eps):
     return x * w + b
 
 
+def composite_dual_softmax_nll(s, index, floor):
+    probs = T.softmax(s, axis=-1) * T.softmax(s, axis=-2)
+    return -(T.gather_nd(probs, index).clamp_min(floor).log().mean())
+
+
 def assert_relative_close(got, want, rtol=1e-10):
     scale = max(np.abs(want).max(), 1e-300)
     assert np.abs(got - want).max() <= rtol * scale
@@ -428,6 +433,72 @@ class TestFusedOps:
             lambda x, a, b: composite_batch_norm(x, a, b, mean, var, 1e-5),
             arrays,
         )
+
+
+class TestDualSoftmaxNLL:
+    FLOOR = 1e-12
+
+    def check(self, s, index):
+        check_fused_against_composite(
+            lambda x: T.dual_softmax_nll(x, index, self.FLOOR),
+            lambda x: composite_dual_softmax_nll(x, index, self.FLOOR),
+            [s],
+        )
+
+    def test_batch_matches_dense_composite_with_entries_below_floor(self, rng):
+        s = rng.standard_normal((5, 6, 7)) * 2.0
+        k, a, b = np.array([0, 1, 3, 4]), np.array([2, 5, 0, 2]), np.array([6, 1, 1, 3])
+        s[1, 5, 1] = -40.0  # p about e^-80: floored, no gradient through it
+        s[4, 2, 3] = -40.0
+        probs = T.softmax(T.tensor(s), -1).data * T.softmax(T.tensor(s), -2).data
+        assert (probs[k, a, b] < self.FLOOR).sum() == 2
+        self.check(s, (k, a, b))
+
+    def test_matrix_matches_dense_composite_with_repeated_rows_and_columns(self, rng):
+        s = rng.standard_normal((6, 7)) * 2.0
+        a = np.array([0, 1, 2, 3, 3, 5, 0])
+        b = np.array([4, 4, 4, 1, 2, 6, 4])  # column 4 four times, (0, 4) twice
+        self.check(s, (a, b))
+
+    def test_float32_value_is_close_to_float64(self, rng):
+        s = rng.standard_normal((3, 8, 8)) * 4.0
+        index = (np.arange(3), np.array([1, 7, 3]), np.array([0, 2, 7]))
+        got = T.dual_softmax_nll(T.tensor(s, dtype=np.float32), index, self.FLOOR)
+        want = T.dual_softmax_nll(T.tensor(s, dtype=np.float64), index, self.FLOOR)
+        assert got.dtype == np.float32
+        assert abs(float(got.data) - float(want.data)) <= 1e-5 * abs(float(want.data))
+
+
+class TestScatterAndPad:
+    @pytest.mark.parametrize("leading_slice", [False, True])
+    def test_gather_backward_equals_add_at_with_repeats(self, rng, leading_slice):
+        shape = (3, 6, 7)
+        rows, cols = rng.integers(0, 6, (5, 4)), rng.integers(0, 7, (5, 4))
+        rows[1, 2], cols[1, 2] = rows[0, 0], cols[0, 0]
+        rows[4, 3], cols[4, 3] = rows[0, 0], cols[0, 0]
+        if leading_slice:
+            index = (slice(None), rows, cols)
+        else:
+            chans = rng.integers(0, 3, (5, 4))
+            chans[1, 2] = chans[4, 3] = chans[0, 0]
+            index = (chans, rows, cols)
+        out = T.gather_nd(T.parameter(rng.standard_normal(shape).astype(np.float32)), index)
+        grad = rng.standard_normal(out.shape).astype(np.float32)
+        (got,) = out._ctx.backward(grad)
+        want = np.zeros(shape, dtype=np.float32)
+        np.add.at(want, index, grad)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("pad", [1, 2])
+    def test_pad_plane_equals_np_pad(self, rng, pad):
+        x = rng.standard_normal((3, 5, 7)).astype(np.float32)
+        # leave NaN in a freed buffer of the padded size, which np.empty may hand back
+        del_me = np.full((3, 5 + 2 * pad, 7 + 2 * pad), np.nan, dtype=np.float32)
+        del del_me
+        got = T._pad_plane(x, pad)
+        assert got.dtype == x.dtype
+        np.testing.assert_array_equal(got, np.pad(x, ((0, 0), (pad, pad), (pad, pad))))
 
 
 def toposort_backward(root):

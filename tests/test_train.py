@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from semimatch import tensor as T
+from semimatch.instrument import counters
 from semimatch.pipeline import Matcher, MatcherConfig
 from semimatch.supervision import LossWeights
 from semimatch.synth import SynthConfig, SyntheticPairs
@@ -71,10 +72,23 @@ class TestTrainToy:
         matcher = Matcher(TINY, seed=1)
         curve = train_toy(matcher, tiny_dataset(), TrainConfig(steps=2, batch_size=1, seed=0))
         lines = loss_curve_csv(curve).splitlines()
-        assert lines[0] == "step,l_c,l_f1,l_f2,total,grad_norm"
+        assert lines[0] == "step,l_c,l_f1,l_f2,total,grad_norm,step_ms"
         assert len(lines) == 3
         assert lines[1].startswith("0,")
-        assert [float(line.split(",")[-1]) for line in lines[1:]] == [round(r.grad_norm, 6) for r in curve]
+        assert [float(line.split(",")[-2]) for line in lines[1:]] == [round(r.grad_norm, 6) for r in curve]
+        assert [float(line.split(",")[-1]) for line in lines[1:]] == [round(1e3 * r.step_s, 3) for r in curve]
+
+    def test_step_time_covers_the_step(self):
+        import time
+
+        matcher = Matcher(TINY, seed=1)
+        stamps = []
+        start = time.perf_counter()
+        curve = train_toy(matcher, tiny_dataset(), TrainConfig(steps=3, batch_size=1, seed=0),
+                          log=lambda row: stamps.append(time.perf_counter()))
+        # each step ends before its row is logged and starts after the previous log
+        bounds = np.diff([start] + stamps)
+        assert all(0 < r.step_s <= bound for r, bound in zip(curve, bounds))
 
     def test_grad_norm_is_the_unclipped_gradient_norm(self):
         matcher = Matcher(TINY, seed=1)
@@ -83,6 +97,14 @@ class TestTrainToy:
         params = matcher.trainable_parameters()
         norm = np.sqrt(sum(float((p.grad.astype(np.float64) ** 2).sum()) for p in params if p.grad is not None))
         assert norm > 0 and curve[-1].grad_norm == pytest.approx(norm, rel=1e-12)
+
+    def test_pair_losses_build_no_dense_dual_softmax(self, rng):
+        matcher = Matcher(TINY, seed=2)
+        image_a, image_b, h = tiny_dataset()[0]
+        counters.reset("dual_softmax")
+        l_c, l_f1, _ = pair_losses(matcher, image_a, image_b, h, TrainConfig(), rng)
+        assert l_c is not None and l_f1 is not None
+        assert counters["dual_softmax"] == 0
 
     def test_pair_losses_are_finite_and_weighted_total_matches(self, rng):
         matcher = Matcher(TINY, seed=2)
