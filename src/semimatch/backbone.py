@@ -4,8 +4,8 @@ Each block is defined by parallel 3x3 / 1x1 / identity branches, each with
 stored-statistics batch norm (``RepVGGBlock.forward``). Because the
 statistics are stored, the branches fold exactly into one 3x3 kernel + bias
 per block (``RepVGGBlock.fold``). Training folds inside the autodiff graph
-and runs one convolution per block, gradients reaching every branch;
-``fuse()`` is the same fold without gradients, for deployment.
+(``Backbone.fold``) and runs one convolution per block, gradients reaching
+every branch; ``fuse()`` is the same fold without gradients, for deployment.
 """
 from __future__ import annotations
 
@@ -149,18 +149,16 @@ class Backbone:
                 c_in = width
             self.stages.append(stage)
 
-    def forward_train(self, image: Tensor) -> FeaturePyramid:
-        """Fold every block with gradients and run the one-conv-per-block
-        network; image is (1, H, W) with H, W % 8 == 0."""
-        return self._fold().forward_deploy(image)
+    def fold(self) -> "FusedBackbone":
+        """Every block folded into one conv. With gradients on, the kernels
+        and biases are graph tensors, so a loss through ``forward_deploy``
+        reaches every branch; one fold serves both images of a pair."""
+        return FusedBackbone([[FusedBlock(*block.fold(), block.stride) for block in stage]
+                              for stage in self.stages])
 
     def fuse(self) -> "FusedBackbone":
         with T.no_grad():
-            return self._fold()
-
-    def _fold(self) -> "FusedBackbone":
-        return FusedBackbone([[FusedBlock(*block.fold(), block.stride) for block in stage]
-                              for stage in self.stages])
+            return self.fold()
 
     def named_tensors(self, prefix: str = "backbone"):
         for s, stage in enumerate(self.stages):

@@ -113,6 +113,8 @@ def cmd_match(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.count < 0:
+        raise UsageError(f"--count must be >= 0, got {args.count}")
     if args.size % 8:
         raise UsageError(f"--size must be a multiple of 8 for training, got {args.size}")
     os.makedirs(args.out, exist_ok=True)

@@ -4,13 +4,14 @@ Everything the matching pipeline computes is composed from the ops in this
 module: convolutions, pooling, softmax, bilinear upsampling and the usual
 elementwise/movement ops. The transformer and backbone op chains run as
 single fused ops with hand-written backward passes: ``Linear``,
-``LayerNorm``, ``Rotary``, ``Attention`` (softmax(q·kᵀ·scale)·v),
-``BatchNorm`` (per-channel affine with stored statistics), ``FoldKernels``
-and ``FoldBiases`` (batch-normed conv branches folded into one kernel and
-bias) and ``DualSoftmaxNLL`` (the dual-softmax log-likelihood of picked
-score entries, from row and column log-sum-exps). Values are
-float32 by default; build a graph from float64 leaves to run the same code
-in checking precision.
+``LayerNorm``, ``Rotary``, ``Attention`` (softmax(q·kᵀ·scale)·v per head,
+each head a contiguous slice of the feature axis, so callers never split
+or merge heads), ``BatchNorm`` (per-channel affine with stored
+statistics), ``FoldKernels`` and ``FoldBiases`` (batch-normed conv
+branches folded into one kernel and bias) and ``DualSoftmaxNLL`` (the
+dual-softmax log-likelihood of picked score entries, from row and column
+log-sum-exps). Values are float32 by default; build a graph from float64
+leaves to run the same code in checking precision.
 
 Gradients flow through an implicit tape: each op result keeps a context
 pointing at its parents and a sequence number. An op is always recorded
@@ -102,9 +103,6 @@ class Tensor:
 
     def numpy(self) -> np.ndarray:
         return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, grad={self.requires_grad})"
@@ -619,29 +617,39 @@ class Rotary(Function):
         return (grad * cos - _rotate_pairs(grad * sin),)
 
 
-class Attention(Function):
-    """softmax(q·kᵀ·scale)·v over (…, n, d) operands with equal leading dims."""
+def _heads_first(x: np.ndarray, heads: int) -> np.ndarray:
+    # (…, n, heads·d) -> (…, heads, n, d): head i owns the i-th slice of the last axis
+    return np.ascontiguousarray(np.swapaxes(x.reshape(*x.shape[:-1], heads, -1), -2, -3))
 
-    def forward(self, q, k, v, scale):
-        q, k, v = (np.ascontiguousarray(a) for a in (q, k, v))
+
+def _heads_last(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(np.swapaxes(x, -2, -3)).reshape(*x.shape[:-3], x.shape[-2], -1)
+
+
+class Attention(Function):
+    """softmax(q·kᵀ·scale)·v over (…, n, d) operands with equal leading dims,
+    run per head on ``heads`` contiguous slices of the last axis."""
+
+    def forward(self, q, k, v, scale, heads):
+        q, k, v = (_heads_first(a, heads) for a in (q, k, v))
         probs = q @ _swapped(k)
         probs *= scale
         probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
-        self.saved = (q, k, v, probs, scale)
+        self.saved = (q, k, v, probs, scale, heads)
         counters.add("softmax")
-        return probs @ v
+        return _heads_last(probs @ v)
 
     def backward(self, grad):
-        q, k, v, probs, scale = self.saved
-        grad = np.ascontiguousarray(grad)
+        q, k, v, probs, scale, heads = self.saved
+        grad = _heads_first(grad, heads)
         dv = _swapped(probs) @ grad
         dscores = grad @ _swapped(v)
         dscores -= (dscores * probs).sum(axis=-1, keepdims=True)
         dscores *= probs
         dscores *= scale
-        return dscores @ k, _swapped(dscores) @ q, dv
+        return _heads_last(dscores @ k), _heads_last(_swapped(dscores) @ q), _heads_last(dv)
 
 
 class BatchNorm(Function):
@@ -1018,11 +1026,13 @@ def dual_softmax_nll(s: Tensor, index: tuple, floor: float) -> Tensor:
     return DualSoftmaxNLL.apply(s, *index, floor=floor)
 
 
-def vanilla_attention(q: Tensor, k: Tensor, v: Tensor, scale: float | None = None) -> Tensor:
-    """softmax(q·kᵀ·scale)·v; scale defaults to 1/√d.
+def vanilla_attention(q: Tensor, k: Tensor, v: Tensor, scale: float | None = None, heads: int = 1) -> Tensor:
+    """softmax(q·kᵀ·scale)·v per head; scale defaults to 1/√(d/heads).
 
-    The plain product form saturates for large feature dims, so the scaled
-    variant is the default; pass scale=1.0 for the unscaled product.
+    Head i attends with the i-th of ``heads`` equal slices of the last axis
+    of q, k and v and writes that slice of the output. The plain product
+    form saturates for large feature dims, so the scaled variant is the
+    default; pass scale=1.0 for the unscaled product.
     """
     if q.shape[-1] != k.shape[-1]:
         raise ValueError(f"attention dim mismatch: {q.shape} vs {k.shape}")
@@ -1030,9 +1040,11 @@ def vanilla_attention(q: Tensor, k: Tensor, v: Tensor, scale: float | None = Non
         raise ValueError(f"key/value count mismatch: {k.shape} vs {v.shape}")
     if not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
         raise ValueError(f"attention leading dims differ: {q.shape}, {k.shape}, {v.shape}")
+    if heads < 1 or q.shape[-1] % heads or v.shape[-1] % heads:
+        raise ValueError(f"cannot split widths {q.shape[-1]} and {v.shape[-1]} into {heads} heads")
     if scale is None:
-        scale = 1.0 / math.sqrt(q.shape[-1])
-    out = Attention.apply(q, k, v, scale=scale)
+        scale = 1.0 / math.sqrt(q.shape[-1] // heads)
+    out = Attention.apply(q, k, v, scale=scale, heads=heads)
     counters.add("attn_score_entries", q.shape[-2] * k.shape[-2])
     return out
 

@@ -118,8 +118,9 @@ def pair_losses(matcher, image_a: np.ndarray, image_b: np.ndarray, h: np.ndarray
     """Forward pass and the three loss terms for one training pair."""
     ta = T.tensor(image_a[None, :, :], dtype=matcher.dtype)
     tb = T.tensor(image_b[None, :, :], dtype=matcher.dtype)
-    pyr_a = matcher.backbone.forward_train(ta)
-    pyr_b = matcher.backbone.forward_train(tb)
+    backbone = matcher.backbone.fold()  # once for both images
+    pyr_a = backbone.forward_deploy(ta)
+    pyr_b = backbone.forward_deploy(tb)
     fa_t, fb_t = matcher.transform.forward(pyr_a.f_coarse, pyr_b.f_coarse)
     score = correlate(normalize_cells(fa_t), normalize_cells(fb_t), matcher.inv_temperature)
     gt = build_gt_homography(h, image_a.shape, image_b.shape)
@@ -171,6 +172,8 @@ def _fine_losses(fine_a: Tensor, fine_b: Tensor, gt: GroundTruth, w: int,
 
 def train_toy(matcher, dataset, cfg: TrainConfig, log=None) -> list[LossRow]:
     """Gradient-descent training; deterministic for a fixed config and seed."""
+    if cfg.steps < 1:
+        raise ValueError(f"training needs at least one step, got steps={cfg.steps}")
     params = matcher.trainable_parameters()
     optimizer = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)

@@ -59,19 +59,22 @@ def rope_encode(features: Tensor, positions: np.ndarray, params: RoPEParams | No
     """Rotate feature channels by position so dot products depend only on offsets.
 
     ``features`` is (..., n, d) and ``positions`` is (n, 2) in grid units.
-    The rotation is orthogonal, so norms are preserved exactly.
+    ``d`` may be a whole multiple of ``params.d``: each ``params.d`` slice
+    (one attention head) is rotated alike. The rotation is orthogonal, so
+    norms are preserved exactly.
     """
     d = features.shape[-1]
     if params is None:
         params = rope_params(d)
-    elif params.d != d:
-        raise ValueError(f"rope params built for d={params.d}, features have d={d}")
+    elif d % params.d:
+        raise ValueError(f"rope params built for d={params.d} do not tile features of d={d}")
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
     if positions.shape[0] != features.shape[-2]:
         raise ValueError("one (x, y) position per token is required")
     cos, sin = _rope_maps(params, positions, features.dtype)
     counters.add("rope")
-    return T.rotary(features, cos, sin)
+    heads = d // params.d
+    return T.rotary(features, np.tile(cos, heads), np.tile(sin, heads))
 
 
 @lru_cache(maxsize=64)
@@ -103,20 +106,6 @@ def _to_tokens(feature_map: Tensor) -> Tensor:
     return feature_map.reshape((d, -1)).transpose((1, 0))
 
 
-def _to_map(tokens: Tensor, h: int, w: int) -> Tensor:
-    return tokens.transpose((1, 0)).reshape((tokens.shape[1], h, w))
-
-
-def _split_heads(tokens: Tensor, n_heads: int) -> Tensor:
-    n, d = tokens.shape
-    return tokens.reshape((n, n_heads, d // n_heads)).transpose((1, 0, 2))
-
-
-def _merge_heads(tokens: Tensor) -> Tensor:
-    h, n, dh = tokens.shape
-    return tokens.transpose((1, 0, 2)).reshape((n, h * dh))
-
-
 class AggAttentionBlock:
     """One aggregated attention block (self or cross flavor)."""
 
@@ -140,7 +129,7 @@ class AggAttentionBlock:
         self.fc2_bias = T.parameter(np.zeros(d), dtype=dtype)
         self._rope = rope_params(d // config.n_heads)
 
-    def forward(self, target: Tensor, source: Tensor, probe: dict | None = None,
+    def forward(self, target: Tensor, source: Tensor,
                 position_offset: tuple[float, float] = (0.0, 0.0)) -> Tensor:
         """position_offset shifts the coordinate frame; with relative encoding
         the output must not depend on it (and cross blocks never encode)."""
@@ -149,36 +138,30 @@ class AggAttentionBlock:
         if self.kind == "self" and target is not source:
             raise ValueError("self block expects the same map as target and source")
         s = self.config.s
-        _, h, w = target.shape
         q_map, kv_map = aggregate_tokens(target, source, s, self.agg_conv)
         ah, aw = q_map.shape[1], q_map.shape[2]
 
         q_tokens = T.layer_norm(_to_tokens(q_map))
         kv_tokens = T.layer_norm(_to_tokens(kv_map))
-        q = _split_heads(T.linear(q_tokens, self.q_proj), self.config.n_heads)
-        k = _split_heads(T.linear(kv_tokens, self.k_proj), self.config.n_heads)
-        v = _split_heads(T.linear(kv_tokens, self.v_proj), self.config.n_heads)
+        q = T.linear(q_tokens, self.q_proj)
+        k = T.linear(kv_tokens, self.k_proj)
+        v = T.linear(kv_tokens, self.v_proj)
 
         if self.kind == "self":
             positions = _grid_positions(ah, aw, s) + np.asarray(position_offset, dtype=np.float64)
             q = rope_encode(q, positions, self._rope)
             k = rope_encode(k, positions, self._rope)
 
-        mix = T.vanilla_attention(q, k, v)
-        attended = T.linear(_merge_heads(mix), self.out_proj)
-        if probe is not None:
-            probe["v_tokens"] = v.detach()
-            probe["attn_mix"] = mix.detach()
-            probe["attended_map_pre_upsample"] = _to_map(attended, ah, aw).detach()
-            probe["rope_applied"] = self.kind == "self"
+        mix = T.vanilla_attention(q, k, v, heads=self.config.n_heads)
+        attended = T.linear(mix, self.out_proj).reshape((ah, aw, -1)).transpose((2, 0, 1))
+        up = T.bilinear_upsample(attended, s)
 
-        up = T.bilinear_upsample(_to_map(attended, ah, aw), s)
-        merged = _to_tokens(T.concat([target, up], axis=0))
-        fused = T.linear(merged, self.fuse)
-        hidden = T.layer_norm(fused)
+        # the FFN runs channel-last on the (H, W, 2d) map
+        merged = T.concat([target, up], axis=0).transpose((1, 2, 0))
+        hidden = T.layer_norm(T.linear(merged, self.fuse))
         hidden = T.linear(hidden, self.fc1, self.fc1_bias).relu()
         hidden = T.linear(hidden, self.fc2, self.fc2_bias)
-        return target + _to_map(hidden, h, w)
+        return target + hidden.transpose((2, 0, 1))
 
     def named_tensors(self, prefix: str):
         yield f"{prefix}.agg_conv.kernel", self.agg_conv

@@ -1,4 +1,6 @@
 """Shared oracles: central finite differences and gradient comparison."""
+from collections import Counter
+
 import numpy as np
 
 from semimatch import tensor as T
@@ -43,14 +45,19 @@ def weighted_sum(out: T.Tensor, seed: int = 0) -> T.Tensor:
     return (out * T.tensor(w, dtype=out.dtype)).sum()
 
 
-def tape_size(out: T.Tensor) -> int:
-    """Number of recorded ops reachable from ``out``."""
-    seen: set[int] = set()
+def op_census(out: T.Tensor) -> Counter:
+    """Recorded ops reachable from ``out``, counted by op class name."""
+    ops: dict[int, str] = {}
     stack = [out]
     while stack:
         node = stack.pop()
-        if node._ctx is None or id(node) in seen:
+        if node._ctx is None or id(node) in ops:
             continue
-        seen.add(id(node))
+        ops[id(node)] = type(node._ctx).__name__
         stack.extend(node._ctx.parents)
-    return len(seen)
+    return Counter(ops.values())
+
+
+def tape_size(out: T.Tensor) -> int:
+    """Number of recorded ops reachable from ``out``."""
+    return sum(op_census(out).values())

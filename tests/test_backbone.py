@@ -106,7 +106,8 @@ class TestBackboneForward:
     def test_default_config_coarse_shape(self, rng):
         backbone = Backbone(BackboneConfig(), rng)
         with T.no_grad():
-            pyramid = backbone.forward_train(T.tensor(rng.random((1, 64, 64), dtype=np.float64).astype(np.float32)))
+            image = T.tensor(rng.random((1, 64, 64), dtype=np.float64).astype(np.float32))
+            pyramid = backbone.fold().forward_deploy(image)
         assert pyramid.f_coarse.shape == (256, 8, 8)
         assert pyramid.f_half.shape == (64, 32, 32)
         assert pyramid.f_quarter.shape == (128, 16, 16)
@@ -114,7 +115,7 @@ class TestBackboneForward:
     def test_zero_image_gives_constant_maps(self, rng):
         backbone = Backbone(TOY, rng)
         with T.no_grad():
-            pyramid = backbone.forward_train(T.tensor(np.zeros((1, 32, 32), dtype=np.float32)))
+            pyramid = backbone.fold().forward_deploy(T.tensor(np.zeros((1, 32, 32), dtype=np.float32)))
         for level in (pyramid.f_half, pyramid.f_quarter, pyramid.f_coarse):
             spread = level.data.max(axis=(1, 2)) - level.data.min(axis=(1, 2))
             np.testing.assert_allclose(spread, 0.0, atol=1e-6)
@@ -125,8 +126,8 @@ class TestBackboneForward:
             for block in stage:
                 randomize_block_stats(block, rng)
         image = T.tensor(rng.random((1, 64, 64), dtype=np.float64).astype(np.float32))
+        train_pyr = backbone.fold().forward_deploy(image)  # on the tape, as in training
         with T.no_grad():
-            train_pyr = backbone.forward_train(image)
             deploy_pyr = backbone.fuse().forward_deploy(image)
         for a, b in ((train_pyr.f_half, deploy_pyr.f_half),
                      (train_pyr.f_quarter, deploy_pyr.f_quarter),
@@ -150,7 +151,7 @@ class TestBackboneForward:
     def test_forward_train_records_at_most_four_ops_per_block(self, rng):
         # per block: fold kernel, fold bias, conv, relu
         backbone = Backbone(TOY, rng)
-        pyramid = backbone.forward_train(T.tensor(rng.random((1, 32, 32)).astype(np.float32)))
+        pyramid = backbone.fold().forward_deploy(T.tensor(rng.random((1, 32, 32)).astype(np.float32)))
         assert tape_size(pyramid.f_coarse) <= 4 * sum(TOY.stage_blocks)
 
     def test_deploy_not_slower_than_train(self, rng):
@@ -185,7 +186,7 @@ class TestBackboneForward:
     def test_rejects_bad_dims(self, rng):
         backbone = Backbone(TOY, rng)
         with pytest.raises(ValueError, match="divisible"):
-            backbone.forward_train(T.tensor(np.zeros((1, 60, 64), dtype=np.float32)))
+            backbone.fold().forward_deploy(T.tensor(np.zeros((1, 60, 64), dtype=np.float32)))
 
 
 class TestHelpers:

@@ -259,6 +259,29 @@ class TestCli:
         assert main(["synth", "--count", "0", "--size", "32", "--out", str(out)]) == 0
         assert out.exists() and os.listdir(out) == []
 
+    def test_synth_negative_count_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["synth", "--count", "-1", "--size", "32", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "--count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_train_without_steps_is_a_usage_error(self, tmp_path, capsys, steps):
+        data = tmp_path / "data"
+        weights = tmp_path / "toy.smw"
+        curve = tmp_path / "curve.csv"
+        model = "widths=4,4,8,8\nblocks=1,1,1,1\nn_layers=1\nn_heads=2\ns=2\nd_fine=8\n"
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text(model + "steps=2\n")
+        bad.write_text(model + f"steps={steps}\n")
+        assert main(["synth", "--count", "1", "--size", "32", "--out", str(data)]) == 0
+        for cfgfile, extra in ((good, ["--steps", str(steps)]), (bad, [])):  # the flag, then the file
+            code = main(["train-toy", "--data", str(data), "--config", str(cfgfile), "--out", str(weights),
+                         "--curve", str(curve), *extra])
+            assert code == 1
+            assert not weights.exists() and not curve.exists()
+            assert "steps" in capsys.readouterr().err
+
     def test_synth_deterministic(self, tmp_path):
         d1 = tmp_path / "one"
         d2 = tmp_path / "two"

@@ -402,15 +402,31 @@ class TestFusedOps:
             [rng.standard_normal((3, 5, 8))],
         )
 
-    @pytest.mark.parametrize("heads", [(), (2,)])
-    def test_attention_matches_composite(self, rng, heads):
-        arrays = [rng.standard_normal((*heads, 5, 8)), rng.standard_normal((*heads, 7, 8)),
-                  rng.standard_normal((*heads, 7, 6))]
-        scale = 1.0 / np.sqrt(8)
+    @pytest.mark.parametrize("lead,heads", [((), 1), ((2,), 1), ((), 2), ((2,), 4)])
+    def test_attention_matches_composite(self, rng, lead, heads):
+        # heads: per-head composite on the i-th slice of the last axis, concatenated
+        arrays = [rng.standard_normal((*lead, 5, 8)), rng.standard_normal((*lead, 7, 8)),
+                  rng.standard_normal((*lead, 7, 12))]
+        scale = 1.0 / np.sqrt(8 // heads)
+
+        def per_head(q, k, v):
+            def part(x, i):
+                width = x.shape[-1] // heads
+                return T.gather_nd(x, (Ellipsis, slice(i * width, (i + 1) * width)))
+            outs = [composite_attention(part(q, i), part(k, i), part(v, i), scale) for i in range(heads)]
+            return T.concat(outs, axis=-1)
+
         check_fused_against_composite(
-            lambda q, k, v: T.vanilla_attention(q, k, v), lambda q, k, v: composite_attention(q, k, v, scale),
-            arrays,
+            lambda q, k, v: T.vanilla_attention(q, k, v, heads=heads), per_head, arrays,
         )
+
+    @pytest.mark.parametrize("heads,widths", [(3, (8, 12)), (2, (8, 9)), (0, (8, 8))])
+    def test_attention_rejects_heads_that_do_not_divide(self, rng, heads, widths):
+        qk, dv = widths
+        q, k = (T.tensor(rng.standard_normal((5, qk))) for _ in range(2))
+        v = T.tensor(rng.standard_normal((5, dv)))
+        with pytest.raises(ValueError, match="heads"):
+            T.vanilla_attention(q, k, v, heads=heads)
 
     def test_attention_counts_one_softmax_and_its_score_entries(self, rng):
         q, k, v = (T.tensor(rng.standard_normal(s)) for s in ((2, 5, 8), (2, 7, 8), (2, 7, 8)))

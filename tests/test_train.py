@@ -4,9 +4,11 @@ import pytest
 from semimatch import tensor as T
 from semimatch.instrument import counters
 from semimatch.pipeline import Matcher, MatcherConfig
-from semimatch.supervision import LossWeights
-from semimatch.synth import SynthConfig, SyntheticPairs
-from semimatch.train import AdamW, DivergenceError, TrainConfig, loss_curve_csv, pair_losses, train_toy
+from semimatch.supervision import LossWeights, total_loss
+from semimatch.synth import SynthConfig, SyntheticPairs, render_pair
+from semimatch.train import AdamW, DivergenceError, TrainConfig, _mean, loss_curve_csv, pair_losses, train_toy
+
+from helpers import op_census
 
 TINY = MatcherConfig(widths=(4, 4, 8, 8), blocks=(1, 1, 1, 1), n_layers=1, n_heads=2, s=2,
                      d_fine=8, fine_patch_width=8)
@@ -105,6 +107,26 @@ class TestTrainToy:
         l_c, l_f1, _ = pair_losses(matcher, image_a, image_b, h, TrainConfig(), rng)
         assert l_c is not None and l_f1 is not None
         assert counters["dual_softmax"] == 0
+
+    def test_pair_losses_fold_the_backbone_once_per_pair(self):
+        # toy config, a batch of two 64x64 pairs, as one toy training step
+        matcher = Matcher(MatcherConfig.toy(), seed=0)
+        cfg = TrainConfig(batch_size=2, seed=7)
+        rng = np.random.default_rng(7)
+        n_blocks = sum(len(stage) for stage in matcher.backbone.stages)
+        terms = ([], [], [])
+        for index in range(cfg.batch_size):
+            image_a, image_b, h = render_pair(7, index, SynthConfig(size=64))
+            losses = pair_losses(matcher, image_a, image_b, h, cfg, rng)
+            census = op_census(losses[0])
+            assert census["FoldKernels"] == census["FoldBiases"] == n_blocks
+            for term, loss in zip(terms, losses):
+                if loss is not None:
+                    term.append(loss)
+        loss = total_loss(*(_mean(term) if term else 0.0 for term in terms), cfg.weights)
+        census = op_census(loss)
+        assert census["FoldKernels"] == cfg.batch_size * n_blocks
+        assert sum(census.values()) <= 646
 
     def test_pair_losses_are_finite_and_weighted_total_matches(self, rng):
         matcher = Matcher(TINY, seed=2)

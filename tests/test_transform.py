@@ -13,7 +13,7 @@ from semimatch.transform import (
     rope_params,
 )
 
-from helpers import tape_size
+from helpers import tape_size, weighted_sum
 
 CFG = AggAttnConfig(s=2, n_layers=2, n_heads=4, d_model=32)
 
@@ -78,6 +78,22 @@ class TestRope:
         r = rotation_matrix(params, 7.3, -2.1)
         np.testing.assert_allclose(r.T @ r, np.eye(24), atol=1e-6)
 
+    def test_wide_features_rotate_each_head_slice_alike(self, rng):
+        params = rope_params(8)
+        x = rng.standard_normal((6, 24))
+        pos = rng.uniform(-20, 20, size=(6, 2))
+        got = rope_encode(T.tensor(x, dtype=np.float64), pos, params).data
+        for head in range(3):
+            part = x[:, 8 * head:8 * (head + 1)]
+            want = rope_encode(T.tensor(part, dtype=np.float64), pos, params).data
+            np.testing.assert_array_equal(got[:, 8 * head:8 * (head + 1)], want)
+
+    @pytest.mark.parametrize("width", [12, 4])
+    def test_width_must_be_a_multiple_of_params(self, rng, width):
+        x = T.tensor(rng.standard_normal((3, width)), dtype=np.float64)
+        with pytest.raises(ValueError, match="tile"):
+            rope_encode(x, np.zeros((3, 2)), rope_params(8))
+
 
 class TestAggregation:
     def test_s1_keeps_all_tokens_and_pool_is_identity(self, rng):
@@ -133,14 +149,11 @@ class TestAggAttentionBlock:
         source = np.full((d, 8, 8), -1.0, dtype=np.float32)
         source[:, 0, 0] = direction
         target = np.tile(direction[:, None, None], (1, 8, 8))
-        probe: dict = {}
+        # so every query's output equals the one where every kv token is `direction`
         with T.no_grad():
-            block.forward(T.tensor(target), T.tensor(source), probe=probe)
-        got = probe["attn_mix"].data
-        want = probe["v_tokens"].data[:, 0, :]  # every head's kv token 0
-        for head in range(got.shape[0]):
-            for row in range(got.shape[1]):
-                np.testing.assert_allclose(got[head, row], want[head], atol=1e-3)
+            got = block.forward(T.tensor(target), T.tensor(source)).data
+            want = block.forward(T.tensor(target), T.tensor(target)).data
+        np.testing.assert_allclose(got, want, atol=1e-4)
 
     def test_cross_block_sensitive_to_source(self, rng):
         block = AggAttentionBlock("cross", CFG, rng)
@@ -156,11 +169,9 @@ class TestAggAttentionBlock:
         f = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
         g = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
         counters.reset("rope")
-        probe: dict = {}
         with T.no_grad():
-            block.forward(f, g, probe=probe)
+            block.forward(f, g)
         assert counters["rope"] == 0
-        assert probe["rope_applied"] is False
 
     def test_self_block_invariant_to_coordinate_translation(self, rng):
         """Relative encoding: translating the coordinate frame under both
@@ -168,13 +179,9 @@ class TestAggAttentionBlock:
         cfg = AggAttnConfig(s=2, n_layers=1, n_heads=2, d_model=8)
         block = AggAttentionBlock("self", cfg, rng)
         base = T.tensor(rng.standard_normal((8, 8, 8)).astype(np.float32))
-        p1: dict = {}
-        p2: dict = {}
         with T.no_grad():
-            block.forward(base, base, probe=p1)
-            block.forward(base, base, probe=p2, position_offset=(17.0, -6.0))
-        out1 = p1["attended_map_pre_upsample"].data
-        out2 = p2["attended_map_pre_upsample"].data
+            out1 = block.forward(base, base).data
+            out2 = block.forward(base, base, position_offset=(17.0, -6.0)).data
         assert np.abs(out1 - out2).max() < 1e-4
 
     def test_cross_block_invariant_to_position_offset(self, rng):
@@ -197,15 +204,80 @@ class TestAggAttentionBlock:
         assert counters["conv2d"] == 1
 
 
-    @pytest.mark.parametrize("kind,ops", [("self", 37), ("cross", 35)])
+    @pytest.mark.parametrize("kind,ops", [("self", 27), ("cross", 25)])
     def test_tape_size_per_block_call(self, rng, kind, ops):
-        # fused linear / layer norm / rotary / attention: one tape op each
+        # fused linear / layer norm / rotary / attention (heads inside): one
+        # tape op each; 8 of them are layout (tokens in and out, FFN channel-last)
         toy = MatcherConfig.toy()
         cfg = AggAttnConfig(s=toy.s, n_layers=toy.n_layers, n_heads=toy.n_heads, d_model=toy.d_model)
         block = AggAttentionBlock(kind, cfg, rng)
         f = T.parameter(rng.standard_normal((toy.d_model, 8, 8)).astype(np.float32))
         g = f if kind == "self" else T.parameter(rng.standard_normal(f.shape).astype(np.float32))
         assert tape_size(block.forward(f, g)) <= ops
+
+    @pytest.mark.parametrize("kind,kv_grid", [("self", (8, 12)), ("cross", (12, 4))])
+    def test_matches_split_merge_block_float64(self, rng, kind, kv_grid):
+        cfg = AggAttnConfig(s=2, n_layers=1, n_heads=4, d_model=32)
+        block = AggAttentionBlock(kind, cfg, rng, dtype=np.float64)
+        f = rng.standard_normal((32, 8, 12))
+        g = f if kind == "self" else rng.standard_normal((32, *kv_grid))
+        results = []
+        for forward in (block.forward, lambda t, u: split_merge_block(block, t, u)):
+            target = T.parameter(f, dtype=np.float64)
+            source = target if kind == "self" else T.parameter(g, dtype=np.float64)
+            for _, p in block.named_tensors("block"):
+                p.grad = None
+            out = forward(target, source)
+            weighted_sum(out, 5).backward()
+            grads = [target.grad, source.grad] + [p.grad for _, p in block.named_tensors("block")]
+            results.append((out.data, grads))
+        (out, grads), (want, want_grads) = results
+        assert out.shape == (32, 8, 12)
+        assert np.abs(out - want).max() <= 1e-10
+        for got, ref in zip(grads, want_grads):
+            assert np.abs(got - ref).max() <= 1e-10
+
+
+def split_merge_block(block, target, source):
+    """Reference block with heads split out of the (n, d) tokens, a per-head
+    attention on the (heads, n, d/heads) stack, the heads merged back and
+    the FFN run on (HW, 2d) tokens."""
+    cfg = block.config
+    s, heads = cfg.s, cfg.n_heads
+
+    def tokens(m):
+        return m.reshape((m.shape[0], -1)).transpose((1, 0))
+
+    def to_map(t, h, w):
+        return t.transpose((1, 0)).reshape((t.shape[1], h, w))
+
+    def split(t):
+        n, d = t.shape
+        return t.reshape((n, heads, d // heads)).transpose((1, 0, 2))
+
+    def merge(t):
+        _, n, _ = t.shape
+        return t.transpose((1, 0, 2)).reshape((n, -1))
+
+    _, h, w = target.shape
+    q_map, kv_map = aggregate_tokens(target, source, s, block.agg_conv)
+    ah, aw = q_map.shape[1:]
+    q_tokens = T.layer_norm(tokens(q_map))
+    kv_tokens = T.layer_norm(tokens(kv_map))
+    q = split(T.linear(q_tokens, block.q_proj))
+    k = split(T.linear(kv_tokens, block.k_proj))
+    v = split(T.linear(kv_tokens, block.v_proj))
+    if block.kind == "self":
+        ys, xs = np.mgrid[0:ah, 0:aw]
+        positions = np.stack([xs.ravel(), ys.ravel()], axis=1) * s + (s - 1) / 2.0
+        params = rope_params(cfg.d_model // heads)
+        q, k = rope_encode(q, positions, params), rope_encode(k, positions, params)
+    attended = T.linear(merge(T.vanilla_attention(q, k, v)), block.out_proj)
+    up = T.bilinear_upsample(to_map(attended, ah, aw), s)
+    hidden = T.layer_norm(T.linear(tokens(T.concat([target, up], axis=0)), block.fuse))
+    hidden = T.linear(hidden, block.fc1, block.fc1_bias).relu()
+    hidden = T.linear(hidden, block.fc2, block.fc2_bias)
+    return target + to_map(hidden, h, w)
 
 
 class TestFeatureTransform:
