@@ -34,6 +34,8 @@ def bench_pipeline(matcher, image_a: np.ndarray, image_b: np.ndarray, mode: str 
                    repetitions: int = 5, warmup: int = 1) -> StageTimings:
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    if warmup < 0:
+        raise ValueError("warmup must be >= 0")
     fused = matcher.fuse()
     for _ in range(warmup):
         matcher.match_pair(image_a, image_b, mode=mode, fused=fused)

@@ -13,6 +13,15 @@ dual-softmax log-likelihood of picked score entries, from row and column
 log-sum-exps). Values are float32 by default; build a graph from float64
 leaves to run the same code in checking precision.
 
+``conv2d`` runs im2col and one GEMM, except for stride-1, pad-1 3x3
+convolutions with at least ``WINOGRAD_MIN_CHANNELS`` input and output
+channels: those run Winograd F(4x4, 3x3) (``WinogradConv2d``), which
+multiplies a transformed 6x6 input tile by a transformed kernel in 36
+products per 4x4 output tile instead of 144, one batched matmul over the
+36 tile positions. Its backward is the adjoint of the same transforms, so
+training and inference take the same path. The kernel is transformed on
+every call; nothing is cached.
+
 Gradients flow through an implicit tape: each op result keeps a context
 pointing at its parents and a sequence number. An op is always recorded
 after the ops that feed it, so ``Tensor.backward()`` visits the recorded
@@ -389,11 +398,13 @@ class Sqrt(Function):
 
 class ReLU(Function):
     def forward(self, a):
-        self.saved = (a > 0,)
-        return np.maximum(a, 0)
+        out = np.maximum(a, 0)
+        self.saved = (out,)
+        return out
 
     def backward(self, grad):
-        return (grad * self.saved[0],)
+        # out > 0 exactly where a > 0: false at zeros and NaNs alike
+        return (grad * (self.saved[0] > 0),)
 
 
 class ELU(Function):
@@ -809,9 +820,7 @@ def _unpad_plane(x: np.ndarray, pad: int) -> np.ndarray:
 class Conv2d(Function):
     def forward(self, x, kernel, bias, stride, pad):
         cin = x.shape[0]
-        cout, kin, kh, kw = kernel.shape
-        if kin != cin:
-            raise ValueError(f"conv2d: input has {cin} channels, kernel expects {kin}")
+        cout, _, kh, kw = kernel.shape
         (oh, ow), taps = _taps(x.shape, kh, kw, stride, pad)
         xp = _pad_plane(x, pad)
         # cols: (cin * kh * kw, out_cells), rows ordered like the kernel's
@@ -820,7 +829,6 @@ class Conv2d(Function):
         if bias is not None:
             out += bias[:, None]
         self.saved = (cols, kernel, taps, xp.shape, pad, bias is not None)
-        counters.add("conv2d")
         return out.reshape(cout, oh, ow)
 
     def backward(self, grad):
@@ -835,6 +843,86 @@ class Conv2d(Function):
             dxp[tap] += dcols[:, t]
         grads = (_unpad_plane(dxp, pad), dkernel)
         return grads + (dbias,) if has_bias else grads
+
+
+# Winograd F(4x4, 3x3) (Lavin & Gray, arXiv 1509.09308), interpolation points
+# 0, ±1, ±2 and ∞: a 6x6 input tile d and a 3x3 kernel g correlate to the
+# 4x4 output tile Aᵀ[(G g Gᵀ) ⊙ (Bᵀ d B)]A, 36 multiplies instead of 144.
+_WINOGRAD_BT = np.array([[4, 0, -5, 0, 1, 0],
+                         [0, -4, -4, 1, 1, 0],
+                         [0, 4, -4, -1, 1, 0],
+                         [0, -2, -1, 2, 1, 0],
+                         [0, 2, -1, -2, 1, 0],
+                         [0, 4, 0, -5, 0, 1]])
+_WINOGRAD_G = np.array([[1 / 4, 0, 0],
+                        [-1 / 6, -1 / 6, -1 / 6],
+                        [-1 / 6, 1 / 6, -1 / 6],
+                        [1 / 24, 1 / 12, 1 / 6],
+                        [1 / 24, -1 / 12, 1 / 6],
+                        [0, 0, 1]])
+_WINOGRAD_AT = np.array([[1, 1, 1, 1, 1, 0],
+                         [0, 1, -1, 2, -2, 0],
+                         [0, 1, 1, 4, 4, 0],
+                         [0, 1, -1, 8, -8, 1]])
+# Stride-1, pad-1 3x3 convolutions with at least this many input and output
+# channels take the Winograd path (the per-shape timings are in CHANGES.md).
+WINOGRAD_MIN_CHANNELS = 64
+
+
+@lru_cache(maxsize=None)
+def _winograd_matrices(dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # kron(M, M) maps a row-major flattened tile X to the flattened M X Mᵀ:
+    # kron(Bᵀ, Bᵀ) (36, 36), kron(G, G) (36, 9) and kron(Aᵀ, Aᵀ) (16, 36)
+    return tuple(np.kron(m, m).astype(dtype) for m in (_WINOGRAD_BT, _WINOGRAD_G, _WINOGRAD_AT))
+
+
+def _winograd(x: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stride-1, pad-1 3x3 correlation of a (cin, H, W) map with a (cout, cin,
+    3, 3) kernel: the (cout, H, W) output view and the transformed input
+    tiles V, (36, cin, tiles) with tiles = ⌈H/4⌉·⌈W/4⌉ in row-major order."""
+    bt, g, at = _winograd_matrices(x.dtype)
+    cout, cin = kernel.shape[:2]
+    _, h, w = x.shape
+    th, tw = -(-h // 4), -(-w // 4)
+    # whole 6x6 tiles at stride 4, zero-padded by 1 at the top and left
+    xp = np.zeros((cin, 4 * th + 2, 4 * tw + 2), dtype=x.dtype)
+    xp[:, 1:h + 1, 1:w + 1] = x
+    sc, sh, sw = xp.strides
+    tiles = np.lib.stride_tricks.as_strided(xp, (6, 6, cin, th, tw), (sh, sw, sc, 4 * sh, 4 * sw))
+    v = (bt @ np.ascontiguousarray(tiles).reshape(36, -1)).reshape(36, cin, th * tw)
+    u = (g @ kernel.reshape(cout * cin, 9).T).reshape(36, cout, cin)
+    y = (at @ (u @ v).reshape(36, -1)).reshape(4, 4, cout, th, tw)
+    return y.transpose(2, 3, 0, 4, 1).reshape(cout, 4 * th, 4 * tw)[:, :h, :w], v
+
+
+class WinogradConv2d(Function):
+    """Stride-1, pad-1 3x3 convolution through Winograd F(4x4, 3x3).
+
+    Backward is the adjoint of the same maps: dx is the Winograd correlation
+    of the gradient with the flipped, in/out-swapped kernel; dkernel is
+    kron(G, G)ᵀ applied to Σ over tiles of (kron(Aᵀ, Aᵀ)ᵀ · gradient tile)
+    · Vᵀ, with the V saved in forward.
+    """
+
+    def forward(self, x, kernel, bias):
+        y, v = _winograd(x, kernel)
+        self.saved = (v, kernel, bias is not None)
+        return y + bias[:, None, None] if bias is not None else np.ascontiguousarray(y)
+
+    def backward(self, grad):
+        v, kernel, has_bias = self.saved
+        _, g, at = _winograd_matrices(grad.dtype)
+        cout, h, w = grad.shape
+        th, tw = -(-h // 4), -(-w // 4)
+        gp = np.zeros((cout, 4 * th, 4 * tw), dtype=grad.dtype)
+        gp[:, :h, :w] = grad
+        gtiles = gp.reshape(cout, th, 4, tw, 4).transpose(2, 4, 0, 1, 3).reshape(16, -1)
+        dm = (at.T @ gtiles).reshape(36, cout, th * tw)
+        du = dm @ v.swapaxes(1, 2)
+        dkernel = np.ascontiguousarray((g.T @ du.reshape(36, -1)).T).reshape(kernel.shape)
+        dx, _ = _winograd(grad, np.ascontiguousarray(kernel[:, :, ::-1, ::-1].swapaxes(0, 1)))
+        grads = (np.ascontiguousarray(dx), dkernel)
+        return grads + (grad.sum(axis=(1, 2)),) if has_bias else grads
 
 
 class DepthwiseConv2d(Function):
@@ -950,15 +1038,22 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride: int = 
     """2-D convolution over a (C, H, W) map with zero padding.
 
     Kernel is (out_c, in_c, kh, kw) with odd kh, kw; output spatial dims are
-    floor((H + 2·pad − kh) / stride) + 1.
+    floor((H + 2·pad − kh) / stride) + 1. Stride-1, pad-1 3x3 kernels with at
+    least ``WINOGRAD_MIN_CHANNELS`` input and output channels run Winograd
+    F(4x4, 3x3), the rest im2col; each call counts once under "conv2d".
     """
     kh, kw = kernel.shape[-2:]
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("conv2d expects odd kernel sizes")
     if stride < 1 or pad < 0:
         raise ValueError("conv2d expects stride >= 1 and pad >= 0")
-    if bias is None:
-        return Conv2d.apply(x, kernel, None, stride=stride, pad=pad)
+    cout, cin = kernel.shape[:2]
+    if x.shape[0] != cin:
+        raise ValueError(f"conv2d: input has {x.shape[0]} channels, kernel expects {cin}")
+    counters.add("conv2d")
+    if (kh, kw, stride, pad) == (3, 3, 1, 1) and min(cin, cout) >= WINOGRAD_MIN_CHANNELS:
+        counters.add("conv2d_winograd")
+        return WinogradConv2d.apply(x, kernel, bias)
     return Conv2d.apply(x, kernel, bias, stride=stride, pad=pad)
 
 

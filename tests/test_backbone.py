@@ -142,6 +142,16 @@ class TestBackboneForward:
             fused.forward_deploy(T.tensor(rng.random((1, 32, 32)).astype(np.float32)))
         assert counters["conv2d"] == sum(TOY.stage_blocks)
 
+    @pytest.mark.parametrize("config,winograd", [(BackboneConfig(), 17), (TOY, 0)])
+    def test_wide_stride_one_blocks_run_winograd(self, rng, config, winograd):
+        # paper widths: every stride-1 block past the 1-channel stem is >= 64 wide
+        fused = Backbone(config, rng).fuse()
+        counters.reset("conv2d", "conv2d_winograd")
+        with T.no_grad():
+            fused.forward_deploy(T.tensor(rng.random((1, 32, 32)).astype(np.float32)))
+        assert counters["conv2d"] == sum(config.stage_blocks)
+        assert counters["conv2d_winograd"] == winograd
+
     def test_identity_block_tape_size(self, rng):
         # 2 convs, 3 one-op batch norms, 2 adds, relu
         block = RepVGGBlock(8, 8, 1, rng)

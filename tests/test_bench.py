@@ -46,6 +46,12 @@ class TestBenchPipeline:
         with pytest.raises(ValueError, match=">= 1"):
             bench_pipeline(matcher, *pair, repetitions=0)
 
+    def test_negative_warmup_is_rejected_before_any_run(self, matcher, pair):
+        counters.reset("dual_softmax")
+        with pytest.raises(ValueError, match="warmup"):
+            bench_pipeline(matcher, *pair, repetitions=1, warmup=-2)
+        assert counters["dual_softmax"] == 0
+
     def test_warmup_count_respected(self, matcher, pair):
         counters.reset("dual_softmax")
         bench_pipeline(matcher, *pair, mode="full", repetitions=2, warmup=3)

@@ -254,6 +254,20 @@ class TestCli:
     def test_synth_rejects_indivisible_size(self, tmp_path):
         assert main(["synth", "--count", "1", "--size", "60", "--out", str(tmp_path / "d")]) == 1
 
+    @pytest.mark.parametrize("counts,code", [
+        (["--warmup", "-2"], 1), (["--repetitions", "0"], 1), (["--warmup", "0", "--repetitions", "1"], 0)])
+    def test_bench_counts(self, tmp_path, capsys, counts, code):
+        img = tmp_path / "img.pgm"
+        save_pgm(str(img), np.random.default_rng(0).random((16, 16)))
+        weights = tmp_path / "tiny.smw"
+        save_matcher(str(weights), Matcher(TINY, seed=0))
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--image-a", str(img), "--image-b", str(img), "--weights", str(weights),
+                     *counts, "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+        if code:
+            assert counts[0].lstrip("-") in capsys.readouterr().err
+
     def test_synth_count_zero_creates_empty_dir(self, tmp_path):
         out = tmp_path / "empty"
         assert main(["synth", "--count", "0", "--size", "32", "--out", str(out)]) == 0

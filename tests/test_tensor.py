@@ -103,6 +103,93 @@ class TestConv2d:
             T.conv2d(T.tensor(rng.random((2, 4, 4))), T.tensor(rng.random((1, 3, 3, 3))))
 
 
+def taps_conv3x3(x, kernel, bias):
+    """Stride-1, pad-1 3x3 correlation as a sum of nine channel contractions."""
+    h, w = x.shape[1:]
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    out = sum(np.einsum("oi,ihw->ohw", kernel[:, :, dr, dc], xp[:, dr:dr + h, dc:dc + w])
+              for dr in range(3) for dc in range(3))
+    return out + bias[:, None, None]
+
+
+# partial and whole 4x4 output tiles, square and not
+WINOGRAD_HW = [(1, 1), (2, 3), (5, 7), (13, 9), (16, 16)]
+WINOGRAD_CHANNELS = [(64, 96), (96, 64)]
+
+
+def winograd_operands(rng, cin, cout, h, w):
+    return (rng.standard_normal((cin, h, w)), rng.standard_normal((cout, cin, 3, 3)) / 24,
+            rng.standard_normal(cout))
+
+
+class TestWinogradConv2d:
+    @pytest.mark.parametrize("cin,cout", WINOGRAD_CHANNELS)
+    @pytest.mark.parametrize("h,w", WINOGRAD_HW)
+    def test_forward_matches_taps_oracle(self, rng, cin, cout, h, w):
+        x, k, b = winograd_operands(rng, cin, cout, h, w)
+        want = taps_conv3x3(x, k, b)
+        counters.reset("conv2d_winograd")
+        got64 = T.conv2d(T.tensor(x, dtype=np.float64), T.tensor(k, dtype=np.float64),
+                         T.tensor(b, dtype=np.float64), stride=1, pad=1)
+        got32 = T.conv2d(T.tensor(x, dtype=np.float32), T.tensor(k, dtype=np.float32),
+                         T.tensor(b, dtype=np.float32), stride=1, pad=1)
+        assert counters["conv2d_winograd"] == 2
+        assert got64.dtype == np.float64 and got32.dtype == np.float32
+        assert np.abs(got64.data - want).max() <= 1e-10
+        assert np.abs(got32.data - want).max() <= 1e-4 * np.abs(want).max()
+
+    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("h,w", [(5, 7), (13, 9)])
+    def test_gradients_match_im2col(self, rng, h, w, with_bias):
+        arrays = winograd_operands(rng, 64, 72, h, w)[:3 if with_bias else 2]
+        weights = T.tensor(rng.standard_normal((72, h, w)), dtype=np.float64)
+        grads = []
+        for op in (T.conv2d, T.Conv2d.apply):  # dispatched to Winograd, then im2col
+            params = [T.parameter(a, dtype=np.float64) for a in arrays]
+            x, k, b = params if with_bias else (*params, None)
+            (op(x, k, b, stride=1, pad=1) * weights).sum().backward()
+            grads.append([p.grad for p in params])
+        for got, want in zip(*grads):
+            assert np.abs(got - want).max() <= 1e-10
+
+    def test_directional_finite_differences(self, rng):
+        arrays = winograd_operands(rng, 64, 64, 6, 5)
+        weights = T.tensor(rng.standard_normal((64, 6, 5)), dtype=np.float64)
+
+        def loss(*values):
+            return (T.conv2d(*values, stride=1, pad=1) * weights).sum()
+
+        params = [T.parameter(a, dtype=np.float64) for a in arrays]
+        loss(*params).backward()
+        for which, p in enumerate(params):
+            direction = rng.standard_normal(p.shape)
+
+            def moved(step):
+                values = list(arrays)
+                values[which] = arrays[which] + step * direction
+                return loss(*(T.tensor(v, dtype=np.float64) for v in values)).item()
+
+            numeric = (moved(1e-5) - moved(-1e-5)) / 2e-5
+            assert numeric == pytest.approx(float((p.grad * direction).sum()), rel=1e-7)
+
+    @pytest.mark.parametrize("cin,cout,kh,stride,pad,winograd", [
+        (64, 64, 3, 1, 1, True),
+        (256, 64, 3, 1, 1, True),
+        (63, 64, 3, 1, 1, False),
+        (64, 32, 3, 1, 1, False),
+        (64, 64, 3, 2, 1, False),
+        (64, 64, 3, 1, 0, False),
+        (64, 64, 1, 1, 0, False),
+    ])
+    def test_dispatch_rule(self, rng, cin, cout, kh, stride, pad, winograd):
+        x = T.tensor(rng.standard_normal((cin, 6, 6)))
+        k = T.tensor(rng.standard_normal((cout, cin, kh, kh)))
+        counters.reset("conv2d", "conv2d_winograd")
+        T.conv2d(x, k, stride=stride, pad=pad)
+        assert counters["conv2d"] == 1
+        assert counters["conv2d_winograd"] == int(winograd)
+
+
 class TestDepthwiseConv2d:
     def test_unit_kernels_identity(self, rng):
         x = T.tensor(rng.random((3, 5, 5)))
@@ -560,6 +647,19 @@ class TestBackward:
         x = T.tensor(rng.standard_normal(()))
         with pytest.raises(ValueError, match="not attached"):
             x.backward()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_gradient_is_zero_at_zeros_and_nans(self, rng, dtype):
+        a = np.array([-2.0, -0.0, 0.0, 1e-30, 3.0, np.nan, np.inf, -np.inf], dtype=dtype)
+        g = rng.standard_normal(a.shape).astype(dtype)
+        x = T.parameter(a)
+        previous = T.set_finite_checks(False)
+        try:
+            out = x.relu()
+        finally:
+            T.set_finite_checks(previous)
+        (got,) = out._ctx.backward(g)
+        np.testing.assert_array_equal(got, g * (a > 0))  # the rule: pass where the input is > 0
 
     def test_composite_graph_matches_finite_differences(self, rng):
         x0 = rng.standard_normal((2, 6, 6))
