@@ -13,6 +13,7 @@ import numpy as np
 
 from semimatch import tensor as T
 from semimatch.instrument import counters
+from semimatch.transform import aggregate_tokens
 
 
 def time_attention(f, s, reps):
@@ -21,8 +22,7 @@ def time_attention(f, s, reps):
 
     def run():
         with T.no_grad():
-            q_map = T.depthwise_conv2d(f, kernel, stride=s)
-            kv_map = f if s == 1 else T.maxpool2d(f, s, s)
+            q_map, kv_map = aggregate_tokens(f, f, s, kernel)
             q = q_map.reshape((d, -1)).transpose((1, 0))
             kv = kv_map.reshape((d, -1)).transpose((1, 0))
             T.vanilla_attention(q, kv, kv)

@@ -10,24 +10,18 @@ every branch; ``fuse()`` is the same fold without gradients, for deployment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
 
+if TYPE_CHECKING:
+    from .pipeline import MatcherConfig
+
 BN_EPS = 1e-5
 STAGE_STRIDES = (1, 2, 2, 2)  # a 1/2, 1/4, 1/8 pyramid
-
-
-@dataclass
-class BackboneConfig:
-    stage_widths: tuple[int, ...] = (64, 64, 128, 256)
-    stage_blocks: tuple[int, ...] = (1, 2, 4, 14)
-
-    def __post_init__(self):
-        if not (len(self.stage_widths) == len(self.stage_blocks) == len(STAGE_STRIDES)):
-            raise ValueError("backbone uses exactly four stages")
 
 
 @dataclass
@@ -138,11 +132,12 @@ class FusedBlock:
 
 
 class Backbone:
-    def __init__(self, config: BackboneConfig, rng: np.random.Generator, in_channels: int = 1, dtype=np.float32):
-        self.config = config
+    """Built from a ``MatcherConfig``'s ``widths`` and ``blocks``."""
+
+    def __init__(self, config: "MatcherConfig", rng: np.random.Generator, in_channels: int = 1, dtype=np.float32):
         self.stages: list[list[RepVGGBlock]] = []
         c_in = in_channels
-        for width, n_blocks, stride in zip(config.stage_widths, config.stage_blocks, STAGE_STRIDES):
+        for width, n_blocks, stride in zip(config.widths, config.blocks, STAGE_STRIDES):
             stage = []
             for b in range(n_blocks):
                 stage.append(RepVGGBlock(c_in, width, stride if b == 0 else 1, rng, dtype))
@@ -204,7 +199,3 @@ def pad_to_multiple(image: np.ndarray, multiple: int = 8) -> tuple[np.ndarray, t
         image = np.pad(image, ((0, ph), (0, pw)))
     return image, (h, w)
 
-
-def to_grayscale(rgb: np.ndarray) -> np.ndarray:
-    """Luma conversion for (H, W, 3) arrays in [0, 1]."""
-    return rgb @ np.array([0.299, 0.587, 0.114], dtype=rgb.dtype)

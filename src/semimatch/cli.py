@@ -9,11 +9,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .bench import bench_pipeline, timings_csv
 from .config import load_settings
 from .evaluate import (
+    DirectoryPairs,
     eval_homography_dir,
     match_dump_csv,
     pair_paths,
@@ -115,8 +117,8 @@ def cmd_match(args) -> int:
 def cmd_synth(args) -> int:
     if args.count < 0:
         raise UsageError(f"--count must be >= 0, got {args.count}")
-    if args.size % 8:
-        raise UsageError(f"--size must be a multiple of 8 for training, got {args.size}")
+    if args.size < 8 or args.size % 8:
+        raise UsageError(f"--size must be a positive multiple of 8 for training, got {args.size}")
     os.makedirs(args.out, exist_ok=True)
     cfg = SynthConfig(size=args.size)
     for index in range(args.count):
@@ -129,35 +131,13 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-class DirectoryPairs:
-    """Dataset view over a synth output directory."""
-
-    def __init__(self, directory: str):
-        from .evaluate import list_pairs, read_homography_csv
-
-        self.directory = directory
-        self.indices = list_pairs(directory)
-        if not self.indices:
-            raise FileNotFoundError(f"no pairs found in {directory}")
-        self._read_h = read_homography_csv
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __getitem__(self, i: int):
-        path_a, path_b, path_h = pair_paths(self.directory, self.indices[i])
-        return load_image(path_a), load_image(path_b), self._read_h(path_h)
-
-
 def cmd_train_toy(args) -> int:
     settings = load_settings(args.config)
-    if args.steps is not None:
-        settings.train.steps = args.steps
-    if args.seed is not None:
-        settings.train.seed = args.seed
+    flags = {key: getattr(args, key) for key in ("steps", "seed") if getattr(args, key) is not None}
+    train = replace(settings.train, **flags)
     dataset = DirectoryPairs(args.data)
-    matcher = Matcher(settings.matcher, seed=settings.train.seed)
-    curve = train_toy(matcher, dataset, settings.train)
+    matcher = Matcher(settings.matcher, seed=train.seed)
+    curve = train_toy(matcher, dataset, train)
     save_matcher(args.out, matcher)
     if args.curve:
         _atomic_write(args.curve, loss_curve_csv(curve))

@@ -1,14 +1,15 @@
 """Flat key=value config files covering matcher and training settings."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
-from .pipeline import MatcherConfig
+from .pipeline import MatcherConfig, parse_setting
+from .supervision import LossWeights
 from .train import TrainConfig
 
-_MATCHER_KEYS = set(MatcherConfig().__dataclass_fields__)
-_TRAIN_KEYS = {"steps", "batch_size", "lr", "weight_decay", "warmup_steps", "clip_norm", "seed", "max_fine_matches"}
-_LOSS_KEYS = {"alpha", "beta"}
+_MATCHER_KEYS = {f.name for f in fields(MatcherConfig)}
+_TRAIN_KEYS = {f.name for f in fields(TrainConfig)} - {"weights"}
+_LOSS_KEYS = {f.name for f in fields(LossWeights)}
 
 
 @dataclass
@@ -31,36 +32,27 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def load_settings(path: str | None) -> Settings:
-    settings = Settings()
     if path is None:
-        return settings
+        return Settings()
     with open(path, "r", encoding="utf-8") as fh:
         overrides = parse_config_text(fh.read())
-    apply_overrides(settings, overrides)
-    return settings
+    return apply_overrides(Settings(), overrides)
 
 
 def apply_overrides(settings: Settings, overrides: dict[str, str]) -> Settings:
-    matcher_dict = {}
+    """New settings with ``overrides`` applied; every value is parsed with its
+    field's type (an int field takes only an int) and checked on the way in."""
+    matcher, train, loss = {}, {}, {}
     for key, value in overrides.items():
         if key in _MATCHER_KEYS:
-            matcher_dict[key] = value
+            matcher[key] = value
         elif key in _TRAIN_KEYS:
-            current = getattr(settings.train, key)
-            setattr(settings.train, key, type(current)(_coerce(value)))
+            train[key] = parse_setting(key, type(getattr(settings.train, key)), value)
         elif key in _LOSS_KEYS:
-            setattr(settings.train.weights, key, float(value))
+            loss[key] = parse_setting(key, float, value)
         else:
             raise KeyError(f"unknown config key {key!r}")
-    if matcher_dict:
-        base = settings.matcher.to_dict()
-        base.update(matcher_dict)
-        settings.matcher = MatcherConfig.from_dict(base)
-    return settings
-
-
-def _coerce(value: str):
-    try:
-        return int(value)
-    except ValueError:
-        return float(value)
+    return Settings(
+        matcher=MatcherConfig.from_dict({**settings.matcher.to_dict(), **matcher}),
+        train=replace(settings.train, weights=replace(settings.train.weights, **loss), **train),
+    )

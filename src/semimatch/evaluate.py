@@ -118,6 +118,23 @@ def list_pairs(directory: str) -> list[int]:
     return indices
 
 
+class DirectoryPairs:
+    """Dataset view over a synth output directory: (image A, image B, H) per pair."""
+
+    def __init__(self, directory: str):
+        self.directory = directory
+        self.indices = list_pairs(directory)
+        if not self.indices:
+            raise FileNotFoundError(f"no pairXXXX_A.pgm files in {directory}")
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, i: int):
+        path_a, path_b, path_h = pair_paths(self.directory, self.indices[i])
+        return load_image(path_a), load_image(path_b), read_homography_csv(path_h)
+
+
 @dataclass
 class EvalReport:
     mode: str
@@ -150,17 +167,11 @@ class EvalReport:
 def eval_homography_dir(matcher, directory: str, mode: str = "full",
                         ransac_threshold: float = 3.0, seed: int = 0) -> EvalReport:
     """Match every stored pair, estimate H with RANSAC, report corner AUCs."""
-    indices = list_pairs(directory)
-    if not indices:
-        raise FileNotFoundError(f"no pairXXXX_A.pgm files in {directory}")
+    pairs = DirectoryPairs(directory)
     fused = matcher.fuse()
     corner_errors, n_matches = [], []
     stage_sums = dict.fromkeys((*STAGES, "total"), 0.0)
-    for index in indices:
-        path_a, path_b, path_h = pair_paths(directory, index)
-        image_a = load_image(path_a)
-        image_b = load_image(path_b)
-        h_gt = read_homography_csv(path_h)
+    for image_a, image_b, h_gt in pairs:
         result = matcher.match_pair(image_a, image_b, mode=mode, fused=fused)
         for stage in stage_sums:
             stage_sums[stage] += result.timings[stage]
@@ -183,5 +194,5 @@ def eval_homography_dir(matcher, directory: str, mode: str = "full",
         corner_errors=finite,
         auc=corner_auc(finite),
         n_matches=n_matches,
-        stage_means={k: v / len(indices) for k, v in stage_sums.items()},
+        stage_means={k: v / len(pairs) for k, v in stage_sums.items()},
     )

@@ -21,8 +21,6 @@ class ScoreMatrix:
     grid_a: tuple[int, int]
     grid_b: tuple[int, int]
     p: Tensor | None = None
-    valid_a: np.ndarray | None = None
-    valid_b: np.ndarray | None = None
 
 
 @dataclass
@@ -32,8 +30,7 @@ class CoarseMatch:
     confidence: float
 
 
-def correlate(f_a: Tensor, f_b: Tensor, inv_temperature: float = 1.0,
-              valid_a: np.ndarray | None = None, valid_b: np.ndarray | None = None) -> ScoreMatrix:
+def correlate(f_a: Tensor, f_b: Tensor, inv_temperature: float = 1.0) -> ScoreMatrix:
     """s(i, j) = inv_temperature * <f_i, f_j> over flattened coarse grids."""
     if f_a.shape[0] != f_b.shape[0]:
         raise ValueError(f"channel mismatch: {f_a.shape} vs {f_b.shape}")
@@ -46,8 +43,6 @@ def correlate(f_a: Tensor, f_b: Tensor, inv_temperature: float = 1.0,
         s=scores,
         grid_a=(f_a.shape[1], f_a.shape[2]),
         grid_b=(f_b.shape[1], f_b.shape[2]),
-        valid_a=valid_a,
-        valid_b=valid_b,
     )
 
 
@@ -97,7 +92,7 @@ def match_coarse(
     """
     if mode not in ("full", "optimized"):
         raise ValueError(f"unknown mode {mode!r}")
-    score = correlate(f_a, f_b, inv_temperature, valid_a, valid_b)
+    score = correlate(f_a, f_b, inv_temperature)
     if mode == "full":
         dual_softmax(score)
         matrix = score.p.data
@@ -105,7 +100,7 @@ def match_coarse(
     else:
         matrix = score.s.data
         threshold = float("-inf")
-    matrix = _mask_invalid(matrix, score.valid_a, score.valid_b)
+    matrix = _mask_invalid(matrix, valid_a, valid_b)
     return mnn_select(matrix, threshold), score
 
 

@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .backbone import Backbone, BackboneConfig, FusedBackbone, pad_to_multiple
+from .backbone import STAGE_STRIDES, Backbone, FusedBackbone, pad_to_multiple
 from .matching import CoarseMatch, match_coarse
 from .refine import COARSE_STRIDE, FineFusion, FineMatch, refine
 from .tensor import Tensor
-from .transform import AggAttnConfig, FeatureTransform
+from .transform import FeatureTransform
 
 
 @dataclass
@@ -30,6 +30,21 @@ class MatcherConfig:
     fine_patch_width: int = 8
     inv_temperature: float | None = None
     tau: float = 0.2
+
+    def __post_init__(self):
+        for key in ("widths", "blocks"):
+            values = getattr(self, key)
+            if len(values) != len(STAGE_STRIDES) or min(values) < 1:
+                raise ValueError(f"{key} needs one value >= 1 for each of the four stages, got {values}")
+        require_at_least(self, 0, "n_layers")
+        require_at_least(self, 1, "n_heads", "s", "d_fine")
+        if self.d_model % self.n_heads or (self.d_model // self.n_heads) % 4:
+            raise ValueError(f"n_heads={self.n_heads} must split d_model={self.d_model} into heads "
+                             "whose width is a multiple of 4 (2D rotary encoding)")
+        if self.fine_patch_width < 2 or self.fine_patch_width % 2:
+            raise ValueError(f"fine_patch_width must be even and >= 2, got {self.fine_patch_width}")
+        if self.inv_temperature is not None and not self.inv_temperature > 0:
+            raise ValueError(f"inv_temperature must be > 0 when set, got {self.inv_temperature}")
 
     @property
     def d_model(self) -> int:
@@ -55,20 +70,36 @@ class MatcherConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MatcherConfig":
-        cfg = cls()
+        values = {}
         for key, value in data.items():
-            if key not in cfg.__dataclass_fields__:
+            if key not in cls.__dataclass_fields__:
                 raise KeyError(f"unknown matcher config key {key!r}")
-            if key in ("widths", "blocks"):
-                value = tuple(int(v) for v in str(value).split(","))
-            elif key == "inv_temperature":
-                value = None if value in ("", None, "none") else float(value)
-            elif key == "tau":
-                value = float(value)
-            else:
-                value = int(value)
-            setattr(cfg, key, value)
-        return cfg
+            values[key] = parse_setting(key, _MATCHER_PARSERS.get(key, int), value)
+        return cls(**values)
+
+
+_MATCHER_PARSERS = {
+    "widths": lambda value: tuple(int(v) for v in str(value).split(",")),
+    "blocks": lambda value: tuple(int(v) for v in str(value).split(",")),
+    "inv_temperature": lambda value: None if value in ("", None, "none") else float(value),
+    "tau": float,
+}
+
+
+def parse_setting(key: str, parse, value):
+    """``parse(value)``, with a value that does not parse reported under its key."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key}={value!r} is not a valid value") from None
+
+
+def require_at_least(config, bound, *keys: str) -> None:
+    """Raise ``ValueError`` naming the first of ``keys`` whose value is below ``bound``."""
+    for key in keys:
+        value = getattr(config, key)
+        if not value >= bound:  # NaN fails too
+            raise ValueError(f"{key} must be >= {bound}, got {value}")
 
 
 def normalize_cells(features: Tensor) -> Tensor:
@@ -100,11 +131,8 @@ class Matcher:
         self.config = config
         self.dtype = dtype
         rng = np.random.default_rng(seed)
-        self.backbone = Backbone(BackboneConfig(stage_widths=config.widths, stage_blocks=config.blocks), rng, dtype=dtype)
-        self.transform = FeatureTransform(
-            AggAttnConfig(s=config.s, n_layers=config.n_layers, n_heads=config.n_heads, d_model=config.d_model),
-            rng, dtype=dtype,
-        )
+        self.backbone = Backbone(config, rng, dtype=dtype)
+        self.transform = FeatureTransform(config, rng, dtype=dtype)
         self.fusion = FineFusion(
             d_model=config.d_model, c_quarter=config.widths[2], c_half=config.widths[1],
             d_fine=config.d_fine, rng=rng, dtype=dtype,

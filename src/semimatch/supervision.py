@@ -27,8 +27,8 @@ class LossWeights:
     beta: float = 0.25
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("loss weights must be nonnegative")
+        if not (self.alpha >= 0 and self.beta >= 0):  # NaN fails too
+            raise ValueError(f"loss weights must be nonnegative, got alpha={self.alpha}, beta={self.beta}")
 
 
 @dataclass

@@ -15,7 +15,7 @@ import numpy as np
 from . import refine as R
 from . import tensor as T
 from .matching import correlate
-from .pipeline import normalize_cells
+from .pipeline import normalize_cells, require_at_least
 from .supervision import (
     EmptySupervisionError,
     GroundTruth,
@@ -44,6 +44,10 @@ class TrainConfig:
     seed: int = 0
     max_fine_matches: int = 48
     weights: LossWeights = field(default_factory=LossWeights)
+
+    def __post_init__(self):
+        require_at_least(self, 1, "steps", "batch_size", "max_fine_matches")
+        require_at_least(self, 0, "lr", "weight_decay", "warmup_steps", "clip_norm", "seed")
 
 
 @dataclass
@@ -172,8 +176,6 @@ def _fine_losses(fine_a: Tensor, fine_b: Tensor, gt: GroundTruth, w: int,
 
 def train_toy(matcher, dataset, cfg: TrainConfig, log=None) -> list[LossRow]:
     """Gradient-descent training; deterministic for a fixed config and seed."""
-    if cfg.steps < 1:
-        raise ValueError(f"training needs at least one step, got steps={cfg.steps}")
     params = matcher.trainable_parameters()
     optimizer = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)

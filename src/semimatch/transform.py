@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -17,19 +18,8 @@ from . import tensor as T
 from .instrument import counters
 from .tensor import Tensor
 
-
-@dataclass
-class AggAttnConfig:
-    s: int = 4
-    n_layers: int = 4
-    n_heads: int = 8
-    d_model: int = 256
-
-    def __post_init__(self):
-        if self.d_model % self.n_heads:
-            raise ValueError("d_model must divide evenly into heads")
-        if (self.d_model // self.n_heads) % 4:
-            raise ValueError("head dim must be divisible by 4 for 2D rotary encoding")
+if TYPE_CHECKING:
+    from .pipeline import MatcherConfig
 
 
 @dataclass(frozen=True)
@@ -107,9 +97,10 @@ def _to_tokens(feature_map: Tensor) -> Tensor:
 
 
 class AggAttentionBlock:
-    """One aggregated attention block (self or cross flavor)."""
+    """One aggregated attention block (self or cross flavor), shaped by a
+    ``MatcherConfig``'s ``d_model``, ``n_heads`` and ``s``."""
 
-    def __init__(self, kind: str, config: AggAttnConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, kind: str, config: "MatcherConfig", rng: np.random.Generator, dtype=np.float32):
         if kind not in ("self", "cross"):
             raise ValueError(f"unknown block kind {kind!r}")
         self.kind = kind
@@ -183,7 +174,7 @@ class FeatureTransform:
     symmetric: transform(B, A) is the swap of transform(A, B).
     """
 
-    def __init__(self, config: AggAttnConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, config: "MatcherConfig", rng: np.random.Generator, dtype=np.float32):
         self.config = config
         self.layers = [
             (AggAttentionBlock("self", config, rng, dtype), AggAttentionBlock("cross", config, rng, dtype))

@@ -96,7 +96,11 @@ def load_matcher(path: str):
     with open(path, "rb") as fh:
         blob = fh.read()
     config_dict, tensors = deserialize_weights(blob)
-    matcher = Matcher(MatcherConfig.from_dict(config_dict))
+    try:
+        config = MatcherConfig.from_dict(config_dict)
+    except (KeyError, ValueError) as exc:
+        raise WeightFormatError(f"embedded config: {exc}") from None
+    matcher = Matcher(config)
     expected = dict(matcher.named_tensors())
     missing = sorted(set(expected) - set(tensors))
     if missing:

@@ -2,18 +2,13 @@ import numpy as np
 import pytest
 
 from semimatch import tensor as T
-from semimatch.backbone import (
-    Backbone,
-    BackboneConfig,
-    RepVGGBlock,
-    pad_to_multiple,
-    to_grayscale,
-)
+from semimatch.backbone import Backbone, RepVGGBlock, pad_to_multiple
 from semimatch.instrument import counters
+from semimatch.pipeline import MatcherConfig
 
 from helpers import tape_size, weighted_sum
 
-TOY = BackboneConfig(stage_widths=(8, 8, 16, 32), stage_blocks=(1, 1, 2, 2))
+TOY = MatcherConfig.toy()
 
 
 def randomize_block_stats(block: RepVGGBlock, rng) -> None:
@@ -104,7 +99,7 @@ class TestFuseBlock:
 
 class TestBackboneForward:
     def test_default_config_coarse_shape(self, rng):
-        backbone = Backbone(BackboneConfig(), rng)
+        backbone = Backbone(MatcherConfig(), rng)
         with T.no_grad():
             image = T.tensor(rng.random((1, 64, 64), dtype=np.float64).astype(np.float32))
             pyramid = backbone.fold().forward_deploy(image)
@@ -140,16 +135,16 @@ class TestBackboneForward:
         counters.reset("conv2d")
         with T.no_grad():
             fused.forward_deploy(T.tensor(rng.random((1, 32, 32)).astype(np.float32)))
-        assert counters["conv2d"] == sum(TOY.stage_blocks)
+        assert counters["conv2d"] == sum(TOY.blocks)
 
-    @pytest.mark.parametrize("config,winograd", [(BackboneConfig(), 17), (TOY, 0)])
+    @pytest.mark.parametrize("config,winograd", [(MatcherConfig(), 17), (TOY, 0)])
     def test_wide_stride_one_blocks_run_winograd(self, rng, config, winograd):
         # paper widths: every stride-1 block past the 1-channel stem is >= 64 wide
         fused = Backbone(config, rng).fuse()
         counters.reset("conv2d", "conv2d_winograd")
         with T.no_grad():
             fused.forward_deploy(T.tensor(rng.random((1, 32, 32)).astype(np.float32)))
-        assert counters["conv2d"] == sum(config.stage_blocks)
+        assert counters["conv2d"] == sum(config.blocks)
         assert counters["conv2d_winograd"] == winograd
 
     def test_identity_block_tape_size(self, rng):
@@ -162,7 +157,7 @@ class TestBackboneForward:
         # per block: fold kernel, fold bias, conv, relu
         backbone = Backbone(TOY, rng)
         pyramid = backbone.fold().forward_deploy(T.tensor(rng.random((1, 32, 32)).astype(np.float32)))
-        assert tape_size(pyramid.f_coarse) <= 4 * sum(TOY.stage_blocks)
+        assert tape_size(pyramid.f_coarse) <= 4 * sum(TOY.blocks)
 
     def test_deploy_not_slower_than_train(self, rng):
         # against the multi-branch network the deploy form replaces; training
@@ -207,11 +202,6 @@ class TestHelpers:
         padded32, _ = pad_to_multiple(np.ones((13, 17)), 32)
         assert padded32.shape == (32, 32)
 
-    def test_grayscale_luma(self):
-        red = np.zeros((1, 1, 3))
-        red[..., 0] = 1.0
-        assert np.isclose(to_grayscale(red)[0, 0], 0.299)
-
     def test_config_validation(self):
         with pytest.raises(ValueError, match="four stages"):
-            BackboneConfig(stage_widths=(8, 8), stage_blocks=(1, 1))
+            MatcherConfig(widths=(8, 8), blocks=(1, 1))

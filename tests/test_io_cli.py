@@ -8,6 +8,7 @@ from semimatch.config import Settings, apply_overrides, load_settings, parse_con
 from semimatch.evaluate import match_dump_csv, parse_match_dump, read_homography_csv
 from semimatch.imageio import ImageFormatError, load_image, save_pgm, save_ppm
 from semimatch.pipeline import Matcher, MatcherConfig
+from semimatch.train import TrainConfig
 from semimatch.weights import (
     WeightFormatError,
     deserialize_weights,
@@ -104,10 +105,17 @@ class TestWeightContainer:
         with pytest.raises(WeightFormatError, match="magic"):
             deserialize_weights(b"nope")
 
+    def test_embedded_config_is_checked_before_the_model_is_built(self, tmp_path):
+        matcher = Matcher(TINY, seed=0)
+        path = tmp_path / "w.smw"
+        path.write_bytes(serialize_weights(matcher.named_tensors(), {**TINY.to_dict(), "n_heads": 0}))
+        with pytest.raises(WeightFormatError, match="n_heads"):
+            load_matcher(str(path))
+
 
 class TestConfig:
     def test_parse_key_values(self):
-        text = "tau = 0.3\n# comment\nn_layers=3\nwidths=4,4,8,8\nlr=0.001\nalpha=0.5\n"
+        text = "tau = 0.3\n# comment\nn_layers=3\nwidths=4,4,8,8\nn_heads=2\nlr=0.001\nalpha=0.5\n"
         parsed = parse_config_text(text)
         assert parsed["tau"] == "0.3" and parsed["widths"] == "4,4,8,8"
         settings = apply_overrides(Settings(), parsed)
@@ -116,6 +124,45 @@ class TestConfig:
         assert settings.matcher.widths == (4, 4, 8, 8)
         assert settings.train.lr == 0.001
         assert settings.train.weights.alpha == 0.5
+
+    def test_head_width_is_checked_against_the_merged_config(self):
+        # the toy's 4 heads would split d_model=8 into heads of width 2
+        parsed = parse_config_text("tau = 0.3\n# comment\nn_layers=3\nwidths=4,4,8,8\nlr=0.001\nalpha=0.5\n")
+        with pytest.raises(ValueError, match="n_heads"):
+            apply_overrides(Settings(), parsed)
+
+    @pytest.mark.parametrize("changes,key", [
+        ({"widths": (8, 16, 32)}, "widths"), ({"blocks": (1, 1, 0, 1)}, "blocks"),
+        ({"n_layers": -1}, "n_layers"), ({"n_heads": 0}, "n_heads"), ({"n_heads": 3}, "n_heads"),
+        ({"n_heads": 16}, "n_heads"), ({"s": 0}, "s"), ({"d_fine": 0}, "d_fine"),
+        ({"fine_patch_width": 7}, "fine_patch_width"), ({"fine_patch_width": 0}, "fine_patch_width"),
+        ({"inv_temperature": 0.0}, "inv_temperature"), ({"inv_temperature": float("nan")}, "inv_temperature"),
+    ])
+    def test_matcher_config_rejects(self, changes, key):
+        with pytest.raises(ValueError, match=key):
+            MatcherConfig(**{**vars(MatcherConfig.toy()), **changes})
+
+    def test_matcher_config_edges_accepted(self):
+        toy = vars(MatcherConfig.toy())
+        MatcherConfig(**{**toy, "n_layers": 0, "n_heads": 8, "fine_patch_width": 2, "inv_temperature": 0.5})
+
+    @pytest.mark.parametrize("changes,key", [
+        ({"steps": 0}, "steps"), ({"batch_size": 0}, "batch_size"), ({"max_fine_matches": 0}, "max_fine_matches"),
+        ({"lr": -1e-3}, "lr"), ({"lr": float("nan")}, "lr"), ({"weight_decay": -1.0}, "weight_decay"),
+        ({"warmup_steps": -1}, "warmup_steps"), ({"clip_norm": -1.0}, "clip_norm"),
+        ({"seed": -1}, "seed"),
+    ])
+    def test_train_config_rejects(self, changes, key):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**changes)
+
+    def test_train_config_edges_accepted(self):
+        TrainConfig(steps=1, batch_size=1, max_fine_matches=1, lr=0.0, weight_decay=0.0, warmup_steps=0,
+                    clip_norm=0.0, seed=0)
+
+    def test_to_dict_round_trips(self):
+        for config in (MatcherConfig(), MatcherConfig.toy(), TINY):
+            assert MatcherConfig.from_dict(config.to_dict()) == config
 
     def test_unknown_key_rejected(self):
         with pytest.raises(KeyError, match="unknown config key"):
@@ -254,6 +301,13 @@ class TestCli:
     def test_synth_rejects_indivisible_size(self, tmp_path):
         assert main(["synth", "--count", "1", "--size", "60", "--out", str(tmp_path / "d")]) == 1
 
+    @pytest.mark.parametrize("size", ["0", "-8"])
+    def test_synth_rejects_size_below_8_before_creating_the_directory(self, tmp_path, capsys, size):
+        out = tmp_path / "d"
+        assert main(["synth", "--count", "1", "--size", size, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "--size" in capsys.readouterr().err
+
     @pytest.mark.parametrize("counts,code", [
         (["--warmup", "-2"], 1), (["--repetitions", "0"], 1), (["--warmup", "0", "--repetitions", "1"], 0)])
     def test_bench_counts(self, tmp_path, capsys, counts, code):
@@ -295,6 +349,26 @@ class TestCli:
             assert code == 1
             assert not weights.exists() and not curve.exists()
             assert "steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        "n_heads=0", "s=0", "widths=0,8,16,32", "batch_size=0", "steps=1.5", "batch_size=2.9", "alpha=-1",
+        "n_layers=-1", "lr=-1", "clip_norm=-1", "warmup_steps=-5",
+        "beta=-0.5", "max_fine_matches=0", "weight_decay=-1", "d_fine=0", "fine_patch_width=7", "inv_temperature=0", "seed=-1",
+    ])
+    def test_train_rejects_bad_config_value(self, tmp_path, capsys, line):
+        data = tmp_path / "data"
+        assert main(["synth", "--count", "1", "--size", "32", "--out", str(data)]) == 0
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("widths=4,4,8,8\nblocks=1,1,1,1\nn_layers=1\nn_heads=2\ns=2\nd_fine=8\n"
+                           f"steps=1\nbatch_size=1\n{line}\n")
+        weights, curve = tmp_path / "w.smw", tmp_path / "curve.csv"
+        capsys.readouterr()
+        code = main(["train-toy", "--data", str(data), "--config", str(cfgfile), "--out", str(weights),
+                     "--curve", str(curve)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert not weights.exists() and not curve.exists()
+        assert line.split("=")[0] in err and "Traceback" not in err
 
     def test_synth_deterministic(self, tmp_path):
         d1 = tmp_path / "one"

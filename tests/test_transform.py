@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from semimatch import tensor as T
 from semimatch.instrument import counters
 from semimatch.pipeline import MatcherConfig
 from semimatch.transform import (
-    AggAttnConfig,
     AggAttentionBlock,
     FeatureTransform,
     aggregate_tokens,
@@ -15,7 +16,7 @@ from semimatch.transform import (
 
 from helpers import tape_size, weighted_sum
 
-CFG = AggAttnConfig(s=2, n_layers=2, n_heads=4, d_model=32)
+CFG = MatcherConfig.toy()  # s=2, n_layers=2, n_heads=4, d_model=32
 
 
 def rotation_matrix(params, dx, dy):
@@ -176,7 +177,7 @@ class TestAggAttentionBlock:
     def test_self_block_invariant_to_coordinate_translation(self, rng):
         """Relative encoding: translating the coordinate frame under both
         feature maps leaves the attention output unchanged."""
-        cfg = AggAttnConfig(s=2, n_layers=1, n_heads=2, d_model=8)
+        cfg = MatcherConfig(widths=(8, 8, 8, 8), n_layers=1, n_heads=2, s=2)  # d_model=8
         block = AggAttentionBlock("self", cfg, rng)
         base = T.tensor(rng.standard_normal((8, 8, 8)).astype(np.float32))
         with T.no_grad():
@@ -209,15 +210,14 @@ class TestAggAttentionBlock:
         # fused linear / layer norm / rotary / attention (heads inside): one
         # tape op each; 8 of them are layout (tokens in and out, FFN channel-last)
         toy = MatcherConfig.toy()
-        cfg = AggAttnConfig(s=toy.s, n_layers=toy.n_layers, n_heads=toy.n_heads, d_model=toy.d_model)
-        block = AggAttentionBlock(kind, cfg, rng)
+        block = AggAttentionBlock(kind, toy, rng)
         f = T.parameter(rng.standard_normal((toy.d_model, 8, 8)).astype(np.float32))
         g = f if kind == "self" else T.parameter(rng.standard_normal(f.shape).astype(np.float32))
         assert tape_size(block.forward(f, g)) <= ops
 
     @pytest.mark.parametrize("kind,kv_grid", [("self", (8, 12)), ("cross", (12, 4))])
     def test_matches_split_merge_block_float64(self, rng, kind, kv_grid):
-        cfg = AggAttnConfig(s=2, n_layers=1, n_heads=4, d_model=32)
+        cfg = replace(CFG, n_layers=1)
         block = AggAttentionBlock(kind, cfg, rng, dtype=np.float64)
         f = rng.standard_normal((32, 8, 12))
         g = f if kind == "self" else rng.standard_normal((32, *kv_grid))
@@ -282,7 +282,7 @@ def split_merge_block(block, target, source):
 
 class TestFeatureTransform:
     def test_zero_layers_is_identity(self, rng):
-        transform = FeatureTransform(AggAttnConfig(s=2, n_layers=0, n_heads=4, d_model=32), rng)
+        transform = FeatureTransform(replace(CFG, n_layers=0), rng)
         fa = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
         fb = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
         oa, ob = transform.forward(fa, fb)
