@@ -7,7 +7,7 @@ mirror the stage decomposition of the timing tables.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,6 +45,8 @@ class MatcherConfig:
             raise ValueError(f"fine_patch_width must be even and >= 2, got {self.fine_patch_width}")
         if self.inv_temperature is not None and not self.inv_temperature > 0:
             raise ValueError(f"inv_temperature must be > 0 when set, got {self.inv_temperature}")
+        if not 0 <= self.tau <= 1:  # a dual-softmax probability threshold; NaN fails too
+            raise ValueError(f"tau must be in [0, 1], got {self.tau}")
 
     @property
     def d_model(self) -> int:
@@ -171,12 +173,13 @@ class Matcher:
         """Match two grayscale [0, 1] images end to end (inference path).
 
         ``two_stage=False`` keeps stage-1 pixel matches only (ablation).
+        ``tau`` overrides the config's and is checked by the same rule.
         Non-finite pixels raise ``NumericError`` before anything is computed.
         """
         for name, image in (("image_a", image_a), ("image_b", image_b)):
             if not np.isfinite(image).all():
                 raise T.NumericError(f"{name} holds non-finite pixels")
-        tau = self.config.tau if tau is None else tau
+        tau = (self.config if tau is None else replace(self.config, tau=tau)).tau
         multiple = COARSE_STRIDE * self.config.s  # coarse grid must divide s too
         padded_a, dims_a = pad_to_multiple(np.asarray(image_a, dtype=self.dtype), multiple)
         padded_b, dims_b = pad_to_multiple(np.asarray(image_b, dtype=self.dtype), multiple)

@@ -13,6 +13,13 @@ dual-softmax log-likelihood of picked score entries, from row and column
 log-sum-exps). Values are float32 by default; build a graph from float64
 leaves to run the same code in checking precision.
 
+Spatial ops take (C, H, W) maps. Depthwise conv, max-pool and bilinear
+upsampling also take a (B, C, H, W) stack in the same implementation:
+channels sit at axis -3, and a kernel shared by the stack gets its gradient
+summed over the batch. The fused transformer ops already run over any
+leading axes, so a stack of maps passes through an attention block as one
+batch.
+
 ``conv2d`` runs im2col and one GEMM, except for stride-1, pad-1 3x3
 convolutions with at least ``WINOGRAD_MIN_CHANNELS`` input and output
 channels: those run Winograd F(4x4, 3x3) (``WinogradConv2d``), which
@@ -773,19 +780,19 @@ class DualSoftmaxNLL(Function):
 
 
 # ---------------------------------------------------------------------------
-# spatial ops on (C, H, W) maps
+# spatial ops on (C, H, W) maps and, where noted, (B, C, H, W) stacks
 # ---------------------------------------------------------------------------
 
 
 def _taps(x_shape, kh: int, kw: int, stride: int, pad: int):
     """Output size and per-tap strided views of a sliding window.
 
-    For a (C, H, W) input zero-padded by ``pad``, returns ``((oh, ow), taps)``
-    where ``taps`` holds one index tuple per kernel element in row-major
-    order; ``padded[taps[t]]`` is the (C, oh, ow) view of the values that
-    kernel tap ``t`` reads at every output cell. Shared by conv, depthwise
-    conv and max-pool: forward passes combine the views, backward passes
-    add into them.
+    For a (C, H, W) or (B, C, H, W) input zero-padded by ``pad``, returns
+    ``((oh, ow), taps)`` where ``taps`` holds one index tuple per kernel
+    element in row-major order; ``padded[taps[t]]`` is the (…, C, oh, ow)
+    view of the values that kernel tap ``t`` reads at every output cell.
+    Shared by conv, depthwise conv and max-pool: forward passes combine the
+    views, backward passes add into them.
     """
     hp, wp = x_shape[-2] + 2 * pad, x_shape[-1] + 2 * pad
     oh = (hp - kh) // stride + 1
@@ -794,27 +801,27 @@ def _taps(x_shape, kh: int, kw: int, stride: int, pad: int):
         raise ValueError(f"window {kh}x{kw} larger than padded input {hp}x{wp}")
     rows = [slice(dr, dr + stride * (oh - 1) + 1, stride) for dr in range(kh)]
     cols = [slice(dc, dc + stride * (ow - 1) + 1, stride) for dc in range(kw)]
-    return (oh, ow), [(slice(None), r, c) for r in rows for c in cols]
+    return (oh, ow), [(Ellipsis, r, c) for r in rows for c in cols]
 
 
 def _pad_plane(x: np.ndarray, pad: int) -> np.ndarray:
     # copy plus zeroed border strips: np.pad costs 45-65 us even on toy maps
     if pad == 0:
         return x
-    c, h, w = x.shape
-    out = np.empty((c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    out[:, pad:-pad, pad:-pad] = x
-    out[:, :pad] = 0
-    out[:, -pad:] = 0
-    out[:, pad:-pad, :pad] = 0
-    out[:, pad:-pad, -pad:] = 0
+    *lead, h, w = x.shape
+    out = np.empty((*lead, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    out[..., pad:-pad, pad:-pad] = x
+    out[..., :pad, :] = 0
+    out[..., -pad:, :] = 0
+    out[..., pad:-pad, :pad] = 0
+    out[..., pad:-pad, -pad:] = 0
     return out
 
 
 def _unpad_plane(x: np.ndarray, pad: int) -> np.ndarray:
     if pad == 0:
         return x
-    return np.ascontiguousarray(x[:, pad:-pad, pad:-pad])
+    return np.ascontiguousarray(x[..., pad:-pad, pad:-pad])
 
 
 class Conv2d(Function):
@@ -927,7 +934,7 @@ class WinogradConv2d(Function):
 
 class DepthwiseConv2d(Function):
     def forward(self, x, kernel, stride, pad):
-        cin = x.shape[0]
+        cin = x.shape[-3]
         kc, kh, kw = kernel.shape
         if kc != cin:
             raise ValueError(f"depthwise_conv2d: input has {cin} channels, kernel has {kc}")
@@ -944,7 +951,9 @@ class DepthwiseConv2d(Function):
     def backward(self, grad):
         xp, kernel, taps, pad = self.saved
         weights = kernel.reshape(kernel.shape[0], -1, 1, 1)
-        dkernel = np.stack([(grad * xp[t]).sum(axis=(1, 2)) for t in taps], axis=1)
+        # one kernel serves every map of a stack: sum over the batch and the cells
+        cells = (*range(grad.ndim - 3), -2, -1)
+        dkernel = np.stack([(grad * xp[t]).sum(axis=cells) for t in taps], axis=1)
         dxp = np.zeros(xp.shape, dtype=grad.dtype)
         for t, tap in enumerate(taps):
             dxp[tap] += grad * weights[:, t]
@@ -953,7 +962,7 @@ class DepthwiseConv2d(Function):
 
 class MaxPool2d(Function):
     def forward(self, x, k, stride):
-        cin, h, w = x.shape
+        h, w = x.shape[-2:]
         if k > h or k > w:
             raise ValueError(f"maxpool window {k} larger than input {h}x{w}")
         _, taps = _taps(x.shape, k, k, stride, 0)
@@ -991,7 +1000,7 @@ def _interp_matrix(n_in: int, factor: int) -> np.ndarray:
 
 class BilinearUpsample2d(Function):
     def forward(self, x, factor):
-        cin, h, w = x.shape
+        h, w = x.shape[-2:]
         ry = _interp_matrix(h, factor).astype(x.dtype)
         rx = _interp_matrix(w, factor).astype(x.dtype)
         self.saved = (ry, rx)
@@ -1058,19 +1067,22 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride: int = 
 
 
 def depthwise_conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Per-channel convolution: output channel c depends only on input channel c."""
+    """Per-channel convolution of a (C, H, W) map or a (B, C, H, W) stack with
+    one (C, kh, kw) kernel: output channel c depends only on input channel c."""
     return DepthwiseConv2d.apply(x, kernel, stride=stride, pad=pad)
 
 
 def maxpool2d(x: Tensor, k: int, stride: int | None = None) -> Tensor:
-    """k×k max pooling; gradient routes to the first max of each window."""
+    """k×k max pooling over the last two axes; gradient routes to the first
+    max of each window."""
     if k < 1:
         raise ValueError("maxpool2d expects k >= 1")
     return MaxPool2d.apply(x, k=k, stride=stride if stride is not None else k)
 
 
 def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
-    """Integer-factor bilinear upsampling, align-corners=false sample centers."""
+    """Integer-factor bilinear upsampling of the last two axes, align-corners=false
+    sample centers."""
     if factor < 1:
         raise ValueError("bilinear_upsample expects factor >= 1")
     if factor == 1:
@@ -1140,7 +1152,7 @@ def vanilla_attention(q: Tensor, k: Tensor, v: Tensor, scale: float | None = Non
     if scale is None:
         scale = 1.0 / math.sqrt(q.shape[-1] // heads)
     out = Attention.apply(q, k, v, scale=scale, heads=heads)
-    counters.add("attn_score_entries", q.shape[-2] * k.shape[-2])
+    counters.add("attn_score_entries", math.prod(q.shape[:-2]) * q.shape[-2] * k.shape[-2])
     return out
 
 

@@ -4,6 +4,14 @@ Tokens are aggregated before every attention (strided depthwise conv for
 queries, max-pool for keys/values), cutting the score matrix by s^2 per
 side; the attended map is upsampled back and fused with the input map.
 Self-attention blocks rotate q/k by position; cross blocks never do.
+
+Blocks take (d, H, W) maps or (B, d, H, W) stacks, channels and spatial
+axes counted from the end. The transform stacks two coarse maps of one
+shape, so each layer is one self-block call and one cross-block call (the
+source is the batch-reversed stack); maps of different shapes run per
+image. Both ways compute the same function, as every op treats the maps
+of a stack independently; only the gradients of shared weights are summed
+in another order.
 """
 from __future__ import annotations
 
@@ -76,14 +84,14 @@ def _grid_positions(h: int, w: int, s: int) -> np.ndarray:
 
 
 def aggregate_tokens(f_q: Tensor, f_kv: Tensor, s: int, conv_kernel: Tensor) -> tuple[Tensor, Tensor]:
-    """Reduce (d, H, W) maps to H*W/s^2 tokens per side.
+    """Reduce (d, H, W) maps, or (B, d, H, W) stacks, to H*W/s^2 tokens per map.
 
     Queries come from a learned strided depthwise conv over ``f_q``,
     keys/values from a max-pool with the same window over ``f_kv``; both
-    outputs are (d, H/s, W/s). A self block passes its one map twice.
+    outputs are (…, d, H/s, W/s). A self block passes its one map twice.
     """
     for f in (f_q, f_kv):
-        _, h, w = f.shape
+        h, w = f.shape[-2:]
         if h % s or w % s:
             raise ValueError(f"grid {h}x{w} not divisible by aggregation range {s}")
     q_map = T.depthwise_conv2d(f_q, conv_kernel, stride=s, pad=0)
@@ -91,9 +99,22 @@ def aggregate_tokens(f_q: Tensor, f_kv: Tensor, s: int, conv_kernel: Tensor) -> 
     return q_map, kv_map
 
 
+def _channels_last(x: Tensor) -> Tensor:
+    # (…, d, H, W) -> (…, H, W, d)
+    n = x.ndim - 3
+    return x.transpose((*range(n), n + 1, n + 2, n))
+
+
+def _channels_first(x: Tensor) -> Tensor:
+    # (…, H, W, d) -> (…, d, H, W)
+    n = x.ndim - 3
+    return x.transpose((*range(n), n + 2, n, n + 1))
+
+
 def _to_tokens(feature_map: Tensor) -> Tensor:
-    d = feature_map.shape[0]
-    return feature_map.reshape((d, -1)).transpose((1, 0))
+    # (…, d, H, W) -> (…, H*W, d)
+    x = _channels_last(feature_map)
+    return x.reshape((*x.shape[:-3], -1, x.shape[-1]))
 
 
 class AggAttentionBlock:
@@ -122,15 +143,18 @@ class AggAttentionBlock:
 
     def forward(self, target: Tensor, source: Tensor,
                 position_offset: tuple[float, float] = (0.0, 0.0)) -> Tensor:
-        """position_offset shifts the coordinate frame; with relative encoding
+        """Attend from ``target`` to ``source``: (d, H, W) maps, or (B, d, H, W)
+        stacks where map i attends to map i of the source.
+
+        position_offset shifts the coordinate frame; with relative encoding
         the output must not depend on it (and cross blocks never encode)."""
-        if target.shape[0] != source.shape[0]:
+        if target.shape[:-2] != source.shape[:-2]:
             raise ValueError(f"feature dims differ: {target.shape} vs {source.shape}")
         if self.kind == "self" and target is not source:
             raise ValueError("self block expects the same map as target and source")
         s = self.config.s
         q_map, kv_map = aggregate_tokens(target, source, s, self.agg_conv)
-        ah, aw = q_map.shape[1], q_map.shape[2]
+        ah, aw = q_map.shape[-2:]
 
         q_tokens = T.layer_norm(_to_tokens(q_map))
         kv_tokens = T.layer_norm(_to_tokens(kv_map))
@@ -144,15 +168,15 @@ class AggAttentionBlock:
             k = rope_encode(k, positions, self._rope)
 
         mix = T.vanilla_attention(q, k, v, heads=self.config.n_heads)
-        attended = T.linear(mix, self.out_proj).reshape((ah, aw, -1)).transpose((2, 0, 1))
-        up = T.bilinear_upsample(attended, s)
+        attended = T.linear(mix, self.out_proj).reshape((*target.shape[:-3], ah, aw, -1))
+        up = T.bilinear_upsample(_channels_first(attended), s)
 
-        # the FFN runs channel-last on the (H, W, 2d) map
-        merged = T.concat([target, up], axis=0).transpose((1, 2, 0))
+        # the FFN runs channel-last on the (…, H, W, 2d) map
+        merged = _channels_last(T.concat([target, up], axis=-3))
         hidden = T.layer_norm(T.linear(merged, self.fuse))
         hidden = T.linear(hidden, self.fc1, self.fc1_bias).relu()
         hidden = T.linear(hidden, self.fc2, self.fc2_bias)
-        return target + hidden.transpose((2, 0, 1))
+        return target + _channels_first(hidden)
 
     def named_tensors(self, prefix: str):
         yield f"{prefix}.agg_conv.kernel", self.agg_conv
@@ -182,13 +206,26 @@ class FeatureTransform:
         ]
 
     def forward(self, f_a: Tensor, f_b: Tensor) -> tuple[Tensor, Tensor]:
+        """Transform two (d, H, W) coarse maps.
+
+        Maps of one shape run as one (2, d, H, W) stack: each layer calls its
+        self block once and its cross block once, with the batch-reversed
+        stack as source (A<-B and B<-A in one call). Maps of different
+        shapes run one block call per image.
+        """
         if f_a.shape[0] != f_b.shape[0]:
             raise ValueError("both images must share the coarse feature dim")
+        if f_a.shape != f_b.shape:
+            for self_block, cross_block in self.layers:
+                f_a = self_block.forward(f_a, f_a)
+                f_b = self_block.forward(f_b, f_b)
+                f_a, f_b = cross_block.forward(f_a, f_b), cross_block.forward(f_b, f_a)
+            return f_a, f_b
+        pair = T.concat([f_a, f_b]).reshape((2, *f_a.shape))
         for self_block, cross_block in self.layers:
-            f_a = self_block.forward(f_a, f_a)
-            f_b = self_block.forward(f_b, f_b)
-            f_a, f_b = cross_block.forward(f_a, f_b), cross_block.forward(f_b, f_a)
-        return f_a, f_b
+            pair = self_block.forward(pair, pair)
+            pair = cross_block.forward(pair, pair[::-1])
+        return pair[0], pair[1]
 
     def named_tensors(self, prefix: str = "transform"):
         for i, (self_block, cross_block) in enumerate(self.layers):

@@ -61,3 +61,32 @@ def op_census(out: T.Tensor) -> Counter:
 def tape_size(out: T.Tensor) -> int:
     """Number of recorded ops reachable from ``out``."""
     return sum(op_census(out).values())
+
+
+def assert_batch_axis_exact(op, x, *shared, seed=0):
+    """Check ``op`` on a (B, C, H, W) stack against B calls on its maps.
+
+    ``op(x, *shared)`` takes a map or a stack as ``x`` and tensors (kernels)
+    shared by every map. In float32 each map of the stacked output must
+    equal the unbatched call on that map bitwise. In float64 the gradient
+    of a weighted sum must equal the per-map gradients, stacked for ``x``
+    and summed over the batch for each shared tensor, to 1e-10.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    with T.no_grad():
+        stacked = op(T.tensor(x, dtype=np.float32), *(T.tensor(s, dtype=np.float32) for s in shared)).data
+        for i, sample in enumerate(x):
+            single = op(T.tensor(sample, dtype=np.float32), *(T.tensor(s, dtype=np.float32) for s in shared))
+            np.testing.assert_array_equal(stacked[i], single.data)
+    weights = np.random.default_rng(seed).standard_normal(stacked.shape)
+
+    def gradients(inputs, w):
+        leaves = [T.parameter(inputs, dtype=np.float64)] + [T.parameter(s, dtype=np.float64) for s in shared]
+        (op(*leaves) * T.tensor(w)).sum().backward()
+        return [leaf.grad for leaf in leaves]
+
+    batched = gradients(x, weights)
+    per_map = [gradients(sample, w) for sample, w in zip(x, weights)]
+    assert np.abs(batched[0] - np.stack([g[0] for g in per_map])).max() <= 1e-10
+    for j in range(1, len(batched)):
+        assert np.abs(batched[j] - sum(g[j] for g in per_map)).max() <= 1e-10

@@ -81,7 +81,8 @@ class TestMatchPair:
         assert counters["conv2d"] == 0
 
     def test_no_coarse_matches_skips_fine_fusion(self, matcher, pair):
-        # full-mode confidences are probabilities, so tau > 1 leaves nothing to refine
+        # full-mode confidences are products of two softmaxes, below 1 unless both
+        # are one-hot, so tau = 1 leaves nothing to refine
         fused = matcher.fuse()
         image_a, image_b = (T.tensor(np.asarray(x, dtype=matcher.dtype)[None]) for x in pair)
         counters.reset("conv2d")
@@ -91,7 +92,7 @@ class TestMatchPair:
             matcher.transform.forward(pyr_a.f_coarse, pyr_b.f_coarse)
         before_fusion = counters["conv2d"]
         counters.reset("conv2d")
-        result = matcher.match_pair(*pair, mode="full", tau=1.5, fused=fused)
+        result = matcher.match_pair(*pair, mode="full", tau=1.0, fused=fused)
         assert result.coarse == [] and result.fine == []
         assert counters["conv2d"] == before_fusion
         assert set(STAGES) <= set(result.timings)

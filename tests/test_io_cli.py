@@ -8,6 +8,7 @@ from semimatch.config import Settings, apply_overrides, load_settings, parse_con
 from semimatch.evaluate import match_dump_csv, parse_match_dump, read_homography_csv
 from semimatch.imageio import ImageFormatError, load_image, save_pgm, save_ppm
 from semimatch.pipeline import Matcher, MatcherConfig
+from semimatch.synth import SynthConfig, render_pair
 from semimatch.train import TrainConfig
 from semimatch.weights import (
     WeightFormatError,
@@ -137,6 +138,7 @@ class TestConfig:
         ({"n_heads": 16}, "n_heads"), ({"s": 0}, "s"), ({"d_fine": 0}, "d_fine"),
         ({"fine_patch_width": 7}, "fine_patch_width"), ({"fine_patch_width": 0}, "fine_patch_width"),
         ({"inv_temperature": 0.0}, "inv_temperature"), ({"inv_temperature": float("nan")}, "inv_temperature"),
+        ({"tau": float("nan")}, "tau"), ({"tau": 1.5}, "tau"), ({"tau": -0.1}, "tau"),
     ])
     def test_matcher_config_rejects(self, changes, key):
         with pytest.raises(ValueError, match=key):
@@ -145,6 +147,14 @@ class TestConfig:
     def test_matcher_config_edges_accepted(self):
         toy = vars(MatcherConfig.toy())
         MatcherConfig(**{**toy, "n_layers": 0, "n_heads": 8, "fine_patch_width": 2, "inv_temperature": 0.5})
+        for tau in ("0", "1"):
+            assert MatcherConfig.from_dict({"tau": tau}).tau == float(tau)
+
+    @pytest.mark.parametrize("tau", [float("nan"), 1.5, -0.1])
+    def test_match_pair_checks_its_tau_override(self, tau):
+        image = np.zeros((16, 16), dtype=np.float32)
+        with pytest.raises(ValueError, match="tau"):
+            Matcher(TINY, seed=0).match_pair(image, image, mode="full", tau=tau)
 
     @pytest.mark.parametrize("changes,key", [
         ({"steps": 0}, "steps"), ({"batch_size": 0}, "batch_size"), ({"max_fine_matches": 0}, "max_fine_matches"),
@@ -197,6 +207,21 @@ class TestMatchDump:
         for m in result.fine:
             assert 0 <= m.pt_a[0] < 43 and 0 <= m.pt_a[1] < 35
             assert 0 <= m.pt_b[0] <= 42 and 0 <= m.pt_b[1] <= 34
+
+    @pytest.mark.parametrize("mode", ["full", "optimized"])
+    @pytest.mark.parametrize("shape_a,shape_b", [((64, 96), (96, 64)), ((40, 200), (64, 64)), ((17, 300), (300, 17))])
+    def test_unequal_image_sizes_match_inside_both_images(self, mode, shape_a, shape_b):
+        # the two coarse grids differ, so the transform runs per image; tau=0
+        # lets full mode keep every mutual pair of the untrained toy
+        texture_a, texture_b, _ = render_pair(3, 0, SynthConfig(size=304))
+        image_a, image_b = texture_a[:shape_a[0], :shape_a[1]], texture_b[:shape_b[0], :shape_b[1]]
+        tau = 0.0 if mode == "full" else None
+        result = Matcher(MatcherConfig.toy(), seed=0).match_pair(image_a, image_b, mode=mode, tau=tau)
+        assert result.dims_a == shape_a and result.dims_b == shape_b
+        assert result.fine
+        for m in result.fine:
+            assert 0 <= m.pt_a[0] <= shape_a[1] - 1 and 0 <= m.pt_a[1] <= shape_a[0] - 1
+            assert 0 <= m.pt_b[0] <= shape_b[1] - 1 and 0 <= m.pt_b[1] <= shape_b[0] - 1
 
 
 class TestCli:
@@ -294,6 +319,21 @@ class TestCli:
         assert main(["match", "--image-a", str(img), "--image-b", str(img), "--weights", str(weights),
                      "--mode", "full", "--tau", "0.5"]) == 0
 
+    @pytest.mark.parametrize("tau,code", [("nan", 1), ("1.5", 1), ("-0.1", 1), ("0", 0), ("1", 0)])
+    def test_match_checks_tau_flag(self, tmp_path, capsys, tau, code):
+        img = tmp_path / "img.pgm"
+        save_pgm(str(img), np.random.default_rng(0).random((16, 16)))
+        weights = tmp_path / "tiny.smw"
+        save_matcher(str(weights), Matcher(TINY, seed=0))
+        out = tmp_path / "matches.csv"
+        capsys.readouterr()
+        assert main(["match", "--image-a", str(img), "--image-b", str(img), "--weights", str(weights),
+                     "--mode", "full", "--tau", tau, "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+        if code:
+            err = capsys.readouterr().err
+            assert "tau" in err and "Traceback" not in err
+
     def test_unknown_mode_rejected_by_parser(self, tmp_path):
         assert main(["match", "--image-a", "a", "--image-b", "b", "--weights", "w",
                      "--mode", "warp"]) == 1
@@ -354,6 +394,7 @@ class TestCli:
         "n_heads=0", "s=0", "widths=0,8,16,32", "batch_size=0", "steps=1.5", "batch_size=2.9", "alpha=-1",
         "n_layers=-1", "lr=-1", "clip_norm=-1", "warmup_steps=-5",
         "beta=-0.5", "max_fine_matches=0", "weight_decay=-1", "d_fine=0", "fine_patch_width=7", "inv_temperature=0", "seed=-1",
+        "tau=nan", "tau=1.5", "tau=-0.1",
     ])
     def test_train_rejects_bad_config_value(self, tmp_path, capsys, line):
         data = tmp_path / "data"

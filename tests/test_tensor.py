@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from semimatch import tensor as T
 from semimatch.instrument import counters
 
-from helpers import assert_gradients_close, numeric_gradient, weighted_sum
+from helpers import assert_batch_axis_exact, assert_gradients_close, numeric_gradient, weighted_sum
 
 
 def naive_conv2d(x, kernel, bias, stride, pad):
@@ -283,6 +283,34 @@ class TestMaxPool2d:
                     assert np.isclose(np.abs(window).sum(), abs(w[c, r, q]))
 
 
+class TestBatchAxis:
+    """A (2, C, H, W) stack through one call equals two calls on its maps."""
+
+    def test_depthwise_conv2d_stride_one_pad_one(self, rng):
+        x, k = rng.standard_normal((2, 3, 7, 9)), rng.standard_normal((3, 3, 3))
+        assert_batch_axis_exact(lambda t, kern: T.depthwise_conv2d(t, kern, stride=1, pad=1), x, k)
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_depthwise_conv2d_stride_s_pad_zero(self, rng, s):
+        x, k = rng.standard_normal((2, 4, 3 * s, 2 * s)), rng.standard_normal((4, s, s))
+        assert_batch_axis_exact(lambda t, kern: T.depthwise_conv2d(t, kern, stride=s, pad=0), x, k)
+
+    @pytest.mark.parametrize("k,stride", [(2, 2), (3, 1)])
+    def test_maxpool2d_with_tied_maxima(self, rng, k, stride):
+        # three levels on a 6x6 map: most windows hold tied maxima, so the
+        # first-max gradient routing shows
+        x = rng.integers(0, 3, size=(2, 3, 6, 6)).astype(np.float64)
+        assert_batch_axis_exact(lambda t: T.maxpool2d(t, k, stride), x)
+
+    @pytest.mark.parametrize("factor", [2, 3])
+    def test_bilinear_upsample(self, rng, factor):
+        assert_batch_axis_exact(lambda t: T.bilinear_upsample(t, factor), rng.standard_normal((2, 3, 4, 5)))
+
+    def test_depthwise_conv2d_checks_channels_at_axis_minus_3(self, rng):
+        with pytest.raises(ValueError, match="channels"):
+            T.depthwise_conv2d(T.tensor(rng.random((3, 2, 4, 4))), T.tensor(rng.random((3, 1, 1))))
+
+
 class TestSoftmax:
     def test_uniform(self):
         out = T.softmax(T.tensor(np.zeros(4)), axis=-1)
@@ -519,7 +547,8 @@ class TestFusedOps:
         q, k, v = (T.tensor(rng.standard_normal(s)) for s in ((2, 5, 8), (2, 7, 8), (2, 7, 8)))
         counters.reset("softmax", "attn_score_entries")
         T.vanilla_attention(q, k, v)
-        assert counters["softmax"] == 1 and counters["attn_score_entries"] == 35
+        # every entry of the batched call: 2 maps x 5 queries x 7 keys
+        assert counters["softmax"] == 1 and counters["attn_score_entries"] == 70
 
     def test_attention_leading_dims_must_agree(self, rng):
         q = T.tensor(rng.standard_normal((2, 5, 8)))
@@ -595,13 +624,15 @@ class TestScatterAndPad:
 
     @pytest.mark.parametrize("pad", [1, 2])
     def test_pad_plane_equals_np_pad(self, rng, pad):
-        x = rng.standard_normal((3, 5, 7)).astype(np.float32)
-        # leave NaN in a freed buffer of the padded size, which np.empty may hand back
-        del_me = np.full((3, 5 + 2 * pad, 7 + 2 * pad), np.nan, dtype=np.float32)
-        del del_me
-        got = T._pad_plane(x, pad)
-        assert got.dtype == x.dtype
-        np.testing.assert_array_equal(got, np.pad(x, ((0, 0), (pad, pad), (pad, pad))))
+        for lead in ((), (2,)):  # a map, then a stack of two
+            x = rng.standard_normal((*lead, 3, 5, 7)).astype(np.float32)
+            # leave NaN in a freed buffer of the padded size, which np.empty may hand back
+            del_me = np.full((*lead, 3, 5 + 2 * pad, 7 + 2 * pad), np.nan, dtype=np.float32)
+            del del_me
+            got = T._pad_plane(x, pad)
+            assert got.dtype == x.dtype
+            np.testing.assert_array_equal(got, np.pad(x, ((0, 0),) * (len(lead) + 1) + ((pad, pad), (pad, pad))))
+            np.testing.assert_array_equal(T._unpad_plane(got, pad), x)
 
 
 def toposort_backward(root):

@@ -126,7 +126,7 @@ class TestTrainToy:
         loss = total_loss(*(_mean(term) if term else 0.0 for term in terms), cfg.weights)
         census = op_census(loss)
         assert census["FoldKernels"] == cfg.batch_size * n_blocks
-        assert sum(census.values()) <= 646
+        assert sum(census.values()) <= 450
 
     def test_pair_losses_are_finite_and_weighted_total_matches(self, rng):
         matcher = Matcher(TINY, seed=2)

@@ -280,7 +280,55 @@ def split_merge_block(block, target, source):
     return target + to_map(hidden, h, w)
 
 
+def per_image_transform(transform, f_a, f_b):
+    """Reference transform: one block call per image and layer, self(A),
+    self(B), cross(A<-B), cross(B<-A), as before the maps were stacked."""
+    for self_block, cross_block in transform.layers:
+        f_a = self_block.forward(f_a, f_a)
+        f_b = self_block.forward(f_b, f_b)
+        f_a, f_b = cross_block.forward(f_a, f_b), cross_block.forward(f_b, f_a)
+    return f_a, f_b
+
+
 class TestFeatureTransform:
+    @pytest.mark.parametrize("grid_a,grid_b", [((8, 8), (8, 8)), ((8, 12), (8, 12)), ((8, 12), (12, 8))])
+    def test_matches_per_image_reference_float64(self, rng, grid_a, grid_b):
+        transform = FeatureTransform(CFG, rng, dtype=np.float64)
+        maps = rng.standard_normal((32, *grid_a)), rng.standard_normal((32, *grid_b))
+        params = [p for _, p in transform.named_tensors()]
+        results = []
+        for forward in (transform.forward, lambda a, b: per_image_transform(transform, a, b)):
+            f_a, f_b = (T.parameter(m, dtype=np.float64) for m in maps)
+            for p in params:
+                p.grad = None
+            out_a, out_b = forward(f_a, f_b)
+            (weighted_sum(out_a, 5) + weighted_sum(out_b, 6)).backward()
+            results.append(([out_a.data, out_b.data], [f_a.grad, f_b.grad] + [p.grad for p in params]))
+        (outs, grads), (want_outs, want_grads) = results
+        assert outs[0].shape == (32, *grid_a) and outs[1].shape == (32, *grid_b)
+        for got, want in zip(outs + grads, want_outs + want_grads):
+            assert np.abs(got - want).max() <= 1e-10
+
+    @pytest.mark.parametrize("grid_b,attention_calls", [((8, 8), 2), ((8, 12), 4)])
+    def test_same_shape_maps_run_one_self_and_one_cross_call_per_layer(self, rng, grid_b, attention_calls):
+        transform = FeatureTransform(CFG, rng)
+        f_a = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
+        f_b = T.tensor(rng.standard_normal((32, *grid_b)).astype(np.float32))
+        counters.reset("softmax")
+        with T.no_grad():
+            transform.forward(f_a, f_b)
+        assert counters["softmax"] == attention_calls * CFG.n_layers
+
+    def test_tape_size_per_transform_call(self, rng):
+        # two layers of 27 (self) + 25 (cross) + 1 (source reversal), 4 to stack
+        # and unstack the pair, 1 for the sum joining the outputs: 111. Four
+        # block calls per layer made it 209.
+        transform = FeatureTransform(CFG, rng)
+        f_a, f_b = (T.parameter(rng.standard_normal((32, 8, 8)).astype(np.float32)) for _ in range(2))
+        out_a, out_b = transform.forward(f_a, f_b)
+        assert CFG.n_layers == 2
+        assert tape_size(out_a + out_b) <= 111
+
     def test_zero_layers_is_identity(self, rng):
         transform = FeatureTransform(replace(CFG, n_layers=0), rng)
         fa = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
