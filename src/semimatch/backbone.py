@@ -9,6 +9,7 @@ every branch; ``fuse()`` is the same fold without gradients, for deployment.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -22,6 +23,7 @@ if TYPE_CHECKING:
 
 BN_EPS = 1e-5
 STAGE_STRIDES = (1, 2, 2, 2)  # a 1/2, 1/4, 1/8 pyramid
+COARSE_STRIDE = math.prod(STAGE_STRIDES)  # full-resolution pixels per coarse cell side
 
 
 @dataclass
@@ -47,7 +49,10 @@ class BatchNormStats:
         self.eps = BN_EPS
 
     def apply(self, x: Tensor) -> Tensor:
-        return T.batch_norm(x, self.scale, self.shift, self.mean.data, self.var.data, self.eps)
+        inv_std = 1.0 / np.sqrt(self.var.data + self.eps)
+        weight = self.scale * T.tensor(inv_std, dtype=x.dtype)
+        bias = self.shift - self.scale * T.tensor(self.mean.data * inv_std, dtype=x.dtype)
+        return x * weight.reshape((-1, 1, 1)) + bias.reshape((-1, 1, 1))
 
     def named_tensors(self, prefix: str):
         yield f"{prefix}.bn_mean", self.mean
@@ -182,15 +187,15 @@ def _check_dims(image: Tensor) -> None:
     if image.ndim != 3 or image.shape[0] != 1:
         raise ValueError(f"backbone expects a (1, H, W) grayscale map, got {image.shape}")
     _, h, w = image.shape
-    if h % 8 or w % 8:
-        raise ValueError(f"image dims must be divisible by 8, got {h}x{w}; pad first")
+    if h % COARSE_STRIDE or w % COARSE_STRIDE:
+        raise ValueError(f"image dims must be divisible by {COARSE_STRIDE}, got {h}x{w}; pad first")
 
 
-def pad_to_multiple(image: np.ndarray, multiple: int = 8) -> tuple[np.ndarray, tuple[int, int]]:
+def pad_to_multiple(image: np.ndarray, multiple: int = COARSE_STRIDE) -> tuple[np.ndarray, tuple[int, int]]:
     """Right/bottom zero-pad so both dims divide; returns (padded, original hw).
 
-    The pipeline pads to 8*s so the coarse grid also divides the attention
-    aggregation range.
+    The pipeline pads to ``COARSE_STRIDE * s`` so the coarse grid also
+    divides the attention aggregation range.
     """
     h, w = image.shape
     ph = (-h) % multiple

@@ -21,7 +21,9 @@ from .evaluate import (
     pair_paths,
     write_homography_csv,
 )
+from .backbone import COARSE_STRIDE
 from .imageio import ImageFormatError, load_image, save_pgm, save_ppm
+from .matching import MODES
 from .pipeline import Matcher
 from .synth import SynthConfig, render_pair
 from .tensor import NumericError, set_finite_checks
@@ -61,7 +63,7 @@ def build_parser() -> _Parser:
     p.add_argument("--image-a", required=True)
     p.add_argument("--image-b", required=True)
     p.add_argument("--weights", required=True)
-    p.add_argument("--mode", choices=("full", "optimized"), default="full")
+    p.add_argument("--mode", choices=MODES, default="full")
     p.add_argument("--tau", type=float, default=None, help="match probability threshold (full mode only)")
     p.add_argument("--out", default=None, help="match dump CSV path")
     p.add_argument("--viz", default=None, help="side-by-side PPM with match lines")
@@ -83,7 +85,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval-homography", help="corner-reprojection AUC over a pair directory")
     p.add_argument("--data", required=True)
     p.add_argument("--weights", required=True)
-    p.add_argument("--mode", choices=("full", "optimized"), default="full")
+    p.add_argument("--mode", choices=MODES, default="full")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="per-pair CSV path")
 
@@ -91,7 +93,7 @@ def build_parser() -> _Parser:
     p.add_argument("--image-a", required=True)
     p.add_argument("--image-b", required=True)
     p.add_argument("--weights", required=True)
-    p.add_argument("--mode", choices=("full", "optimized"), default="full")
+    p.add_argument("--mode", choices=MODES, default="full")
     p.add_argument("--repetitions", type=int, default=5)
     p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--out", default=None, help="timings CSV path")
@@ -117,8 +119,8 @@ def cmd_match(args) -> int:
 def cmd_synth(args) -> int:
     if args.count < 0:
         raise UsageError(f"--count must be >= 0, got {args.count}")
-    if args.size < 8 or args.size % 8:
-        raise UsageError(f"--size must be a positive multiple of 8 for training, got {args.size}")
+    if args.size < COARSE_STRIDE or args.size % COARSE_STRIDE:
+        raise UsageError(f"--size must be a positive multiple of {COARSE_STRIDE}, got {args.size}")
     os.makedirs(args.out, exist_ok=True)
     cfg = SynthConfig(size=args.size)
     for index in range(args.count):

@@ -48,6 +48,8 @@ def load_image(path: str) -> np.ndarray:
     magic, (width, height, maxval), start = _read_header(blob)
     if maxval != 255:
         raise ImageFormatError(f"unsupported maxval {maxval}, want 255")
+    if width < 1 or height < 1:
+        raise ImageFormatError(f"image has no pixels: {width}x{height}")
     channels = 1 if magic == b"P5" else 3
     need = width * height * channels
     payload = blob[start:start + need]

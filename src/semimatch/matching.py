@@ -14,6 +14,8 @@ from . import tensor as T
 from .instrument import counters
 from .tensor import Tensor
 
+MODES = ("full", "optimized")
+
 
 @dataclass
 class ScoreMatrix:
@@ -90,7 +92,7 @@ def match_coarse(
     mode="optimized": MNN directly on the raw scores, no softmax and no
     threshold; confidences are raw correlations (unbounded).
     """
-    if mode not in ("full", "optimized"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     score = correlate(f_a, f_b, inv_temperature)
     if mode == "full":

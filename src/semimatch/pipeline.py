@@ -6,15 +6,16 @@ mirror the stage decomposition of the timing tables.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import tensor as T
-from .backbone import STAGE_STRIDES, Backbone, FusedBackbone, pad_to_multiple
-from .matching import CoarseMatch, match_coarse
-from .refine import COARSE_STRIDE, FineFusion, FineMatch, refine
+from .backbone import COARSE_STRIDE, STAGE_STRIDES, Backbone, FusedBackbone, pad_to_multiple
+from .matching import MODES, CoarseMatch, match_coarse
+from .refine import FineFusion, FineMatch, refine
 from .tensor import Tensor
 from .transform import FeatureTransform
 
@@ -43,8 +44,8 @@ class MatcherConfig:
                              "whose width is a multiple of 4 (2D rotary encoding)")
         if self.fine_patch_width < 2 or self.fine_patch_width % 2:
             raise ValueError(f"fine_patch_width must be even and >= 2, got {self.fine_patch_width}")
-        if self.inv_temperature is not None and not self.inv_temperature > 0:
-            raise ValueError(f"inv_temperature must be > 0 when set, got {self.inv_temperature}")
+        if self.inv_temperature is not None and not 0 < self.inv_temperature < math.inf:
+            raise ValueError(f"inv_temperature must be finite and > 0 when set, got {self.inv_temperature}")
         if not 0 <= self.tau <= 1:  # a dual-softmax probability threshold; NaN fails too
             raise ValueError(f"tau must be in [0, 1], got {self.tau}")
 
@@ -89,19 +90,22 @@ _MATCHER_PARSERS = {
 
 
 def parse_setting(key: str, parse, value):
-    """``parse(value)``, with a value that does not parse reported under its key."""
+    """``parse(value)``, with a value that does not parse reported under its key.
+    No setting takes a bool (JSON ``true``), and an int setting takes no float (``4.7``)."""
     try:
+        if isinstance(value, bool) or parse is int and isinstance(value, float):
+            raise TypeError
         return parse(value)
     except (TypeError, ValueError):
         raise ValueError(f"{key}={value!r} is not a valid value") from None
 
 
 def require_at_least(config, bound, *keys: str) -> None:
-    """Raise ``ValueError`` naming the first of ``keys`` whose value is below ``bound``."""
+    """Raise ``ValueError`` naming the first of ``keys`` whose value is below ``bound`` or not finite."""
     for key in keys:
         value = getattr(config, key)
-        if not value >= bound:  # NaN fails too
-            raise ValueError(f"{key} must be >= {bound}, got {value}")
+        if not bound <= value < math.inf:  # NaN fails too
+            raise ValueError(f"{key} must be finite and >= {bound}, got {value}")
 
 
 def normalize_cells(features: Tensor) -> Tensor:
@@ -179,6 +183,8 @@ class Matcher:
         for name, image in (("image_a", image_a), ("image_b", image_b)):
             if not np.isfinite(image).all():
                 raise T.NumericError(f"{name} holds non-finite pixels")
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
         tau = (self.config if tau is None else replace(self.config, tau=tau)).tau
         multiple = COARSE_STRIDE * self.config.s  # coarse grid must divide s too
         padded_a, dims_a = pad_to_multiple(np.asarray(image_a, dtype=self.dtype), multiple)

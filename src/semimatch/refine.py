@@ -17,11 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .backbone import COARSE_STRIDE
 from .matching import CoarseMatch
 from .tensor import Tensor
-
-COARSE_STRIDE = 8
-CELL_CENTER_OFFSET = 4
 
 # window cell (row r, col c) corresponds to offset (dx, dy) = (c-1, r-1)
 _OFFSET_GRID = np.array([[c - 1, r - 1] for r in range(3) for c in range(3)], dtype=np.int64)
@@ -79,13 +77,16 @@ def _conv_param(rng, out_c, in_c, k, dtype):
     return T.parameter(rng.normal(0.0, std, size=(out_c, in_c, k, k)), dtype=dtype)
 
 
-def cell_center_fullres(cell: tuple[int, int]) -> tuple[int, int]:
-    """Full-resolution (x, y) center of a coarse cell given as (row, col).
+def cell_centers(cells: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
+    """(n, 2) integer full-resolution (x, y) centres of flat cells of a (rows, cols) coarse grid."""
+    rows, cols = np.divmod(cells, grid[1])
+    return np.stack([cols, rows], axis=1) * COARSE_STRIDE + COARSE_STRIDE // 2
 
-    Also works elementwise on arrays of rows and columns.
-    """
-    row, col = cell
-    return (col * COARSE_STRIDE + CELL_CENTER_OFFSET, row * COARSE_STRIDE + CELL_CENTER_OFFSET)
+
+def nearest_cells(points: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
+    """Flat index of the cell whose centre is nearest each (x, y) point, clamped into the grid."""
+    cols, rows = np.round((points - COARSE_STRIDE // 2) / COARSE_STRIDE).T
+    return (np.clip(rows, 0, grid[0] - 1) * grid[1] + np.clip(cols, 0, grid[1] - 1)).astype(np.int64)
 
 
 def patch_origins(cells: np.ndarray, grid: tuple[int, int], map_shape, w: int) -> np.ndarray:
@@ -98,8 +99,7 @@ def patch_origins(cells: np.ndarray, grid: tuple[int, int], map_shape, w: int) -
     _, height, width = map_shape
     if w > height or w > width:
         raise ValueError(f"patch width {w} exceeds map size {height}x{width}")
-    cx, cy = cell_center_fullres(np.divmod(cells, grid[1]))
-    return np.stack([np.clip(cx - w // 2, 0, width - w), np.clip(cy - w // 2, 0, height - w)], axis=1)
+    return np.clip(cell_centers(cells, grid) - w // 2, 0, [width - w, height - w])
 
 
 def local_scores(fine_a: Tensor, fine_b: Tensor, origins_a: np.ndarray, origins_b: np.ndarray,

@@ -9,13 +9,14 @@ columns of the scores and never builds the dense probability matrices.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .geometry import apply_homography, normalize_homography
-from .refine import CELL_CENTER_OFFSET, COARSE_STRIDE
+from .refine import COARSE_STRIDE, cell_centers, nearest_cells
 from .tensor import Tensor
 
 PROB_FLOOR = 1e-12
@@ -27,8 +28,8 @@ class LossWeights:
     beta: float = 0.25
 
     def __post_init__(self):
-        if not (self.alpha >= 0 and self.beta >= 0):  # NaN fails too
-            raise ValueError(f"loss weights must be nonnegative, got alpha={self.alpha}, beta={self.beta}")
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):  # NaN fails too
+            raise ValueError(f"loss weights must be finite and nonnegative, got alpha={self.alpha}, beta={self.beta}")
 
 
 @dataclass
@@ -62,25 +63,17 @@ def build_gt_homography(h: np.ndarray, dims_a: tuple[int, int], dims_b: tuple[in
     coarse stride. Cells whose center leaves image B are masked out.
     """
     h = normalize_homography(h)  # rejects singular warps up front
-    ha, wa = dims_a
     hb, wb = dims_b
-    grid_a = (ha // COARSE_STRIDE, wa // COARSE_STRIDE)
-    grid_b = (hb // COARSE_STRIDE, wb // COARSE_STRIDE)
-    rows, cols = np.meshgrid(np.arange(grid_a[0]), np.arange(grid_a[1]), indexing="ij")
-    centers = np.stack(
-        [cols.ravel() * COARSE_STRIDE + CELL_CENTER_OFFSET,
-         rows.ravel() * COARSE_STRIDE + CELL_CENTER_OFFSET], axis=1
-    ).astype(np.float64)
+    grid_a, grid_b = (tuple(n // COARSE_STRIDE for n in dims) for dims in (dims_a, dims_b))
+    flat_a = np.arange(grid_a[0] * grid_a[1])
+    centers = cell_centers(flat_a, grid_a).astype(np.float64)
     warped, finite = apply_homography(h, centers)
     inside = (
         finite
         & (warped[:, 0] >= 0.0) & (warped[:, 0] < wb)
         & (warped[:, 1] >= 0.0) & (warped[:, 1] < hb)
     )
-    b_col = np.clip(np.round((warped[:, 0] - CELL_CENTER_OFFSET) / COARSE_STRIDE), 0, grid_b[1] - 1)
-    b_row = np.clip(np.round((warped[:, 1] - CELL_CENTER_OFFSET) / COARSE_STRIDE), 0, grid_b[0] - 1)
-    flat_a = np.arange(centers.shape[0])
-    flat_b = (b_row * grid_b[1] + b_col).astype(np.int64)
+    flat_b = nearest_cells(warped, grid_b)
     return GroundTruth(
         homography=np.asarray(h, dtype=np.float64),
         grid_a=grid_a,

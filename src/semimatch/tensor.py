@@ -6,8 +6,7 @@ elementwise/movement ops. The transformer and backbone op chains run as
 single fused ops with hand-written backward passes: ``Linear``,
 ``LayerNorm``, ``Rotary``, ``Attention`` (softmax(q·kᵀ·scale)·v per head,
 each head a contiguous slice of the feature axis, so callers never split
-or merge heads), ``BatchNorm`` (per-channel affine with stored
-statistics), ``FoldKernels`` and ``FoldBiases`` (batch-normed conv
+or merge heads), ``FoldKernels`` and ``FoldBiases`` (batch-normed conv
 branches folded into one kernel and bias) and ``DualSoftmaxNLL`` (the
 dual-softmax log-likelihood of picked score entries, from row and column
 log-sum-exps). Values are float32 by default; build a graph from float64
@@ -670,24 +669,6 @@ class Attention(Function):
         return _heads_last(dscores @ k), _heads_last(_swapped(dscores) @ q), _heads_last(dv)
 
 
-class BatchNorm(Function):
-    """Per-channel affine map of a (C, H, W) map with stored statistics:
-    (x - mean) / sqrt(var + eps) · scale + shift, trainable scale and shift."""
-
-    def forward(self, x, scale, shift, mean, var, eps):
-        inv_std = (1.0 / np.sqrt(var + eps)).astype(x.dtype, copy=False)
-        mean_scaled = (mean * inv_std).astype(x.dtype, copy=False)
-        weight = scale * inv_std
-        self.saved = (x, weight, inv_std, mean_scaled)
-        return x * weight[:, None, None] + (shift - scale * mean_scaled)[:, None, None]
-
-    def backward(self, grad):
-        x, weight, inv_std, mean_scaled = self.saved
-        dbias = grad.sum(axis=(1, 2))
-        dweight = (grad * x).sum(axis=(1, 2))
-        return grad * weight[:, None, None], dweight * inv_std - dbias * mean_scaled, dbias
-
-
 def _centre(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[slice, ...]:
     # the (…, kh, kw) window of an outer kernel that an odd inner kernel fills
     return (slice(None), slice(None)) + tuple(
@@ -945,7 +926,7 @@ class DepthwiseConv2d(Function):
         for t in range(1, len(taps)):
             out += xp[taps[t]] * weights[:, t]
         self.saved = (xp, kernel, taps, pad)
-        counters.add("conv2d")
+        counters.add("depthwise_conv2d")
         return out
 
     def backward(self, grad):
@@ -1104,12 +1085,6 @@ def rotary(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """Rotate each channel pair (a, b) of the last axis by the angle whose
     cos/sin are given, broadcast against ``x``: x·cos + (-b, a)·sin."""
     return Rotary.apply(x, cos=cos, sin=sin)
-
-
-def batch_norm(x: Tensor, scale: Tensor, shift: Tensor, mean: np.ndarray, var: np.ndarray,
-               eps: float) -> Tensor:
-    """Normalize each channel of a (C, H, W) map with stored statistics."""
-    return BatchNorm.apply(x, scale, shift, mean=mean, var=var, eps=eps)
 
 
 def fold_kernels(kernels, scales, stds) -> Tensor:

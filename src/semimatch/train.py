@@ -14,6 +14,7 @@ import numpy as np
 
 from . import refine as R
 from . import tensor as T
+from .backbone import COARSE_STRIDE
 from .matching import correlate
 from .pipeline import normalize_cells, require_at_least
 from .supervision import (
@@ -120,6 +121,10 @@ def clip_gradients(params: list[Tensor], max_norm: float) -> float:
 def pair_losses(matcher, image_a: np.ndarray, image_b: np.ndarray, h: np.ndarray,
                 cfg: TrainConfig, rng: np.random.Generator):
     """Forward pass and the three loss terms for one training pair."""
+    multiple = COARSE_STRIDE * matcher.config.s  # unpadded, so the coarse grid must divide s
+    if any(side % multiple for side in (*image_a.shape, *image_b.shape)):
+        raise ValueError(f"training image sides must be multiples of {multiple} (coarse stride {COARSE_STRIDE} "
+                         f"x s={matcher.config.s}), got {image_a.shape} and {image_b.shape}")
     ta = T.tensor(image_a[None, :, :], dtype=matcher.dtype)
     tb = T.tensor(image_b[None, :, :], dtype=matcher.dtype)
     backbone = matcher.backbone.fold()  # once for both images
@@ -150,7 +155,7 @@ def _fine_losses(fine_a: Tensor, fine_b: Tensor, gt: GroundTruth, w: int,
     scores = R.local_scores(fine_a, fine_b, origins_a, origins_b, w)
 
     # stage-1 targets: patch-A center pixel against the rounded warp in B
-    centers = np.stack(R.cell_center_fullres(np.divmod(cells_a, gt.grid_a[1])), axis=1)
+    centers = R.cell_centers(cells_a, gt.grid_a)
     local_a = centers - origins_a
     target, ok = gt.warp(centers)
     local_b = np.round(target).astype(np.int64) - origins_b

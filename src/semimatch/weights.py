@@ -13,6 +13,8 @@ import struct
 
 import numpy as np
 
+from .tensor import NumericError
+
 MAGIC = b"SMWT1\n"
 FORMAT_VERSION = 1
 
@@ -61,26 +63,30 @@ def deserialize_weights(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     payload_start = body_start + body_len
     if len(blob) < payload_start:
         raise WeightFormatError("truncated manifest")
-    manifest = json.loads(blob[body_start:payload_start].decode())
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise WeightFormatError(f"unsupported format version {manifest.get('format_version')}")
     payload = blob[payload_start:]
     tensors: dict[str, np.ndarray] = {}
     cursor = 0
-    for entry in manifest["tensors"]:
-        if entry["offset"] != cursor:
-            raise WeightFormatError(f"tensor {entry['name']} offset overlaps or leaves a gap")
-        end = entry["offset"] + entry["length"]
-        if end > len(payload):
-            raise WeightFormatError(f"tensor {entry['name']} extends past payload")
-        if entry["dtype"] not in _DTYPES:
-            raise WeightFormatError(f"unknown dtype {entry['dtype']}")
-        arr = np.frombuffer(payload[entry["offset"]:end], dtype=_DTYPES[entry["dtype"]])
-        tensors[entry["name"]] = arr.reshape(entry["shape"]).copy()
-        cursor = end
+    try:  # anything off in the manifest is a format error: bad UTF-8 or JSON, a missing or mistyped field
+        manifest = json.loads(blob[body_start:payload_start].decode("utf-8"))
+        if manifest["format_version"] != FORMAT_VERSION:
+            raise ValueError(f"unsupported format version {manifest['format_version']}")
+        for entry in manifest["tensors"]:
+            if entry["offset"] != cursor:
+                raise ValueError(f"tensor {entry['name']} offset overlaps or leaves a gap")
+            end = entry["offset"] + entry["length"]
+            if end > len(payload):
+                raise ValueError(f"tensor {entry['name']} extends past payload")
+            if entry["dtype"] not in _DTYPES:
+                raise ValueError(f"unknown dtype {entry['dtype']}")
+            arr = np.frombuffer(payload[entry["offset"]:end], dtype=_DTYPES[entry["dtype"]])
+            tensors[entry["name"]] = arr.reshape(entry["shape"]).copy()
+            cursor = end
+        config = dict(manifest["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WeightFormatError(f"malformed manifest ({type(exc).__name__}: {exc})") from None
     if cursor != len(payload):
         raise WeightFormatError("payload longer than manifest describes")
-    return manifest["config"], tensors
+    return config, tensors
 
 
 def save_matcher(path: str, matcher) -> None:
@@ -90,7 +96,7 @@ def save_matcher(path: str, matcher) -> None:
 
 
 def load_matcher(path: str):
-    """Rebuild a Matcher from a container; every tensor must be present."""
+    """Rebuild a Matcher from a container; every tensor must be present and finite."""
     from .pipeline import Matcher, MatcherConfig
 
     with open(path, "rb") as fh:
@@ -112,6 +118,8 @@ def load_matcher(path: str):
         arr = tensors[name]
         if tuple(arr.shape) != target.shape:
             raise WeightFormatError(f"tensor {name} has shape {arr.shape}, expected {target.shape}")
+        if not np.isfinite(arr).all():
+            raise NumericError(f"tensor {name} holds non-finite values")
         target.data = arr.astype(target.dtype)
     return matcher, model_hash(blob)
 

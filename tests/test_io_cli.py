@@ -1,25 +1,51 @@
+import json
 import os
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from semimatch import tensor as T
 from semimatch.cli import main
 from semimatch.config import Settings, apply_overrides, load_settings, parse_config_text
 from semimatch.evaluate import match_dump_csv, parse_match_dump, read_homography_csv
 from semimatch.imageio import ImageFormatError, load_image, save_pgm, save_ppm
+from semimatch.instrument import counters
 from semimatch.pipeline import Matcher, MatcherConfig
 from semimatch.synth import SynthConfig, render_pair
 from semimatch.train import TrainConfig
 from semimatch.weights import (
+    MAGIC,
     WeightFormatError,
     deserialize_weights,
     load_matcher,
+    model_hash,
     save_matcher,
     serialize_weights,
 )
 
 TINY = MatcherConfig(widths=(4, 4, 8, 8), blocks=(1, 1, 1, 1), n_layers=1, n_heads=2, s=2,
                      d_fine=8, fine_patch_width=8)
+TOY_WEIGHTS = Path(__file__).resolve().parents[1] / "benchmark" / "toy_weights.smw"
+
+
+def container(manifest: bytes, payload: bytes = b"") -> bytes:
+    """A weight container holding the given raw manifest bytes."""
+    return MAGIC + struct.pack("<I", len(manifest)) + manifest + payload
+
+
+# manifests that are not a valid tensor table: each must be a format error
+BAD_MANIFESTS = {
+    "bad-json": b"{not json",
+    "bad-utf8": b'{"format_version": 1, "config": {}, "tensors": [], "note": "\xff"}',
+    "no-tensors": json.dumps({"format_version": 1, "config": {}}).encode(),
+    "json-array": b"[1, 2, 3]",
+    "entry-without-fields": json.dumps({"format_version": 1, "config": {}, "tensors": [{"name": "x"}]}).encode(),
+    "length-off-shape": json.dumps({"format_version": 1, "config": {}, "tensors": [
+        {"name": "x", "dtype": "f4", "shape": [3], "offset": 0, "length": 0}]}).encode(),
+    "config-not-object": json.dumps({"format_version": 1, "config": [1, 2], "tensors": []}).encode(),
+}
 
 
 class TestImageIO:
@@ -65,6 +91,13 @@ class TestImageIO:
             fh.write(b"P5\n# a comment\n2 1\n255\n\x01\x02")
         assert load_image(str(path)).shape == (1, 2)
 
+    @pytest.mark.parametrize("dims", [b"0 0", b"0 4", b"4 0"])
+    def test_zero_sized_image_rejected(self, tmp_path, dims):
+        path = tmp_path / "t.pgm"
+        path.write_bytes(b"P5\n" + dims + b"\n255\n")
+        with pytest.raises(ImageFormatError, match="no pixels"):
+            load_image(str(path))
+
     def test_ppm_writer(self, tmp_path):
         path = tmp_path / "c.ppm"
         save_ppm(str(path), np.zeros((2, 3, 3)))
@@ -106,6 +139,19 @@ class TestWeightContainer:
         with pytest.raises(WeightFormatError, match="magic"):
             deserialize_weights(b"nope")
 
+    def test_non_finite_tensor_rejected_at_load_naming_it(self, tmp_path):
+        matcher = Matcher(TINY, seed=0)
+        matcher.fusion.conv_out.data[0, 0, 1, 1] = np.inf
+        path = tmp_path / "w.smw"
+        save_matcher(str(path), matcher)
+        with pytest.raises(T.NumericError, match="fine_fusion.conv_out.kernel"):
+            load_matcher(str(path))
+
+    def test_committed_toy_weights_still_load(self):
+        matcher, digest = load_matcher(str(TOY_WEIGHTS))
+        assert digest == model_hash(TOY_WEIGHTS.read_bytes()) and digest.startswith("8cc3b6b1")
+        assert matcher.config == MatcherConfig.toy()
+
     def test_embedded_config_is_checked_before_the_model_is_built(self, tmp_path):
         matcher = Matcher(TINY, seed=0)
         path = tmp_path / "w.smw"
@@ -139,6 +185,7 @@ class TestConfig:
         ({"fine_patch_width": 7}, "fine_patch_width"), ({"fine_patch_width": 0}, "fine_patch_width"),
         ({"inv_temperature": 0.0}, "inv_temperature"), ({"inv_temperature": float("nan")}, "inv_temperature"),
         ({"tau": float("nan")}, "tau"), ({"tau": 1.5}, "tau"), ({"tau": -0.1}, "tau"),
+        ({"inv_temperature": float("inf")}, "inv_temperature"),
     ])
     def test_matcher_config_rejects(self, changes, key):
         with pytest.raises(ValueError, match=key):
@@ -150,6 +197,26 @@ class TestConfig:
         for tau in ("0", "1"):
             assert MatcherConfig.from_dict({"tau": tau}).tau == float(tau)
 
+    @pytest.mark.parametrize("key,value", [("n_heads", 4.7), ("n_layers", True), ("d_fine", 16.9), ("s", 2.0),
+                                           ("tau", True)])
+    def test_json_values_keep_their_type(self, tmp_path, key, value):
+        # int keys take integers only, and no key takes a bool
+        toy = MatcherConfig.toy()
+        with pytest.raises(ValueError, match=key):
+            MatcherConfig.from_dict({**toy.to_dict(), key: value})
+        # the same value in a weight container's embedded JSON config
+        path = tmp_path / "w.smw"
+        path.write_bytes(serialize_weights(Matcher(toy, seed=0).named_tensors(), {**toy.to_dict(), key: value}))
+        with pytest.raises(WeightFormatError, match=key):
+            load_matcher(str(path))
+
+    def test_match_pair_checks_mode_before_any_compute(self):
+        image = np.zeros((16, 16), dtype=np.float32)
+        counters.reset("conv2d")
+        with pytest.raises(ValueError, match="mode"):
+            Matcher(TINY, seed=0).match_pair(image, image, mode="fast")
+        assert counters["conv2d"] == 0
+
     @pytest.mark.parametrize("tau", [float("nan"), 1.5, -0.1])
     def test_match_pair_checks_its_tau_override(self, tau):
         image = np.zeros((16, 16), dtype=np.float32)
@@ -160,7 +227,8 @@ class TestConfig:
         ({"steps": 0}, "steps"), ({"batch_size": 0}, "batch_size"), ({"max_fine_matches": 0}, "max_fine_matches"),
         ({"lr": -1e-3}, "lr"), ({"lr": float("nan")}, "lr"), ({"weight_decay": -1.0}, "weight_decay"),
         ({"warmup_steps": -1}, "warmup_steps"), ({"clip_norm": -1.0}, "clip_norm"),
-        ({"seed": -1}, "seed"),
+        ({"seed": -1}, "seed"), ({"lr": float("inf")}, "lr"), ({"weight_decay": float("inf")}, "weight_decay"),
+        ({"clip_norm": float("inf")}, "clip_norm"),
     ])
     def test_train_config_rejects(self, changes, key):
         with pytest.raises(ValueError, match=key):
@@ -295,16 +363,54 @@ class TestCli:
     def test_usage_error_exit_code(self):
         assert main(["match", "--image-a", "x"]) == 1
 
-    def test_nan_weights_give_numeric_exit(self, tmp_path):
+    def test_nan_weights_give_numeric_exit(self, tmp_path, capsys):
         matcher = Matcher(TINY, seed=0)
         matcher.backbone.stages[0][0].conv3x3.kernel.data[:] = np.nan
         weights = tmp_path / "bad.smw"
         save_matcher(str(weights), matcher)
         img = tmp_path / "img.pgm"
         save_pgm(str(img), np.random.default_rng(0).random((16, 16)))
+        capsys.readouterr()
         code = main(["match", "--image-a", str(img), "--image-b", str(img),
                      "--weights", str(weights)])
         assert code == 3
+        # rejected at load, naming the tensor
+        err = capsys.readouterr().err
+        assert "backbone.stage0.block0.conv3x3.kernel" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", sorted(BAD_MANIFESTS))
+    def test_bad_weight_file_is_a_format_error(self, tmp_path, capsys, name):
+        weights = tmp_path / "bad.smw"
+        weights.write_bytes(container(BAD_MANIFESTS[name]))
+        img, out = tmp_path / "img.pgm", tmp_path / "matches.csv"
+        save_pgm(str(img), np.zeros((16, 16)))
+        capsys.readouterr()
+        assert main(["match", "--image-a", str(img), "--image-b", str(img), "--weights", str(weights),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("format error") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_zero_sized_image_is_a_format_error(self, tmp_path, capsys):
+        weights, empty, img = tmp_path / "tiny.smw", tmp_path / "empty.pgm", tmp_path / "img.pgm"
+        save_matcher(str(weights), Matcher(TINY, seed=0))
+        empty.write_bytes(b"P5\n0 0\n255\n")
+        save_pgm(str(img), np.zeros((16, 16)))
+        capsys.readouterr()
+        assert main(["match", "--image-a", str(empty), "--image-b", str(img), "--weights", str(weights)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("format error") and "no pixels" in err and "Traceback" not in err
+
+    def test_train_names_the_training_size_multiple(self, tmp_path, capsys):
+        # 24 is a multiple of the coarse stride, so synth accepts it, but the
+        # default toy config (s=2) trains on sides divisible by 16 only
+        data, weights = tmp_path / "data", tmp_path / "toy.smw"
+        assert main(["synth", "--count", "1", "--size", "24", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["train-toy", "--data", str(data), "--out", str(weights), "--steps", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "multiples of 16" in err and "Traceback" not in err
+        assert not weights.exists()
 
     def test_tau_with_optimized_mode_is_a_usage_error(self, tmp_path, capsys):
         img = tmp_path / "img.pgm"
@@ -394,7 +500,8 @@ class TestCli:
         "n_heads=0", "s=0", "widths=0,8,16,32", "batch_size=0", "steps=1.5", "batch_size=2.9", "alpha=-1",
         "n_layers=-1", "lr=-1", "clip_norm=-1", "warmup_steps=-5",
         "beta=-0.5", "max_fine_matches=0", "weight_decay=-1", "d_fine=0", "fine_patch_width=7", "inv_temperature=0", "seed=-1",
-        "tau=nan", "tau=1.5", "tau=-0.1",
+        "tau=nan", "tau=1.5", "tau=-0.1", "lr=inf", "weight_decay=inf", "clip_norm=inf", "inv_temperature=inf",
+        "alpha=inf", "beta=inf",
     ])
     def test_train_rejects_bad_config_value(self, tmp_path, capsys, line):
         data = tmp_path / "data"

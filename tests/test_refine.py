@@ -5,8 +5,9 @@ from semimatch import tensor as T
 from semimatch.matching import CoarseMatch
 from semimatch.refine import (
     FineFusion,
-    cell_center_fullres,
+    cell_centers,
     local_scores,
+    nearest_cells,
     patch_origins,
     refine,
     stage1_pixels,
@@ -157,8 +158,16 @@ class TestCropPatches:
             np.testing.assert_allclose(got[k], a.T @ b / np.sqrt(3), atol=1e-6)
 
     def test_cell_center(self):
-        assert cell_center_fullres((0, 0)) == (4, 4)
-        assert cell_center_fullres((2, 3)) == (28, 20)
+        # flat cells 0 and 13 of a 4x5 grid: (row, col) (0, 0) and (2, 3)
+        np.testing.assert_array_equal(cell_centers(np.array([0, 13]), (4, 5)), [[4, 4], [28, 20]])
+
+    def test_nearest_cell_inverts_cell_center_and_clamps(self):
+        cells = np.arange(4 * 5)
+        centers = cell_centers(cells, (4, 5))
+        np.testing.assert_array_equal(nearest_cells(centers.astype(np.float64), (4, 5)), cells)
+        np.testing.assert_array_equal(nearest_cells(centers + 3.4, (4, 5)), cells)
+        # past the border a point goes to the nearest edge cell
+        np.testing.assert_array_equal(nearest_cells(np.array([[-20.0, -3.0], [70.0, 99.0]]), (4, 5)), [0, 19])
 
     def test_odd_width_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -320,7 +329,7 @@ class TestRefine:
         w = 8
         out = refine(matches, fine_a, fine_b, (4, 4), (4, 4), w=w)
         for match, coarse in zip(out, matches):
-            cx, cy = cell_center_fullres(divmod(coarse.j, 4))
+            cx, cy = cell_centers(np.array([coarse.j]), (4, 4))[0]
             assert abs(match.pt_b[0] - cx) <= w / 2 * np.sqrt(2) + 1
             assert abs(match.pt_b[1] - cy) <= w / 2 * np.sqrt(2) + 1
 

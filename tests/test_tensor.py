@@ -465,13 +465,6 @@ def composite_attention(q, k, v, scale):
     return T.matmul(T.softmax(T.matmul(q, k.transpose(perm)) * scale, axis=-1), v)
 
 
-def composite_batch_norm(x, scale, shift, mean, var, eps):
-    inv_std = 1.0 / np.sqrt(var + eps)
-    w = (scale * T.tensor(inv_std, dtype=x.dtype)).reshape((-1, 1, 1))
-    b = (shift - scale * T.tensor(mean * inv_std, dtype=x.dtype)).reshape((-1, 1, 1))
-    return x * w + b
-
-
 def composite_dual_softmax_nll(s, index, floor):
     probs = T.softmax(s, axis=-1) * T.softmax(s, axis=-2)
     return -(T.gather_nd(probs, index).clamp_min(floor).log().mean())
@@ -555,16 +548,6 @@ class TestFusedOps:
         kv = T.tensor(rng.standard_normal((3, 7, 8)))
         with pytest.raises(ValueError, match="leading dims"):
             T.vanilla_attention(q, kv, kv)
-
-    def test_batch_norm_on_map_matches_composite(self, rng):
-        mean = rng.normal(0.0, 0.6, 3)
-        var = rng.uniform(0.2, 2.5, 3)
-        arrays = [rng.standard_normal((3, 5, 6)), rng.normal(1.0, 0.3, 3), rng.normal(0.0, 0.3, 3)]
-        check_fused_against_composite(
-            lambda x, a, b: T.batch_norm(x, a, b, mean, var, 1e-5),
-            lambda x, a, b: composite_batch_norm(x, a, b, mean, var, 1e-5),
-            arrays,
-        )
 
 
 class TestDualSoftmaxNLL:

@@ -128,6 +128,16 @@ class TestTrainToy:
         assert census["FoldKernels"] == cfg.batch_size * n_blocks
         assert sum(census.values()) <= 450
 
+    @pytest.mark.parametrize("shape_a,shape_b", [((24, 24), (32, 32)), ((32, 32), (32, 40))])
+    def test_pair_losses_reject_sides_off_the_training_multiple_before_any_compute(self, rng, shape_a, shape_b):
+        # the toy's coarse stride 8 times its aggregation range s=2: sides must divide 16
+        matcher = Matcher(MatcherConfig.toy(), seed=0)
+        image_a, image_b = np.zeros(shape_a, np.float32), np.zeros(shape_b, np.float32)
+        counters.reset("conv2d")
+        with pytest.raises(ValueError, match="multiples of 16"):
+            pair_losses(matcher, image_a, image_b, np.eye(3), TrainConfig(), rng)
+        assert counters["conv2d"] == 0
+
     def test_pair_losses_are_finite_and_weighted_total_matches(self, rng):
         matcher = Matcher(TINY, seed=2)
         image_a, image_b, h = tiny_dataset()[0]

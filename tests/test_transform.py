@@ -198,11 +198,11 @@ class TestAggAttentionBlock:
         block = AggAttentionBlock("cross", CFG, rng)
         f = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
         g = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
-        counters.reset("conv2d")
+        counters.reset("depthwise_conv2d")
         with T.no_grad():
             block.forward(f, g)
         # one depthwise conv for the target's queries; the source is only pooled
-        assert counters["conv2d"] == 1
+        assert counters["depthwise_conv2d"] == 1
 
 
     @pytest.mark.parametrize("kind,ops", [("self", 27), ("cross", 25)])
