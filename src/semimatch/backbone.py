@@ -61,10 +61,15 @@ class BatchNormStats:
         yield f"{prefix}.bn_shift", self.shift
 
 
+def he_normal(rng: np.random.Generator, out_c: int, in_c: int, k: int, dtype=np.float32) -> Tensor:
+    """An (out_c, in_c, k, k) conv kernel parameter drawn from N(0, 2 / fan_in)."""
+    std = math.sqrt(2.0 / (in_c * k * k))
+    return T.parameter(rng.normal(0.0, std, size=(out_c, in_c, k, k)), dtype=dtype)
+
+
 class ConvBranch:
     def __init__(self, in_c: int, out_c: int, k: int, rng: np.random.Generator, dtype=np.float32):
-        std = np.sqrt(2.0 / (in_c * k * k))
-        self.kernel = T.parameter(rng.normal(0.0, std, size=(out_c, in_c, k, k)), dtype=dtype)
+        self.kernel = he_normal(rng, out_c, in_c, k, dtype)
         self.bias = T.parameter(np.zeros(out_c), dtype=dtype)
         self.bn = BatchNormStats(out_c, dtype=dtype)
         self.k = k
@@ -139,9 +144,9 @@ class FusedBlock:
 class Backbone:
     """Built from a ``MatcherConfig``'s ``widths`` and ``blocks``."""
 
-    def __init__(self, config: "MatcherConfig", rng: np.random.Generator, in_channels: int = 1, dtype=np.float32):
+    def __init__(self, config: "MatcherConfig", rng: np.random.Generator, dtype=np.float32):
         self.stages: list[list[RepVGGBlock]] = []
-        c_in = in_channels
+        c_in = 1  # grayscale input
         for width, n_blocks, stride in zip(config.widths, config.blocks, STAGE_STRIDES):
             stage = []
             for b in range(n_blocks):

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numeric failure.
-Output files are written atomically (temp file + rename) so a failing run
-leaves no partial artifacts.
+Every output file is written atomically (``imageio.atomic_write``: temp file
++ rename, the temp file removed on failure), so a failing run leaves no
+partial artifacts.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .evaluate import (
     write_homography_csv,
 )
 from .backbone import COARSE_STRIDE
-from .imageio import ImageFormatError, load_image, save_pgm, save_ppm
+from .imageio import ImageFormatError, atomic_write, load_image, save_pgm, save_ppm
 from .matching import MODES
 from .pipeline import Matcher
 from .synth import SynthConfig, render_pair
@@ -44,14 +45,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _atomic_write(path: str, data: bytes | str) -> None:
-    mode = "wb" if isinstance(data, bytes) else "w"
-    tmp = path + ".tmp"
-    with open(tmp, mode) as fh:
-        fh.write(data)
-    os.replace(tmp, path)
 
 
 def build_parser() -> _Parser:
@@ -109,7 +102,7 @@ def cmd_match(args) -> int:
     result = matcher.match_pair(image_a, image_b, mode=args.mode, tau=args.tau)
     print(f"{len(result.coarse)} coarse matches, {len(result.fine)} fine matches ({args.mode} mode)")
     if args.out:
-        _atomic_write(args.out, match_dump_csv(result, model))
+        atomic_write(args.out, match_dump_csv(result, model))
     if args.viz:
         canvas = render_matches(image_a, image_b, result)
         save_ppm(args.viz, canvas)
@@ -142,7 +135,7 @@ def cmd_train_toy(args) -> int:
     curve = train_toy(matcher, dataset, train)
     save_matcher(args.out, matcher)
     if args.curve:
-        _atomic_write(args.curve, loss_curve_csv(curve))
+        atomic_write(args.curve, loss_curve_csv(curve))
     first, last = curve[0], curve[-1]
     print(f"trained {len(curve)} steps: total {first.total:.4f} -> {last.total:.4f}")
     print(f"weights written to {args.out}")
@@ -154,7 +147,7 @@ def cmd_eval_homography(args) -> int:
     report = eval_homography_dir(matcher, args.data, mode=args.mode, seed=args.seed)
     print(report.summary())
     if args.out:
-        _atomic_write(args.out, report.csv())
+        atomic_write(args.out, report.csv())
     return EXIT_OK
 
 
@@ -168,7 +161,7 @@ def cmd_bench(args) -> int:
     )
     print(timings.summary())
     if args.out:
-        _atomic_write(args.out, timings_csv(timings))
+        atomic_write(args.out, timings_csv(timings))
     return EXIT_OK
 
 

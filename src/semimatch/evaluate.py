@@ -8,7 +8,7 @@ import numpy as np
 
 from .bench import STAGES
 from .geometry import apply_homography, corner_auc, corner_reprojection_error, ransac_homography
-from .imageio import load_image
+from .imageio import atomic_write, load_image
 from .pipeline import MatchResult
 from .supervision import build_gt_homography
 
@@ -87,9 +87,8 @@ def parse_match_dump(text: str) -> tuple[dict[str, str], np.ndarray]:
 
 
 def write_homography_csv(path: str, h: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in np.asarray(h, dtype=np.float64):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    atomic_write(path, "".join(",".join(repr(float(v)) for v in row) + "\n"
+                               for row in np.asarray(h, dtype=np.float64)))
 
 
 def read_homography_csv(path: str) -> np.ndarray:

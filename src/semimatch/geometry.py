@@ -5,6 +5,8 @@ homography is a 3x3 array normalized so h33 == 1 whenever it is nonzero.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -105,7 +107,15 @@ def ransac_homography(
 
     Deterministic for a fixed seed; the iteration budget shrinks adaptively
     as better hypotheses are found. Returns (homography, inlier_mask).
+    ``threshold_px`` must be finite and > 0, ``max_iters`` >= 1 and
+    ``confidence`` in [0, 1); anything else raises ``ValueError``.
     """
+    if not 0 < threshold_px < math.inf:  # NaN fails too
+        raise ValueError(f"threshold_px must be finite and > 0, got {threshold_px}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if not 0 <= confidence < 1:
+        raise ValueError(f"confidence must be in [0, 1), got {confidence}")
     src = np.asarray(src, dtype=np.float64).reshape(-1, 2)
     dst = np.asarray(dst, dtype=np.float64).reshape(-1, 2)
     n = src.shape[0]

@@ -1,9 +1,13 @@
-"""Binary PGM (P5) and PPM (P6) image I/O, 8-bit maxval 255 only.
+"""Binary PGM (P5) and PPM (P6) image I/O, 8-bit maxval 255 only, and the
+atomic file writer every output of the program goes through.
 
 Grayscale values scale to [0, 1]; color reads convert by luma weights
 0.299 / 0.587 / 0.114.
 """
 from __future__ import annotations
+
+import contextlib
+import os
 
 import numpy as np
 
@@ -61,19 +65,34 @@ def load_image(path: str) -> np.ndarray:
     return (data.reshape(height, width, 3) @ LUMA.astype(np.float32)).astype(np.float32)
 
 
+def atomic_write(path: str, data: bytes | str) -> None:
+    """Write ``data`` (str as UTF-8) to ``path`` through ``<path>.tmp`` and a
+    rename, so ``path`` is either untouched or complete. On any failure the
+    temp file is removed and the error re-raised."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_pgm(path: str, image: np.ndarray) -> None:
-    """Write a [0, 1] grayscale array as binary PGM."""
-    quantized = np.clip(np.round(np.asarray(image) * 255.0), 0, 255).astype(np.uint8)
-    h, w = quantized.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode())
-        fh.write(quantized.tobytes())
+    """Write a [0, 1] grayscale (H, W) array as binary PGM."""
+    _save_pnm(path, "P5", image, ())
 
 
 def save_ppm(path: str, image: np.ndarray) -> None:
     """Write a [0, 1] (H, W, 3) array as binary PPM."""
+    _save_pnm(path, "P6", image, (3,))
+
+
+def _save_pnm(path: str, magic: str, image: np.ndarray, channels: tuple[int, ...]) -> None:
     quantized = np.clip(np.round(np.asarray(image) * 255.0), 0, 255).astype(np.uint8)
-    h, w, _ = quantized.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode())
-        fh.write(quantized.tobytes())
+    if quantized.ndim < 2 or quantized.shape[2:] != channels:
+        raise ValueError(f"{magic} needs an (H, W{', 3' * len(channels)}) array, got shape {quantized.shape}")
+    h, w = quantized.shape[:2]
+    atomic_write(path, f"{magic}\n{w} {h}\n255\n".encode() + quantized.tobytes())

@@ -178,9 +178,14 @@ class Matcher:
 
         ``two_stage=False`` keeps stage-1 pixel matches only (ablation).
         ``tau`` overrides the config's and is checked by the same rule.
-        Non-finite pixels raise ``NumericError`` before anything is computed.
+        Before anything is computed, an image that is not a 2-D array with
+        both sides >= 1 raises ``ValueError`` and non-finite pixels raise
+        ``NumericError``.
         """
         for name, image in (("image_a", image_a), ("image_b", image_b)):
+            if np.ndim(image) != 2 or min(np.shape(image)) < 1:
+                raise ValueError(f"{name} must be a 2-D (H, W) array with both sides >= 1, "
+                                 f"got shape {np.shape(image)}")
             if not np.isfinite(image).all():
                 raise T.NumericError(f"{name} holds non-finite pixels")
         if mode not in MODES:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .backbone import COARSE_STRIDE
+from .backbone import COARSE_STRIDE, he_normal
 from .matching import CoarseMatch
 from .tensor import Tensor
 
@@ -42,12 +42,11 @@ class FineFusion:
 
     def __init__(self, d_model: int, c_quarter: int, c_half: int, d_fine: int,
                  rng: np.random.Generator, dtype=np.float32):
-        self.d_fine = d_fine
-        self.proj_quarter = _conv_param(rng, d_model, c_quarter, 1, dtype)
+        self.proj_quarter = he_normal(rng, d_model, c_quarter, 1, dtype)
         self.proj_quarter_bias = T.parameter(np.zeros(d_model), dtype=dtype)
-        self.conv_mid = _conv_param(rng, c_half, d_model, 3, dtype)
+        self.conv_mid = he_normal(rng, c_half, d_model, 3, dtype)
         self.conv_mid_bias = T.parameter(np.zeros(c_half), dtype=dtype)
-        self.conv_out = _conv_param(rng, d_fine, c_half, 3, dtype)
+        self.conv_out = he_normal(rng, d_fine, c_half, 3, dtype)
         self.conv_out_bias = T.parameter(np.zeros(d_fine), dtype=dtype)
 
     def forward(self, f_coarse_t: Tensor, f_quarter: Tensor, f_half: Tensor) -> Tensor:
@@ -70,11 +69,6 @@ class FineFusion:
         yield f"{prefix}.conv_mid.bias", self.conv_mid_bias
         yield f"{prefix}.conv_out.kernel", self.conv_out
         yield f"{prefix}.conv_out.bias", self.conv_out_bias
-
-
-def _conv_param(rng, out_c, in_c, k, dtype):
-    std = math.sqrt(2.0 / (in_c * k * k))
-    return T.parameter(rng.normal(0.0, std, size=(out_c, in_c, k, k)), dtype=dtype)
 
 
 def cell_centers(cells: np.ndarray, grid: tuple[int, int]) -> np.ndarray:

@@ -47,7 +47,6 @@ class GroundTruth:
     pairs_a: np.ndarray
     pairs_b: np.ndarray
     warped_centers: np.ndarray
-    valid_mask: np.ndarray  # over all A cells, flat
 
     def __len__(self) -> int:
         return len(self.pairs_a)
@@ -81,38 +80,7 @@ def build_gt_homography(h: np.ndarray, dims_a: tuple[int, int], dims_b: tuple[in
         pairs_a=flat_a[inside],
         pairs_b=flat_b[inside],
         warped_centers=warped[inside],
-        valid_mask=inside,
     )
-
-
-def warp_points_depth_pose(
-    pts: np.ndarray,
-    depths: np.ndarray,
-    k_a: np.ndarray,
-    k_b: np.ndarray,
-    t_ab: np.ndarray,
-    dims_b: tuple[int, int] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backproject with per-point depth, rigidly transform, reproject.
-
-    t_ab is a 4x4 transform taking camera-A coordinates to camera-B.
-    Validity requires positive depth on both sides and, when dims_b is
-    given, projection inside image B.
-    """
-    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
-    depths = np.asarray(depths, dtype=np.float64).reshape(-1)
-    homog = np.hstack([pts, np.ones((pts.shape[0], 1))])
-    rays = homog @ np.linalg.inv(np.asarray(k_a, dtype=np.float64)).T
-    cam_a = rays * depths[:, None]
-    cam_b = cam_a @ np.asarray(t_ab, dtype=np.float64)[:3, :3].T + np.asarray(t_ab, dtype=np.float64)[:3, 3]
-    valid = (depths > 0) & (cam_b[:, 2] > 0)
-    proj = cam_b @ np.asarray(k_b, dtype=np.float64).T
-    safe = np.where(np.abs(proj[:, 2]) > 1e-12, proj[:, 2], 1.0)
-    warped = proj[:, :2] / safe[:, None]
-    if dims_b is not None:
-        hb, wb = dims_b
-        valid &= (warped[:, 0] >= 0) & (warped[:, 0] < wb) & (warped[:, 1] >= 0) & (warped[:, 1] < hb)
-    return warped, valid
 
 
 class EmptySupervisionError(ValueError):

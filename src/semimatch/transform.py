@@ -16,7 +16,6 @@ in another order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -30,49 +29,29 @@ if TYPE_CHECKING:
     from .pipeline import MatcherConfig
 
 
-@dataclass(frozen=True)
-class RoPEParams:
-    d: int
-    theta: tuple[float, ...]
-
-
-def rope_params(d: int) -> RoPEParams:
-    """Frequencies theta_k = 10000^(-4k/d), k = 1..d/4."""
-    if d % 4:
-        raise ValueError(f"rotary encoding needs d divisible by 4, got {d}")
-    k = np.arange(1, d // 4 + 1)
-    return RoPEParams(d=d, theta=tuple(10000.0 ** (-4.0 * k / d)))
-
-
-def _rope_maps(params: RoPEParams, positions: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Per-token cos/sin planes with block layout [ax, ax, ay, ay] per 4-block."""
-    theta = np.asarray(params.theta, dtype=np.float64)
-    x = positions[:, 0:1] * theta[None, :]
-    y = positions[:, 1:2] * theta[None, :]
-    angles = np.stack([x, x, y, y], axis=2).reshape(positions.shape[0], params.d)
-    return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
-
-
-def rope_encode(features: Tensor, positions: np.ndarray, params: RoPEParams | None = None) -> Tensor:
+def rope_encode(features: Tensor, positions: np.ndarray, heads: int = 1) -> Tensor:
     """Rotate feature channels by position so dot products depend only on offsets.
 
     ``features`` is (..., n, d) and ``positions`` is (n, 2) in grid units.
-    ``d`` may be a whole multiple of ``params.d``: each ``params.d`` slice
-    (one attention head) is rotated alike. The rotation is orthogonal, so
-    norms are preserved exactly.
+    Each of the ``heads`` slices of width d_h = d / heads (one attention
+    head) is rotated alike, by frequencies theta_k = 10000^(-4k/d_h),
+    k = 1..d_h/4, laid out [ax, ax, ay, ay] per 4-block. The rotation is
+    orthogonal, so norms are preserved exactly.
     """
     d = features.shape[-1]
-    if params is None:
-        params = rope_params(d)
-    elif d % params.d:
-        raise ValueError(f"rope params built for d={params.d} do not tile features of d={d}")
+    if heads < 1 or d % heads or (d // heads) % 4:
+        raise ValueError(f"rotary encoding needs d={d} to split into {heads} heads of a width divisible by 4")
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
     if positions.shape[0] != features.shape[-2]:
         raise ValueError("one (x, y) position per token is required")
-    cos, sin = _rope_maps(params, positions, features.dtype)
+    d_h = d // heads
+    theta = 10000.0 ** (-4.0 * np.arange(1, d_h // 4 + 1) / d_h)
+    x = positions[:, 0:1] * theta
+    y = positions[:, 1:2] * theta
+    angles = np.stack([x, x, y, y], axis=2).reshape(positions.shape[0], d_h)
     counters.add("rope")
-    heads = d // params.d
-    return T.rotary(features, np.tile(cos, heads), np.tile(sin, heads))
+    return T.rotary(features, np.tile(np.cos(angles).astype(features.dtype), heads),
+                    np.tile(np.sin(angles).astype(features.dtype), heads))
 
 
 @lru_cache(maxsize=64)
@@ -139,7 +118,6 @@ class AggAttentionBlock:
         self.fc1_bias = T.parameter(np.zeros(2 * d), dtype=dtype)
         self.fc2 = T.parameter(_xavier(rng, d, 2 * d), dtype=dtype)
         self.fc2_bias = T.parameter(np.zeros(d), dtype=dtype)
-        self._rope = rope_params(d // config.n_heads)
 
     def forward(self, target: Tensor, source: Tensor,
                 position_offset: tuple[float, float] = (0.0, 0.0)) -> Tensor:
@@ -164,8 +142,8 @@ class AggAttentionBlock:
 
         if self.kind == "self":
             positions = _grid_positions(ah, aw, s) + np.asarray(position_offset, dtype=np.float64)
-            q = rope_encode(q, positions, self._rope)
-            k = rope_encode(k, positions, self._rope)
+            q = rope_encode(q, positions, self.config.n_heads)
+            k = rope_encode(k, positions, self.config.n_heads)
 
         mix = T.vanilla_attention(q, k, v, heads=self.config.n_heads)
         attended = T.linear(mix, self.out_proj).reshape((*target.shape[:-3], ah, aw, -1))

@@ -13,6 +13,8 @@ import struct
 
 import numpy as np
 
+from .imageio import atomic_write
+from .pipeline import Matcher, MatcherConfig
 from .tensor import NumericError
 
 MAGIC = b"SMWT1\n"
@@ -90,15 +92,11 @@ def deserialize_weights(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def save_matcher(path: str, matcher) -> None:
-    blob = serialize_weights(matcher.named_tensors(), matcher.config.to_dict())
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    atomic_write(path, serialize_weights(matcher.named_tensors(), matcher.config.to_dict()))
 
 
 def load_matcher(path: str):
     """Rebuild a Matcher from a container; every tensor must be present and finite."""
-    from .pipeline import Matcher, MatcherConfig
-
     with open(path, "rb") as fh:
         blob = fh.read()
     config_dict, tensors = deserialize_weights(blob)

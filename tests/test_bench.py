@@ -80,6 +80,16 @@ class TestMatchPair:
             T.set_finite_checks(previous)
         assert counters["conv2d"] == 0
 
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("shape", [(64, 64, 3), (5,), (0, 0), (0, 64), ()], ids=str)
+    def test_malformed_image_raises_before_any_compute(self, matcher, pair, side, shape):
+        images = list(pair)
+        images[side] = np.zeros(shape, dtype=np.float32)
+        counters.reset("conv2d")
+        with pytest.raises(ValueError, match=f"{('image_a', 'image_b')[side]} must be a 2-D"):
+            matcher.match_pair(*images, mode="optimized")
+        assert counters["conv2d"] == 0
+
     def test_no_coarse_matches_skips_fine_fusion(self, matcher, pair):
         # full-mode confidences are products of two softmaxes, below 1 unless both
         # are one-hot, so tau = 1 leaves nothing to refine

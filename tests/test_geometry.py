@@ -124,6 +124,16 @@ class TestRansac:
         with pytest.raises(ValueError, match=">= 4"):
             ransac_homography(pts, pts)
 
+    @pytest.mark.parametrize("setting,value", [
+        ("threshold_px", 0.0), ("threshold_px", -1.0), ("threshold_px", float("inf")), ("threshold_px", float("nan")),
+        ("max_iters", 0), ("confidence", 1.0), ("confidence", -0.1), ("confidence", float("nan")),
+    ])
+    def test_unusable_setting_raises_value_error_naming_it(self, rng, setting, value):
+        src = rng.uniform(0, 100, (20, 2))
+        dst, _ = apply_homography(random_homography(rng), src)
+        with pytest.raises(ValueError, match=setting):
+            ransac_homography(src, dst, **{setting: value})
+
     def test_symmetric_transfer_error_is_max_of_directions(self, rng):
         h = random_homography(rng)
         src = rng.uniform(0, 64, (10, 2))

@@ -360,6 +360,31 @@ class TestCli:
         assert code == 2
         assert not out.exists()
 
+    def test_failed_rename_leaves_neither_output_nor_temp_file(self, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        assert main(["synth", "--count", "1", "--size", "32", "--out", str(data)]) == 0
+        weights = tmp_path / "tiny.smw"
+        save_matcher(str(weights), Matcher(TINY, seed=0))
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("widths=4,4,8,8\nblocks=1,1,1,1\nn_layers=1\nn_heads=2\ns=2\nd_fine=8\n"
+                           "steps=1\nbatch_size=1\nwarmup_steps=1\nmax_fine_matches=8\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        before = sorted(os.listdir(tmp_path))
+
+        def refuse(src, dst):
+            raise OSError(f"cannot rename {src}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(["train-toy", "--data", str(data), "--config", str(cfgfile),
+                     "--out", str(out / "w.smw"), "--curve", str(out / "c.csv")]) == 2
+        image = str(data / "pair0000_A.pgm")
+        assert main(["match", "--image-a", image, "--image-b", image, "--weights", str(weights),
+                     "--mode", "optimized", "--viz", str(out / "m.ppm")]) == 2
+        assert main(["synth", "--count", "1", "--size", "32", "--out", str(out / "pairs")]) == 2
+        assert os.listdir(out) == ["pairs"] and os.listdir(out / "pairs") == []
+        assert sorted(os.listdir(tmp_path)) == before
+
     def test_usage_error_exit_code(self):
         assert main(["match", "--image-a", "x"]) == 1
 

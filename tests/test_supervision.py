@@ -11,12 +11,7 @@ from semimatch.supervision import (
     fine_loss_stage1,
     fine_loss_stage2,
     total_loss,
-    warp_points_depth_pose,
 )
-
-
-def pinhole(f=100.0, cx=32.0, cy=32.0):
-    return np.array([[f, 0, cx], [0, f, cy], [0, 0, 1.0]])
 
 
 class TestBuildGtHomography:
@@ -83,50 +78,6 @@ class TestBuildGtHomography:
     def test_singular_homography_rejected(self):
         with pytest.raises(ValueError, match="singular"):
             build_gt_homography(np.zeros((3, 3)), (32, 32), (32, 32))
-
-
-class TestWarpDepthPose:
-    def test_identity_rig_keeps_points(self, rng):
-        pts = rng.uniform(0, 64, (10, 2))
-        warped, valid = warp_points_depth_pose(pts, np.full(10, 2.0), pinhole(), pinhole(), np.eye(4))
-        np.testing.assert_allclose(warped, pts, atol=1e-9)
-        assert valid.all()
-
-    def test_halving_depth_scales_from_principal_point(self):
-        k = pinhole(f=80.0, cx=32.0, cy=32.0)
-        pts = np.array([[40.0, 32.0], [32.0, 20.0], [50.0, 50.0]])
-        depth = np.full(3, 4.0)
-        t = np.eye(4)
-        t[2, 3] = -2.0  # halves the camera depth
-        warped, valid = warp_points_depth_pose(pts, depth, k, k, t)
-        want = np.array([32.0, 32.0]) + 2.0 * (pts - [32.0, 32.0])
-        np.testing.assert_allclose(warped, want, atol=1e-9)
-        assert valid.all()
-
-    def test_matches_float64_projective_chain(self, rng):
-        k_a = pinhole(f=90.0, cx=30.0, cy=28.0)
-        k_b = pinhole(f=110.0, cx=35.0, cy=31.0)
-        angle = 0.1
-        t = np.eye(4)
-        t[:3, :3] = np.array(
-            [[np.cos(angle), 0, np.sin(angle)], [0, 1, 0], [-np.sin(angle), 0, np.cos(angle)]]
-        )
-        t[:3, 3] = [0.2, -0.1, 0.4]
-        pts = rng.uniform(5, 60, (25, 2))
-        depth = rng.uniform(1.0, 5.0, 25)
-        warped, valid = warp_points_depth_pose(pts, depth, k_a, k_b, t)
-        for p, d, w, ok in zip(pts, depth, warped, valid):
-            ray = np.linalg.inv(k_a) @ np.array([p[0], p[1], 1.0])
-            cam = t[:3, :3] @ (ray * d) + t[:3, 3]
-            proj = k_b @ cam
-            np.testing.assert_allclose(w, proj[:2] / proj[2], atol=1e-6)
-            assert ok == (cam[2] > 0)
-
-    def test_nonpositive_depth_marks_invalid(self):
-        warped, valid = warp_points_depth_pose(
-            np.array([[10.0, 10.0]]), np.array([-1.0]), pinhole(), pinhole(), np.eye(4)
-        )
-        assert not valid[0]
 
 
 def dual_softmax_probs(s: np.ndarray) -> np.ndarray:

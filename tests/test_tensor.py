@@ -1,3 +1,6 @@
+import gc
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -757,3 +760,62 @@ class TestTensorBasics:
         with T.no_grad():
             y = x * 2.0
         assert y._ctx is None and not y.requires_grad
+
+
+# Every autodiff op, with the tests that check its forward and backward in
+# float64 against finite differences or an oracle, as pytest node ids.
+CRITERION_02 = "test_acceptance.py::test_criterion_02_gradient_correctness"
+FOLD_CHECK = "test_backbone.py::TestFuseBlock::test_fold_matches_multi_branch_with_gradients"
+OP_CHECKS = {
+    **{op: (CRITERION_02,) for op in (
+        T.Add, T.Sub, T.Mul, T.Div, T.Neg, T.Pow, T.Exp, T.Log, T.Sqrt, T.ReLU, T.ELU, T.ClampMin, T.Sum,
+        T.Reshape, T.Transpose, T.Concat, T.Slice, T.GatherND, T.MatMul, T.Softmax, T.LayerNorm)},
+    T.Conv2d: (CRITERION_02, "test_tensor.py::TestConv2d::test_backward_matches_finite_differences"),
+    T.DepthwiseConv2d: (CRITERION_02,
+                        "test_tensor.py::TestDepthwiseConv2d::test_backward_matches_finite_differences",
+                        "test_tensor.py::TestBatchAxis::test_depthwise_conv2d_stride_one_pad_one",
+                        "test_tensor.py::TestBatchAxis::test_depthwise_conv2d_stride_s_pad_zero"),
+    T.MaxPool2d: (CRITERION_02, "test_tensor.py::TestMaxPool2d::test_backward_matches_finite_differences",
+                  "test_tensor.py::TestBatchAxis::test_maxpool2d_with_tied_maxima"),
+    T.BilinearUpsample2d: (CRITERION_02, "test_tensor.py::TestBatchAxis::test_bilinear_upsample"),
+    T.Attention: (CRITERION_02, "test_tensor.py::TestFusedOps::test_attention_matches_composite"),
+    T.Rotary: (CRITERION_02, "test_tensor.py::TestFusedOps::test_rotary_on_heads_matches_composite"),
+    T.Linear: ("test_tensor.py::TestFusedOps::test_linear_matches_composite",),
+    T.WinogradConv2d: ("test_tensor.py::TestWinogradConv2d::test_forward_matches_taps_oracle",
+                       "test_tensor.py::TestWinogradConv2d::test_gradients_match_im2col",
+                       "test_tensor.py::TestWinogradConv2d::test_directional_finite_differences"),
+    T.FoldKernels: (FOLD_CHECK,),
+    T.FoldBiases: (FOLD_CHECK,),
+    T.DualSoftmaxNLL: (
+        "test_tensor.py::TestDualSoftmaxNLL::test_batch_matches_dense_composite_with_entries_below_floor",
+        "test_tensor.py::TestDualSoftmaxNLL::test_matrix_matches_dense_composite_with_repeated_rows_and_columns"),
+}
+
+
+def unchecked_ops() -> list[str]:
+    """Names of the ``Function`` subclasses, found recursively, with no entry in OP_CHECKS."""
+    gc.collect()  # ops that other tests define locally stay subclasses until collected
+    missing, stack = [], [T.Function]
+    while stack:
+        for op in stack.pop().__subclasses__():
+            stack.append(op)
+            if op not in OP_CHECKS:
+                missing.append(op.__name__)
+    return sorted(missing)
+
+
+class TestOpCoverage:
+    def test_every_op_has_a_registered_gradient_check(self):
+        assert unchecked_ops() == [], "ops without a float64 finite-difference or oracle check"
+        for checks in OP_CHECKS.values():
+            for node in checks:
+                module, *path = node.split("::")
+                test = importlib.import_module(module.removesuffix(".py"))
+                for name in path:
+                    test = getattr(test, name)  # a registered check that no longer exists fails here
+                assert callable(test)
+
+        class UncheckedOp(T.Function):
+            pass
+
+        assert unchecked_ops() == ["UncheckedOp"]

@@ -11,7 +11,6 @@ from semimatch.transform import (
     FeatureTransform,
     aggregate_tokens,
     rope_encode,
-    rope_params,
 )
 
 from helpers import tape_size, weighted_sum
@@ -19,10 +18,11 @@ from helpers import tape_size, weighted_sum
 CFG = MatcherConfig.toy()  # s=2, n_layers=2, n_heads=4, d_model=32
 
 
-def rotation_matrix(params, dx, dy):
-    d = params.d
+def rotation_matrix(d, dx, dy):
+    """Block-diagonal rotation of one head of width d by the offset (dx, dy)."""
     out = np.zeros((d, d))
-    for i, theta in enumerate(params.theta):
+    for i in range(d // 4):
+        theta = 10000.0 ** (-4.0 * (i + 1) / d)
         ax, ay = theta * dx, theta * dy
         base = 4 * i
         out[base:base + 2, base:base + 2] = [[np.cos(ax), -np.sin(ax)], [np.sin(ax), np.cos(ax)]]
@@ -38,7 +38,7 @@ class TestRope:
 
     def test_requires_divisible_dim(self, rng):
         with pytest.raises(ValueError, match="divisible by 4"):
-            rope_params(10)
+            rope_encode(T.tensor(rng.standard_normal((3, 10))), np.zeros((3, 2)))
 
     def test_norm_preserved(self, rng):
         x = rng.standard_normal((100, 32))
@@ -49,13 +49,12 @@ class TestRope:
         )
 
     def test_score_depends_only_on_offset(self, rng):
-        params = rope_params(32)
         q = rng.standard_normal((1, 32))
         k = rng.standard_normal((1, 32))
 
         def score(pq, pk):
-            eq = rope_encode(T.tensor(q, dtype=np.float64), np.array([pq], float), params)
-            ek = rope_encode(T.tensor(k, dtype=np.float64), np.array([pk], float), params)
+            eq = rope_encode(T.tensor(q, dtype=np.float64), np.array([pq], float))
+            ek = rope_encode(T.tensor(k, dtype=np.float64), np.array([pk], float))
             return float((eq.data * ek.data).sum())
 
         base = score((3.0, 8.0), (11.0, 2.0))
@@ -64,36 +63,35 @@ class TestRope:
             assert abs(base - shifted) < 1e-5
 
     def test_matches_block_diagonal_rotation(self, rng):
-        params = rope_params(16)
         q = rng.standard_normal(16)
         k = rng.standard_normal(16)
         dx, dy = 4.0, -3.0
-        eq = rope_encode(T.tensor(q[None], dtype=np.float64), np.zeros((1, 2)), params)
-        ek = rope_encode(T.tensor(k[None], dtype=np.float64), np.array([[dx, dy]]), params)
+        eq = rope_encode(T.tensor(q[None], dtype=np.float64), np.zeros((1, 2)))
+        ek = rope_encode(T.tensor(k[None], dtype=np.float64), np.array([[dx, dy]]))
         via_encoding = float((eq.data * ek.data).sum())
-        direct = float(q @ rotation_matrix(params, dx, dy) @ k)
+        direct = float(q @ rotation_matrix(16, dx, dy) @ k)
         assert abs(via_encoding - direct) < 1e-10
 
     def test_rotation_blocks_are_orthogonal(self):
-        params = rope_params(24)
-        r = rotation_matrix(params, 7.3, -2.1)
+        r = rotation_matrix(24, 7.3, -2.1)
         np.testing.assert_allclose(r.T @ r, np.eye(24), atol=1e-6)
 
     def test_wide_features_rotate_each_head_slice_alike(self, rng):
-        params = rope_params(8)
         x = rng.standard_normal((6, 24))
         pos = rng.uniform(-20, 20, size=(6, 2))
-        got = rope_encode(T.tensor(x, dtype=np.float64), pos, params).data
+        got = rope_encode(T.tensor(x, dtype=np.float64), pos, heads=3).data
         for head in range(3):
             part = x[:, 8 * head:8 * (head + 1)]
-            want = rope_encode(T.tensor(part, dtype=np.float64), pos, params).data
+            want = rope_encode(T.tensor(part, dtype=np.float64), pos).data
             np.testing.assert_array_equal(got[:, 8 * head:8 * (head + 1)], want)
 
     @pytest.mark.parametrize("width", [12, 4])
     def test_width_must_be_a_multiple_of_params(self, rng, width):
+        # neither width splits into 8 heads, nor into 2 heads of a width divisible by 4
         x = T.tensor(rng.standard_normal((3, width)), dtype=np.float64)
-        with pytest.raises(ValueError, match="tile"):
-            rope_encode(x, np.zeros((3, 2)), rope_params(8))
+        for heads in (8, 2, 0):
+            with pytest.raises(ValueError, match="divisible by 4"):
+                rope_encode(x, np.zeros((3, 2)), heads=heads)
 
 
 class TestAggregation:
@@ -270,8 +268,7 @@ def split_merge_block(block, target, source):
     if block.kind == "self":
         ys, xs = np.mgrid[0:ah, 0:aw]
         positions = np.stack([xs.ravel(), ys.ravel()], axis=1) * s + (s - 1) / 2.0
-        params = rope_params(cfg.d_model // heads)
-        q, k = rope_encode(q, positions, params), rope_encode(k, positions, params)
+        q, k = rope_encode(q, positions), rope_encode(k, positions)
     attended = T.linear(merge(T.vanilla_attention(q, k, v)), block.out_proj)
     up = T.bilinear_upsample(to_map(attended, ah, aw), s)
     hidden = T.layer_norm(T.linear(tokens(T.concat([target, up], axis=0)), block.fuse))
