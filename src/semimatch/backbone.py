@@ -183,7 +183,11 @@ class FusedBackbone:
         outputs = []
         for stage in self.stages:
             for block in stage:
-                x = T.conv2d(x, block.kernel, block.bias, stride=block.stride, pad=1).relu()
+                x = T.conv2d(x, block.kernel, block.bias, stride=block.stride, pad=1)
+                if x.requires_grad:
+                    x = x.relu()
+                else:  # a fresh, unrecorded conv output: ReLU in place, no second map
+                    np.maximum(x.data, 0, out=x.data)
             outputs.append(x)
         return FeaturePyramid(f_half=outputs[1], f_quarter=outputs[2], f_coarse=outputs[3])
 

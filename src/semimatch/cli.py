@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numeric failure.
-Every output file is written atomically (``imageio.atomic_write``: temp file
-+ rename, the temp file removed on failure), so a failing run leaves no
-partial artifacts.
+Each command checks that every output's directory exists before it computes
+anything. Every output file is written atomically (``imageio.atomic_write``:
+temp file + rename, the temp file removed on failure), so a failing run
+leaves no partial artifacts.
 """
 from __future__ import annotations
 
@@ -93,9 +94,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+def check_output_dirs(*paths: str | None) -> None:
+    """Raise ``FileNotFoundError`` (exit 2) for an output path whose directory
+    does not exist, so a typo fails before any compute, not after it."""
+    for path in paths:
+        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(f"no directory for output {path!r}")
+
+
 def cmd_match(args) -> int:
     if args.tau is not None and args.mode == "optimized":
         raise UsageError("--tau applies to --mode full; optimized mode keeps every mutual nearest neighbour")
+    check_output_dirs(args.out, args.viz)
     matcher, model = load_matcher(args.weights)
     image_a = load_image(args.image_a)
     image_b = load_image(args.image_b)
@@ -128,6 +138,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train_toy(args) -> int:
     settings = load_settings(args.config)
+    check_output_dirs(args.out, args.curve)
     flags = {key: getattr(args, key) for key in ("steps", "seed") if getattr(args, key) is not None}
     train = replace(settings.train, **flags)
     dataset = DirectoryPairs(args.data)
@@ -143,6 +154,7 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_eval_homography(args) -> int:
+    check_output_dirs(args.out)
     matcher, _ = load_matcher(args.weights)
     report = eval_homography_dir(matcher, args.data, mode=args.mode, seed=args.seed)
     print(report.summary())
@@ -152,6 +164,7 @@ def cmd_eval_homography(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    check_output_dirs(args.out)
     matcher, _ = load_matcher(args.weights)
     image_a = load_image(args.image_a)
     image_b = load_image(args.image_b)

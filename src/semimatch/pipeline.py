@@ -1,19 +1,23 @@
 """End-to-end matcher: backbone -> transform -> coarse match -> refinement.
 
 The Matcher owns every parameter tensor; inference runs the fused deploy
-backbone and reports per-stage wall-clock so the benchmark harness can
-mirror the stage decomposition of the timing tables.
+backbone, both images' passes on two threads when the backbone is large
+enough to gain (``backbone_pair``), and reports per-stage wall-clock so the
+benchmark harness can mirror the stage decomposition of the timing tables.
 """
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import tensor as T
-from .backbone import COARSE_STRIDE, STAGE_STRIDES, Backbone, FusedBackbone, pad_to_multiple
+from .backbone import COARSE_STRIDE, STAGE_STRIDES, Backbone, FeaturePyramid, FusedBackbone, pad_to_multiple
 from .matching import MODES, CoarseMatch, match_coarse
 from .refine import FineFusion, FineMatch, refine
 from .tensor import Tensor
@@ -178,6 +182,9 @@ class Matcher:
 
         ``two_stage=False`` keeps stage-1 pixel matches only (ablation).
         ``tau`` overrides the config's and is checked by the same rule.
+        The two backbones may run concurrently (``backbone_pair``), so
+        ``timings["backbone"]`` is their joint wall time; every later stage
+        runs on the calling thread.
         Before anything is computed, an image that is not a 2-D array with
         both sides >= 1 raises ``ValueError`` and non-finite pixels raise
         ``NumericError``.
@@ -199,8 +206,7 @@ class Matcher:
             if fused is None:
                 fused = self.fuse()
             t0 = time.perf_counter()
-            pyr_a = fused.forward_deploy(T.tensor(padded_a[None]))
-            pyr_b = fused.forward_deploy(T.tensor(padded_b[None]))
+            pyr_a, pyr_b = backbone_pair(fused, self.config, padded_a, padded_b)
             t1 = time.perf_counter()
             fa_t, fb_t = self.transform.forward(pyr_a.f_coarse, pyr_b.f_coarse)
             t2 = time.perf_counter()
@@ -228,6 +234,58 @@ class Matcher:
             coarse=coarse, fine=fine, grid_a=score.grid_a, grid_b=score.grid_b,
             dims_a=dims_a, dims_b=dims_b, mode=mode, timings=timings,
         )
+
+
+# Backbone multiply-adds per image from which match_pair runs the two images'
+# backbones on two threads (~42 M for the toy config at 256², ~11.5 G for the
+# paper config); below it a thread's overhead and its second malloc arena
+# outweigh the overlap (the per-shape table is in CHANGES.md).
+CONCURRENT_BACKBONE_MACS = 500_000_000
+
+
+def backbone_macs(config: MatcherConfig, height: int, width: int) -> int:
+    """Multiply-adds of one deploy-backbone pass (one 3x3 conv per block) over
+    a padded (height, width) image."""
+    macs, c_in = 0, 1
+    for c_out, n_blocks, stride in zip(config.widths, config.blocks, STAGE_STRIDES):
+        height, width = height // stride, width // stride
+        macs += 9 * height * width * c_out * (c_in + (n_blocks - 1) * c_out)
+        c_in = c_out
+    return macs
+
+
+def backbone_pair(fused: FusedBackbone, config: MatcherConfig, padded_a: np.ndarray,
+                  padded_b: np.ndarray) -> tuple[FeaturePyramid, FeaturePyramid]:
+    """Both images' feature pyramids. When two CPUs are free and each backbone
+    pass reaches ``CONCURRENT_BACKBONE_MACS``, image B runs on one worker
+    thread while the calling thread runs image A. The worker is joined before
+    this returns or raises, and its exception is re-raised here."""
+
+    def pyramid(padded: np.ndarray) -> FeaturePyramid:
+        return fused.forward_deploy(T.tensor(padded[None]))
+
+    work = min(backbone_macs(config, *padded.shape) for padded in (padded_a, padded_b))
+    if work < CONCURRENT_BACKBONE_MACS or len(os.sched_getaffinity(0)) < 2:
+        return pyramid(padded_a), pyramid(padded_b)
+    outcome: dict = {}
+
+    def worker() -> None:
+        try:
+            outcome["pyramid"] = pyramid(padded_b)
+        except BaseException as exc:  # re-raised by the caller after the join
+            outcome["error"] = exc
+
+    # in the caller's context, so numpy's errstate and any other context variable hold there too
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(worker,),
+                              name="semimatch-backbone-b")
+    thread.start()
+    try:
+        pyr_a = pyramid(padded_a)
+    finally:
+        thread.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return pyr_a, outcome["pyramid"]
 
 
 def _valid_cells(padded_shape: tuple[int, int], original: tuple[int, int]) -> np.ndarray | None:

@@ -25,8 +25,13 @@ channels: those run Winograd F(4x4, 3x3) (``WinogradConv2d``), which
 multiplies a transformed 6x6 input tile by a transformed kernel in 36
 products per 4x4 output tile instead of 144, one batched matmul over the
 36 tile positions. Its backward is the adjoint of the same transforms, so
-training and inference take the same path. The kernel is transformed on
-every call; nothing is cached.
+training and inference take the same path. The kernel is transformed once
+per call; nothing is cached across calls. Both kernels build their scratch
+(im2col columns, padded input rows, Winograd tiles) one band of output rows
+at a time, each band within ``CONV_SCRATCH_BYTES``: a conv's transient
+memory stays bounded at any map size. A recorded call keeps each band's
+columns or transformed tiles for backward, which loops over the same bands;
+an unrecorded call keeps nothing. Toy training maps fit in one band.
 
 Gradients flow through an implicit tape: each op result keeps a context
 pointing at its parents and a sequence number. An op is always recorded
@@ -263,7 +268,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Function:
     """One recorded op: forward computes, backward maps output grad to parents."""
 
-    __slots__ = ("parents", "saved", "seq")
+    __slots__ = ("parents", "saved", "seq", "records")
 
     def __init__(self, *parents: Tensor):
         self.parents = parents
@@ -282,13 +287,15 @@ class Function:
             else:
                 values.append(a)
         ctx = cls(*parents)
+        # read by ops whose saved state is large: an unrecorded call keeps none
+        ctx.records = _grad_enabled and record
         out_data = ctx.forward(*values, **kwargs)
         if _finite_checks and not np.all(np.isfinite(out_data)):
             raise NumericError(f"{cls.__name__} produced a non-finite value")
         out = Tensor.__new__(Tensor)
         out.data = out_data
         out.grad = None
-        if _grad_enabled and record:
+        if ctx.records:
             ctx.seq = next(_op_sequence)
             out.requires_grad = True
             out._ctx = ctx
@@ -777,9 +784,28 @@ def _taps(x_shape, kh: int, kw: int, stride: int, pad: int):
     ow = (wp - kw) // stride + 1
     if oh <= 0 or ow <= 0:
         raise ValueError(f"window {kh}x{kw} larger than padded input {hp}x{wp}")
+    return (oh, ow), _tap_slices(oh, ow, kh, kw, stride)
+
+
+def _tap_slices(oh: int, ow: int, kh: int, kw: int, stride: int) -> list[tuple]:
     rows = [slice(dr, dr + stride * (oh - 1) + 1, stride) for dr in range(kh)]
     cols = [slice(dc, dc + stride * (ow - 1) + 1, stride) for dc in range(kw)]
-    return (oh, ow), [(Ellipsis, r, c) for r in rows for c in cols]
+    return [(Ellipsis, r, c) for r in rows for c in cols]
+
+
+# Conv2d and WinogradConv2d build their scratch (im2col columns, Winograd
+# tiles) for one band of output rows at a time, each band within this many
+# bytes, so a conv's transient memory does not grow with the map. Read at
+# call time; the per-shape peaks are in CHANGES.md.
+CONV_SCRATCH_BYTES = 16 * 2**20
+
+
+def _row_bands(n_rows: int, row_bytes: int, fixed_bytes: int = 0) -> list[tuple[int, int]]:
+    """``[start, stop)`` bands covering ``n_rows`` rows, each band's
+    ``fixed_bytes + rows · row_bytes`` within ``CONV_SCRATCH_BYTES``; a band
+    has at least one row."""
+    step = max(1, (CONV_SCRATCH_BYTES - fixed_bytes) // row_bytes)
+    return [(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
 
 
 def _pad_plane(x: np.ndarray, pad: int) -> np.ndarray:
@@ -803,31 +829,70 @@ def _unpad_plane(x: np.ndarray, pad: int) -> np.ndarray:
 
 
 class Conv2d(Function):
+    """im2col convolution of a (C, H, W) map, one GEMM per band of output rows.
+
+    Each band pads its own input rows and builds its columns, (cin·kh·kw,
+    band cells) ordered like the kernel's rows; the GEMM writes into the
+    output. A recorded call keeps every band's columns, and backward loops
+    over the same bands.
+    """
+
     def forward(self, x, kernel, bias, stride, pad):
-        cin = x.shape[0]
+        cin, h, w = x.shape
         cout, _, kh, kw = kernel.shape
-        (oh, ow), taps = _taps(x.shape, kh, kw, stride, pad)
-        xp = _pad_plane(x, pad)
-        # cols: (cin * kh * kw, out_cells), rows ordered like the kernel's
-        cols = np.stack([xp[t] for t in taps], axis=1).reshape(cin * kh * kw, oh * ow)
-        out = kernel.reshape(cout, -1) @ cols
+        (oh, ow), _ = _taps(x.shape, kh, kw, stride, pad)
+        wp = w + 2 * pad
+        weights = kernel.reshape(cout, -1)
+        out = np.empty((cout, oh * ow), dtype=np.result_type(x, kernel))
+        bands = []
+        for r0, r1 in _row_bands(oh, x.itemsize * cin * (kh * kw * ow + stride * wp),
+                                 x.itemsize * cin * wp * max(kh - stride, 0)):
+            cols = _im2col_rows(x, r0, r1, kh, kw, stride, pad, ow)
+            np.matmul(weights, cols, out=out[:, r0 * ow:r1 * ow])
+            if self.records:
+                bands.append((r0, r1, cols))
+            del cols  # freed before the next band is built
         if bias is not None:
             out += bias[:, None]
-        self.saved = (cols, kernel, taps, xp.shape, pad, bias is not None)
+        if self.records:
+            self.saved = (bands, kernel, (cin, h + 2 * pad, wp), stride, pad, bias is not None)
         return out.reshape(cout, oh, ow)
 
     def backward(self, grad):
-        cols, kernel, taps, padded_shape, pad, has_bias = self.saved
+        bands, kernel, padded_shape, stride, pad, has_bias = self.saved
         cout, cin, kh, kw = kernel.shape
+        ow = grad.shape[2]
         g2 = grad.reshape(cout, -1)
-        dkernel = (g2 @ cols.T).reshape(kernel.shape)
-        dbias = grad.sum(axis=(1, 2)) if has_bias else None
-        dcols = (kernel.reshape(cout, -1).T @ g2).reshape(cin, kh * kw, *grad.shape[1:])
+        weights_t = kernel.reshape(cout, -1).T
+        dkernel = None
         dxp = np.zeros(padded_shape, dtype=grad.dtype)
-        for t, tap in enumerate(taps):
-            dxp[tap] += dcols[:, t]
-        grads = (_unpad_plane(dxp, pad), dkernel)
+        for r0, r1, cols in bands:
+            g = g2[:, r0 * ow:r1 * ow]
+            part = g @ cols.T
+            dkernel = part if dkernel is None else dkernel + part
+            dcols = (weights_t @ g).reshape(cin, kh * kw, r1 - r0, ow)
+            dband = dxp[:, r0 * stride:(r1 - 1) * stride + kh]
+            for t, tap in enumerate(_tap_slices(r1 - r0, ow, kh, kw, stride)):
+                dband[tap] += dcols[:, t]
+        dbias = grad.sum(axis=(1, 2)) if has_bias else None
+        grads = (_unpad_plane(dxp, pad), dkernel.reshape(kernel.shape))
         return grads + (dbias,) if has_bias else grads
+
+
+def _im2col_rows(x: np.ndarray, r0: int, r1: int, kh: int, kw: int, stride: int, pad: int,
+                 ow: int) -> np.ndarray:
+    """The im2col columns of output rows ``[r0, r1)``: (cin·kh·kw, (r1 − r0)·ow)."""
+    cin, h, w = x.shape
+    top = r0 * stride - pad  # the input row under the band's first padded row
+    n_in = (r1 - r0 - 1) * stride + kh
+    if pad == 0:
+        xp = x[:, top:top + n_in]
+    else:
+        xp = np.zeros((cin, n_in, w + 2 * pad), dtype=x.dtype)
+        lo, hi = max(top, 0), min(top + n_in, h)
+        xp[:, lo - top:hi - top, pad:pad + w] = x[:, lo:hi]
+    taps = _tap_slices(r1 - r0, ow, kh, kw, stride)
+    return np.stack([xp[t] for t in taps], axis=1).reshape(cin * kh * kw, -1)
 
 
 # Winograd F(4x4, 3x3) (Lavin & Gray, arXiv 1509.09308), interpolation points
@@ -861,23 +926,38 @@ def _winograd_matrices(dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.kron(m, m).astype(dtype) for m in (_WINOGRAD_BT, _WINOGRAD_G, _WINOGRAD_AT))
 
 
-def _winograd(x: np.ndarray, kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _winograd(x: np.ndarray, kernel: np.ndarray, keep: list | None = None) -> np.ndarray:
     """Stride-1, pad-1 3x3 correlation of a (cin, H, W) map with a (cout, cin,
-    3, 3) kernel: the (cout, H, W) output view and the transformed input
-    tiles V, (36, cin, tiles) with tiles = ⌈H/4⌉·⌈W/4⌉ in row-major order."""
+    3, 3) kernel: a (cout, H, W) view into whole 4x4 output tiles.
+
+    The kernel is transformed once; the input tiles are transformed in bands
+    of tile rows. Given ``keep``, each band appends ``(t0, t1, v)``: its tile
+    rows and its transformed tiles V, (36, cin, (t1 − t0)·⌈W/4⌉).
+    """
     bt, g, at = _winograd_matrices(x.dtype)
     cout, cin = kernel.shape[:2]
     _, h, w = x.shape
     th, tw = -(-h // 4), -(-w // 4)
-    # whole 6x6 tiles at stride 4, zero-padded by 1 at the top and left
-    xp = np.zeros((cin, 4 * th + 2, 4 * tw + 2), dtype=x.dtype)
-    xp[:, 1:h + 1, 1:w + 1] = x
-    sc, sh, sw = xp.strides
-    tiles = np.lib.stride_tricks.as_strided(xp, (6, 6, cin, th, tw), (sh, sw, sc, 4 * sh, 4 * sw))
-    v = (bt @ np.ascontiguousarray(tiles).reshape(36, -1)).reshape(36, cin, th * tw)
     u = (g @ kernel.reshape(cout * cin, 9).T).reshape(36, cout, cin)
-    y = (at @ (u @ v).reshape(36, -1)).reshape(4, 4, cout, th, tw)
-    return y.transpose(2, 3, 0, 4, 1).reshape(cout, 4 * th, 4 * tw)[:, :h, :w], v
+    y = np.empty((cout, th, 4, tw, 4), dtype=np.result_type(x, kernel))
+    # per tile row: the padded rows, the tiles and V; then V, U·V and the output tiles
+    row_bytes = x.itemsize * max(cin * (88 * tw + 8), tw * (36 * cin + 52 * cout))
+    for t0, t1 in _row_bands(th, row_bytes, u.nbytes + x.itemsize * cin * (8 * tw + 4)):
+        n = t1 - t0
+        # input rows 4·t0 − 1 … 4·t1, zero outside the map: whole 6x6 tiles at stride 4
+        xp = np.zeros((cin, 4 * n + 2, 4 * tw + 2), dtype=x.dtype)
+        lo, hi = max(4 * t0 - 1, 0), min(4 * t1 + 1, h)
+        xp[:, lo - 4 * t0 + 1:hi - 4 * t0 + 1, 1:w + 1] = x[:, lo:hi]
+        sc, sh, sw = xp.strides
+        tiles = np.lib.stride_tricks.as_strided(xp, (6, 6, cin, n, tw), (sh, sw, sc, 4 * sh, 4 * sw))
+        v = (bt @ np.ascontiguousarray(tiles).reshape(36, -1)).reshape(36, cin, n * tw)
+        del xp, tiles  # freed before U·V: the band budget counts one phase at a time
+        m = (at @ (u @ v).reshape(36, -1)).reshape(4, 4, cout, n, tw)
+        y[:, t0:t1] = m.transpose(2, 3, 0, 4, 1)
+        if keep is not None:
+            keep.append((t0, t1, v))
+        del v, m
+    return y.reshape(cout, 4 * th, 4 * tw)[:, :h, :w]
 
 
 class WinogradConv2d(Function):
@@ -886,26 +966,33 @@ class WinogradConv2d(Function):
     Backward is the adjoint of the same maps: dx is the Winograd correlation
     of the gradient with the flipped, in/out-swapped kernel; dkernel is
     kron(G, G)ᵀ applied to Σ over tiles of (kron(Aᵀ, Aᵀ)ᵀ · gradient tile)
-    · Vᵀ, with the V saved in forward.
+    · Vᵀ, summed band by band over the V each band of the forward kept.
     """
 
     def forward(self, x, kernel, bias):
-        y, v = _winograd(x, kernel)
-        self.saved = (v, kernel, bias is not None)
-        return y + bias[:, None, None] if bias is not None else np.ascontiguousarray(y)
+        bands = [] if self.records else None
+        out = np.ascontiguousarray(_winograd(x, kernel, bands))  # a copy only for partial tiles
+        if bias is not None:
+            out += bias[:, None, None]
+        if self.records:
+            self.saved = (bands, kernel, bias is not None)
+        return out
 
     def backward(self, grad):
-        v, kernel, has_bias = self.saved
+        bands, kernel, has_bias = self.saved
         _, g, at = _winograd_matrices(grad.dtype)
         cout, h, w = grad.shape
         th, tw = -(-h // 4), -(-w // 4)
-        gp = np.zeros((cout, 4 * th, 4 * tw), dtype=grad.dtype)
-        gp[:, :h, :w] = grad
-        gtiles = gp.reshape(cout, th, 4, tw, 4).transpose(2, 4, 0, 1, 3).reshape(16, -1)
-        dm = (at.T @ gtiles).reshape(36, cout, th * tw)
-        du = dm @ v.swapaxes(1, 2)
+        gp = np.zeros((cout, th, 4, tw, 4), dtype=grad.dtype)
+        gp.reshape(cout, 4 * th, 4 * tw)[:, :h, :w] = grad
+        du = None
+        for t0, t1, v in bands:
+            gtiles = gp[:, t0:t1].transpose(2, 4, 0, 1, 3).reshape(16, -1)
+            dm = (at.T @ gtiles).reshape(36, cout, (t1 - t0) * tw)
+            part = dm @ v.swapaxes(1, 2)
+            du = part if du is None else du + part
         dkernel = np.ascontiguousarray((g.T @ du.reshape(36, -1)).T).reshape(kernel.shape)
-        dx, _ = _winograd(grad, np.ascontiguousarray(kernel[:, :, ::-1, ::-1].swapaxes(0, 1)))
+        dx = _winograd(grad, np.ascontiguousarray(kernel[:, :, ::-1, ::-1].swapaxes(0, 1)))
         grads = (np.ascontiguousarray(dx), dkernel)
         return grads + (grad.sum(axis=(1, 2)),) if has_bias else grads
 

@@ -1,9 +1,14 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from semimatch import pipeline as P
 from semimatch import tensor as T
 from semimatch.bench import STAGES, bench_pipeline, timings_csv
-from semimatch.instrument import counters
+from semimatch.instrument import OpCounters, counters
 from semimatch.pipeline import Matcher, MatcherConfig
 from semimatch.synth import SynthConfig, render_pair
 
@@ -100,3 +105,111 @@ class TestMatchPair:
         # only the backbone convolved: one conv per block and image
         assert counters["conv2d"] == 2 * sum(matcher.config.blocks)
         assert set(STAGES) <= set(result.timings)
+
+
+class RecordingBackbone:
+    """Stands in for a fused backbone: records the thread that runs each
+    image's ``forward_deploy``, keyed by the image's first pixel."""
+
+    def __init__(self, fused=None):
+        self.fused = fused
+        self.threads = {}
+
+    def forward_deploy(self, image):
+        self.threads[float(image.data.flat[0])] = threading.current_thread()
+        return image if self.fused is None else self.fused.forward_deploy(image)
+
+
+TWO_CPUS = len(os.sched_getaffinity(0)) >= 2
+
+
+class TestConcurrentBackbones:
+    @pytest.mark.parametrize("config,size,threaded", [
+        (MatcherConfig.toy(), 256, False),  # ~42 M multiply-adds per image
+        (MatcherConfig.toy(), 1024, True),
+        (MatcherConfig(), 256, True),  # ~11.5 G
+        (MatcherConfig(), 64, True),
+    ], ids=["toy-256", "toy-1024", "paper-256", "paper-64"])
+    def test_image_b_runs_on_a_worker_only_above_the_work_rule(self, config, size, threaded):
+        recorder = RecordingBackbone()
+        image_a, image_b = np.zeros((size, size)), np.ones((size, size))
+        pyr_a, pyr_b = P.backbone_pair(recorder, config, image_a, image_b)
+        assert pyr_a.data.flat[0] == 0.0 and pyr_b.data.flat[0] == 1.0
+        assert recorder.threads[0.0] is threading.current_thread()
+        assert (recorder.threads[1.0] is not threading.current_thread()) == (threaded and TWO_CPUS)
+        assert (P.backbone_macs(config, size, size) >= P.CONCURRENT_BACKBONE_MACS) == threaded
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        recorder = RecordingBackbone()
+        P.backbone_pair(recorder, MatcherConfig(), np.zeros((256, 256)), np.ones((256, 256)))
+        assert recorder.threads[1.0] is threading.current_thread()
+
+    def test_work_is_the_smaller_padded_image(self):
+        toy = MatcherConfig.toy()
+        assert P.backbone_macs(toy, 256, 256) == 42_467_328
+        assert P.backbone_macs(MatcherConfig(), 256, 256) == 11_513_364_480
+        recorder = RecordingBackbone()
+        P.backbone_pair(recorder, toy, np.zeros((2048, 2048)), np.ones((64, 64)))
+        assert recorder.threads[1.0] is threading.current_thread()
+
+    def test_concurrent_equals_main_thread_bitwise(self, monkeypatch):
+        matcher = Matcher(MatcherConfig.toy(), seed=0)
+        fused = matcher.fuse()
+        a, b, _ = render_pair(3, 0, SynthConfig(size=128))
+        sequential = matcher.match_pair(a, b, mode="optimized", fused=fused)
+        monkeypatch.setattr(P, "CONCURRENT_BACKBONE_MACS", 0)
+        recorder = RecordingBackbone(fused)
+        with T.no_grad():
+            pyr_a, pyr_b = P.backbone_pair(recorder, matcher.config, a, b)
+            for image, pyramid in ((a, pyr_a), (b, pyr_b)):
+                want = fused.forward_deploy(T.tensor(image[None]))
+                for level in ("f_half", "f_quarter", "f_coarse"):
+                    np.testing.assert_array_equal(getattr(pyramid, level).data, getattr(want, level).data)
+        assert (recorder.threads[float(b.flat[0])] is not threading.current_thread()) == TWO_CPUS
+        concurrent = matcher.match_pair(a, b, mode="optimized", fused=fused)
+        assert concurrent.coarse == sequential.coarse and concurrent.fine == sequential.fine
+        assert len(concurrent.fine) > 0
+
+    def test_inf_in_image_b_only_raises_numeric_error_and_leaves_no_thread(self, monkeypatch):
+        monkeypatch.setattr(P, "CONCURRENT_BACKBONE_MACS", 0)
+        matcher = Matcher(MatcherConfig.toy(), seed=0)
+        # the first conv overflows float32 on a bright image and maps a black one to zeros
+        matcher.backbone.stages[0][0].conv3x3.kernel.data[:] = 1e38
+        black, bright = np.zeros((64, 64)), np.full((64, 64), 0.9)
+        before = threading.active_count()
+        with np.errstate(over="ignore", invalid="ignore"):  # the worker runs in the caller's context
+            matcher.match_pair(black, black, mode="optimized")  # image A alone stays finite
+            with pytest.raises(T.NumericError, match="non-finite"):
+                matcher.match_pair(black, bright, mode="optimized")
+        assert threading.active_count() == before
+
+
+class SwitchingKey(str):
+    """A key hashed in Python: the interpreter may switch threads between a
+    counter's read and its write, which a plain str key rarely allows."""
+
+    def __hash__(self):
+        return str.__hash__(self)
+
+
+class TestOpCounters:
+    def test_concurrent_adds_lose_no_update(self):
+        table = OpCounters()
+
+        def work():
+            for _ in range(200_000):
+                table.add(SwitchingKey("op"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as CPython allows
+        try:
+            threads = [threading.Thread(target=work) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert table["op"] == 400_000

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from semimatch import pipeline
 from semimatch import tensor as T
 from semimatch.cli import main
 from semimatch.config import Settings, apply_overrides, load_settings, parse_config_text
@@ -387,6 +388,49 @@ class TestCli:
 
     def test_usage_error_exit_code(self):
         assert main(["match", "--image-a", "x"]) == 1
+
+    def test_missing_output_directory_fails_before_any_compute(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--count", "1", "--size", "32", "--out", str(data)]) == 0
+        weights = tmp_path / "tiny.smw"
+        save_matcher(str(weights), Matcher(TINY, seed=0))
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("widths=4,4,8,8\nblocks=1,1,1,1\nn_layers=1\nn_heads=2\ns=2\nd_fine=8\n"
+                           "steps=1\nbatch_size=1\nwarmup_steps=1\nmax_fine_matches=8\n")
+        image, missing = str(data / "pair0000_A.pgm"), tmp_path / "missing"
+        pair = ["--image-a", image, "--image-b", image, "--weights", str(weights)]
+        out = tmp_path / "w.smw"
+        for argv in (
+            ["train-toy", "--data", str(data), "--config", str(cfgfile), "--out", str(out),
+             "--curve", str(missing / "c.csv")],
+            ["train-toy", "--data", str(data), "--config", str(cfgfile), "--out", str(missing / "w.smw")],
+            ["match", *pair, "--viz", str(missing / "m.ppm")],
+            ["match", *pair, "--out", str(missing / "m.csv")],
+            ["bench", *pair, "--repetitions", "1", "--out", str(missing / "t.csv")],
+            ["eval-homography", "--data", str(data), "--weights", str(weights), "--out", str(missing / "e.csv")],
+        ):
+            counters.reset("conv2d")
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            assert counters["conv2d"] == 0, argv
+            err = capsys.readouterr().err
+            assert err.startswith("i/o error") and "missing" in err and "Traceback" not in err
+        assert not out.exists() and not missing.exists()
+
+    def test_inf_in_image_b_only_gives_numeric_exit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "CONCURRENT_BACKBONE_MACS", 0)  # image B on the worker thread
+        matcher = Matcher(TINY, seed=0)
+        matcher.backbone.stages[0][0].conv3x3.kernel.data[:] = 1e38  # finite, so it loads
+        weights, black, bright = tmp_path / "huge.smw", tmp_path / "a.pgm", tmp_path / "b.pgm"
+        save_matcher(str(weights), matcher)
+        save_pgm(str(black), np.zeros((32, 32)))
+        save_pgm(str(bright), np.full((32, 32), 0.9))
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["match", "--image-a", str(black), "--image-b", str(bright), "--weights", str(weights)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure") and "Traceback" not in err
 
     def test_nan_weights_give_numeric_exit(self, tmp_path, capsys):
         matcher = Matcher(TINY, seed=0)

@@ -1,5 +1,6 @@
 import gc
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,106 @@ class TestWinogradConv2d:
         T.conv2d(x, k, stride=stride, pad=pad)
         assert counters["conv2d"] == 1
         assert counters["conv2d_winograd"] == int(winograd)
+
+
+def run_in_bands(monkeypatch, rows, fn):
+    """``fn()`` with every conv band ``rows`` output rows (tile rows for
+    Winograd), or a single band when ``rows`` is None; returns its result and
+    the bands of each call. The budget is set, per call, from the byte counts
+    that the kernel asks ``_row_bands`` about."""
+    calls = []
+    real = T._row_bands
+
+    def spy(n_rows, row_bytes, fixed_bytes=0):
+        budget = 2**62 if rows is None else fixed_bytes + rows * row_bytes
+        m.setattr(T, "CONV_SCRATCH_BYTES", budget)
+        calls.append(real(n_rows, row_bytes, fixed_bytes))
+        return calls[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(T, "_row_bands", spy)
+        return fn(), calls
+
+
+def conv_call(op, arrays, dtype, stride=1, pad=1, grad=False):
+    """The output of ``op`` on float ``arrays`` (x, kernel, bias), and with
+    ``grad`` the float64 gradients of a weighted sum of it."""
+    if not grad:
+        with T.no_grad():
+            return op(*(T.tensor(a, dtype=dtype) for a in arrays), stride=stride, pad=pad).data
+    params = [T.parameter(a, dtype=dtype) for a in arrays]
+    weighted_sum(op(*params, stride=stride, pad=pad), 3).backward()
+    return [p.grad for p in params]
+
+
+def im2col_conv(x, k, b, stride, pad):
+    return T.Conv2d.apply(x, k, b, stride=stride, pad=pad)
+
+
+# odd sizes down to one output row; 2 and 3 rows per band leave a short last band on most
+BANDED_HW = [(1, 5), (2, 9), (7, 10), (13, 9)]
+BANDED_ROWS = [1, 2, 3]
+
+
+class TestBandedConv:
+    """Conv2d and WinogradConv2d in bands of output rows against one band."""
+
+    @pytest.mark.parametrize("rows", BANDED_ROWS)
+    @pytest.mark.parametrize("h,w,k,stride,pad", [
+        (h, w, k, stride, pad) for h, w in BANDED_HW
+        for k, stride, pad in [(3, 1, 1), (3, 2, 1), (3, 1, 0), (3, 2, 0), (1, 1, 0), (1, 2, 1)]
+        if k <= min(h, w) + 2 * pad])
+    def test_im2col_forward_and_gradients(self, rng, monkeypatch, rows, h, w, k, stride, pad):
+        arrays = [rng.standard_normal((5, h, w)), rng.standard_normal((6, 5, k, k)), rng.standard_normal(6)]
+        self.check(monkeypatch, rows, im2col_conv, arrays, stride, pad)
+
+    @pytest.mark.parametrize("rows", BANDED_ROWS)
+    @pytest.mark.parametrize("h,w", BANDED_HW + [(16, 16)])
+    def test_winograd_forward_and_gradients(self, rng, monkeypatch, rows, h, w):
+        arrays = list(winograd_operands(rng, 64, 72, h, w))
+        self.check(monkeypatch, rows, T.conv2d, arrays, 1, 1)
+
+    @staticmethod
+    def check(monkeypatch, rows, op, arrays, stride, pad):
+        single32, _ = run_in_bands(monkeypatch, None, lambda: conv_call(op, arrays, np.float32, stride, pad))
+        banded32, calls = run_in_bands(monkeypatch, rows, lambda: conv_call(op, arrays, np.float32, stride, pad))
+        assert all(r1 - r0 == rows for bands in calls for r0, r1 in bands[:-1])
+        # float32 agrees to rounding, not bitwise: BLAS picks its GEMM kernel by
+        # matrix size, so a band's product can round differently from the
+        # whole map's (CHANGES.md); float64 agrees to 1e-12
+        scale = np.abs(single32).max()
+        assert np.abs(banded32 - single32).max() <= 1e-5 * scale
+        single64, _ = run_in_bands(monkeypatch, None, lambda: conv_call(op, arrays, np.float64, stride, pad))
+        banded64, _ = run_in_bands(monkeypatch, rows, lambda: conv_call(op, arrays, np.float64, stride, pad))
+        assert np.abs(banded64 - single64).max() <= 1e-12 * scale
+        want, _ = run_in_bands(monkeypatch, None, lambda: conv_call(op, arrays, np.float64, stride, pad, True))
+        got, _ = run_in_bands(monkeypatch, rows, lambda: conv_call(op, arrays, np.float64, stride, pad, True))
+        for g, wg in zip(got, want):
+            assert np.abs(g - wg).max() <= 1e-10
+
+    def test_unrecorded_call_keeps_nothing(self, rng):
+        x, k, b = (rng.standard_normal(s).astype(np.float32) for s in ((64, 9, 9), (64, 64, 3, 3), (64,)))
+        for op, kwargs in ((T.Conv2d, {"stride": 2, "pad": 1}), (T.WinogradConv2d, {})):
+            ctx = op()
+            ctx.records = False
+            ctx.forward(x, k, b, **kwargs)
+            assert ctx.saved == ()
+
+    @pytest.mark.parametrize("stride", [2, 1])  # im2col, then Winograd
+    def test_no_grad_peak_is_output_plus_budget(self, rng, stride):
+        x = T.tensor(rng.standard_normal((64, 240, 320)), dtype=np.float32)
+        k = T.tensor(rng.standard_normal((64, 64, 3, 3)) / 24, dtype=np.float32)
+        with T.no_grad():
+            tracemalloc.start()
+            try:
+                counters.reset("conv2d_winograd")
+                out = T.conv2d(x, k, stride=stride, pad=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert counters["conv2d_winograd"] == int(stride == 1)
+        # one band for the whole map peaks 61 MB (stride 2) and 104 MB (Winograd) above the output
+        assert peak <= out.data.nbytes + T.CONV_SCRATCH_BYTES + 2**20
 
 
 class TestDepthwiseConv2d:
@@ -770,7 +871,8 @@ OP_CHECKS = {
     **{op: (CRITERION_02,) for op in (
         T.Add, T.Sub, T.Mul, T.Div, T.Neg, T.Pow, T.Exp, T.Log, T.Sqrt, T.ReLU, T.ELU, T.ClampMin, T.Sum,
         T.Reshape, T.Transpose, T.Concat, T.Slice, T.GatherND, T.MatMul, T.Softmax, T.LayerNorm)},
-    T.Conv2d: (CRITERION_02, "test_tensor.py::TestConv2d::test_backward_matches_finite_differences"),
+    T.Conv2d: (CRITERION_02, "test_tensor.py::TestConv2d::test_backward_matches_finite_differences",
+               "test_tensor.py::TestBandedConv::test_im2col_forward_and_gradients"),
     T.DepthwiseConv2d: (CRITERION_02,
                         "test_tensor.py::TestDepthwiseConv2d::test_backward_matches_finite_differences",
                         "test_tensor.py::TestBatchAxis::test_depthwise_conv2d_stride_one_pad_one",
@@ -783,7 +885,8 @@ OP_CHECKS = {
     T.Linear: ("test_tensor.py::TestFusedOps::test_linear_matches_composite",),
     T.WinogradConv2d: ("test_tensor.py::TestWinogradConv2d::test_forward_matches_taps_oracle",
                        "test_tensor.py::TestWinogradConv2d::test_gradients_match_im2col",
-                       "test_tensor.py::TestWinogradConv2d::test_directional_finite_differences"),
+                       "test_tensor.py::TestWinogradConv2d::test_directional_finite_differences",
+                       "test_tensor.py::TestBandedConv::test_winograd_forward_and_gradients"),
     T.FoldKernels: (FOLD_CHECK,),
     T.FoldBiases: (FOLD_CHECK,),
     T.DualSoftmaxNLL: (
