@@ -1,8 +1,9 @@
 """Lightweight op counters used by tests and benchmark assertions.
 
 A single process-wide counter table is enough at desk scale. Ops run on
-more than one thread (``Matcher.match_pair`` runs image B's backbone on a
-worker), so every update takes a lock and no count is lost.
+more than one thread (``Matcher.match_pair`` may run image B's backbone
+pass and transform block calls on a worker, see ``lanes``), so every update
+takes a lock and no count is lost.
 """
 from __future__ import annotations
 

@@ -1,16 +1,16 @@
 """End-to-end matcher: backbone -> transform -> coarse match -> refinement.
 
 The Matcher owns every parameter tensor; inference runs the fused deploy
-backbone, both images' passes on two threads when the backbone is large
-enough to gain (``backbone_pair``), and reports per-stage wall-clock so the
-benchmark harness can mirror the stage decomposition of the timing tables.
+backbone and reports per-stage wall-clock so the benchmark harness can
+mirror the stage decomposition of the timing tables. Where the work is large
+enough to gain, the two images' backbone passes (``backbone_pair``) and
+their transform block calls (``FeatureTransform.forward``) each run on two
+threads through ``lanes.run_pair``; everything later runs on the calling
+thread.
 """
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
 import time
 from dataclasses import dataclass, field, replace
 
@@ -18,6 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import COARSE_STRIDE, STAGE_STRIDES, Backbone, FeaturePyramid, FusedBackbone, pad_to_multiple
+from .lanes import run_pair
 from .matching import MODES, CoarseMatch, match_coarse
 from .refine import FineFusion, FineMatch, refine
 from .tensor import Tensor
@@ -182,9 +183,10 @@ class Matcher:
 
         ``two_stage=False`` keeps stage-1 pixel matches only (ablation).
         ``tau`` overrides the config's and is checked by the same rule.
-        The two backbones may run concurrently (``backbone_pair``), so
-        ``timings["backbone"]`` is their joint wall time; every later stage
-        runs on the calling thread.
+        The two images' backbones, and each transform layer's block calls
+        for the two images, may run on two threads (``lanes.run_pair``), so
+        ``timings["backbone"]`` and ``timings["transform"]`` are the two
+        lanes' joint wall time; every later stage runs on the calling thread.
         Before anything is computed, an image that is not a 2-D array with
         both sides >= 1 raises ``ValueError`` and non-finite pixels raise
         ``NumericError``.
@@ -236,13 +238,6 @@ class Matcher:
         )
 
 
-# Backbone multiply-adds per image from which match_pair runs the two images'
-# backbones on two threads (~42 M for the toy config at 256², ~11.5 G for the
-# paper config); below it a thread's overhead and its second malloc arena
-# outweigh the overlap (the per-shape table is in CHANGES.md).
-CONCURRENT_BACKBONE_MACS = 500_000_000
-
-
 def backbone_macs(config: MatcherConfig, height: int, width: int) -> int:
     """Multiply-adds of one deploy-backbone pass (one 3x3 conv per block) over
     a padded (height, width) image."""
@@ -256,36 +251,14 @@ def backbone_macs(config: MatcherConfig, height: int, width: int) -> int:
 
 def backbone_pair(fused: FusedBackbone, config: MatcherConfig, padded_a: np.ndarray,
                   padded_b: np.ndarray) -> tuple[FeaturePyramid, FeaturePyramid]:
-    """Both images' feature pyramids. When two CPUs are free and each backbone
-    pass reaches ``CONCURRENT_BACKBONE_MACS``, image B runs on one worker
-    thread while the calling thread runs image A. The worker is joined before
-    this returns or raises, and its exception is re-raised here."""
+    """Both images' feature pyramids, image B on a worker thread when one pass
+    over the smaller padded image reaches the pair rule (``lanes.run_pair``)."""
 
     def pyramid(padded: np.ndarray) -> FeaturePyramid:
         return fused.forward_deploy(T.tensor(padded[None]))
 
     work = min(backbone_macs(config, *padded.shape) for padded in (padded_a, padded_b))
-    if work < CONCURRENT_BACKBONE_MACS or len(os.sched_getaffinity(0)) < 2:
-        return pyramid(padded_a), pyramid(padded_b)
-    outcome: dict = {}
-
-    def worker() -> None:
-        try:
-            outcome["pyramid"] = pyramid(padded_b)
-        except BaseException as exc:  # re-raised by the caller after the join
-            outcome["error"] = exc
-
-    # in the caller's context, so numpy's errstate and any other context variable hold there too
-    thread = threading.Thread(target=contextvars.copy_context().run, args=(worker,),
-                              name="semimatch-backbone-b")
-    thread.start()
-    try:
-        pyr_a = pyramid(padded_a)
-    finally:
-        thread.join()
-    if "error" in outcome:
-        raise outcome["error"]
-    return pyr_a, outcome["pyramid"]
+    return run_pair(lambda: pyramid(padded_a), lambda: pyramid(padded_b), work)
 
 
 def _valid_cells(padded_shape: tuple[int, int], original: tuple[int, int]) -> np.ndarray | None:

@@ -69,6 +69,11 @@ def set_finite_checks(enabled: bool) -> bool:
     return previous
 
 
+def grad_enabled() -> bool:
+    """Whether ops record onto the tape (false inside ``no_grad``)."""
+    return _grad_enabled
+
+
 @contextmanager
 def no_grad():
     """Disable tape recording inside the block (inference paths)."""

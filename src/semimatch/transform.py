@@ -6,23 +6,30 @@ side; the attended map is upsampled back and fused with the input map.
 Self-attention blocks rotate q/k by position; cross blocks never do.
 
 Blocks take (d, H, W) maps or (B, d, H, W) stacks, channels and spatial
-axes counted from the end. The transform stacks two coarse maps of one
-shape, so each layer is one self-block call and one cross-block call (the
-source is the batch-reversed stack); maps of different shapes run per
-image. Both ways compute the same function, as every op treats the maps
-of a stack independently; only the gradients of shared weights are summed
-in another order.
+axes counted from the end. The transform runs a layer one of two ways:
+- stacked: two coarse maps of one shape form one (2, d, H, W) stack, so
+  each layer is one self-block call and one cross-block call (the source is
+  the batch-reversed stack). Recorded calls (training) and small inference
+  take it;
+- per image: one block call per image, the two images' calls of a block
+  paired through ``lanes.run_pair``, so unrecorded calls whose per-image
+  work (``transform_macs``) reaches the pair rule run on two threads. Maps
+  of different shapes always take it.
+Both ways compute the same function, as every op treats the maps of a
+stack independently; only the gradients of shared weights are summed in
+another order.
 """
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tensor as T
 from .instrument import counters
+from .lanes import run_pair, two_threads
 from .tensor import Tensor
 
 if TYPE_CHECKING:
@@ -186,29 +193,44 @@ class FeatureTransform:
     def forward(self, f_a: Tensor, f_b: Tensor) -> tuple[Tensor, Tensor]:
         """Transform two (d, H, W) coarse maps.
 
-        Maps of one shape run as one (2, d, H, W) stack: each layer calls its
-        self block once and its cross block once, with the batch-reversed
-        stack as source (A<-B and B<-A in one call). Maps of different
-        shapes run one block call per image.
+        Unrecorded calls whose per-image work over the smaller grid reaches
+        the pair rule run each block once per image, image B's call on a
+        worker thread. Otherwise maps of one shape run as one (2, d, H, W)
+        stack: each layer calls its self block once and its cross block
+        once, with the batch-reversed stack as source (A<-B and B<-A in one
+        call); maps of different shapes run one block call per image in
+        order.
         """
         if f_a.shape[0] != f_b.shape[0]:
             raise ValueError("both images must share the coarse feature dim")
-        if f_a.shape != f_b.shape:
+        grid = min(f_a.shape[1:], f_b.shape[1:], key=math.prod)
+        work = 0 if T.grad_enabled() else transform_macs(self.config, *grid)
+        if f_a.shape == f_b.shape and not two_threads(work):
+            pair = T.concat([f_a, f_b]).reshape((2, *f_a.shape))
             for self_block, cross_block in self.layers:
-                f_a = self_block.forward(f_a, f_a)
-                f_b = self_block.forward(f_b, f_b)
-                f_a, f_b = cross_block.forward(f_a, f_b), cross_block.forward(f_b, f_a)
-            return f_a, f_b
-        pair = T.concat([f_a, f_b]).reshape((2, *f_a.shape))
+                pair = self_block.forward(pair, pair)
+                pair = cross_block.forward(pair, pair[::-1])
+            return pair[0], pair[1]
         for self_block, cross_block in self.layers:
-            pair = self_block.forward(pair, pair)
-            pair = cross_block.forward(pair, pair[::-1])
-        return pair[0], pair[1]
+            f_a, f_b = run_pair(partial(self_block.forward, f_a, f_a), partial(self_block.forward, f_b, f_b), work)
+            f_a, f_b = run_pair(partial(cross_block.forward, f_a, f_b), partial(cross_block.forward, f_b, f_a), work)
+        return f_a, f_b
 
     def named_tensors(self, prefix: str = "transform"):
         for i, (self_block, cross_block) in enumerate(self.layers):
             yield from self_block.named_tensors(f"{prefix}.layer{i}.self")
             yield from cross_block.named_tensors(f"{prefix}.layer{i}.cross")
+
+
+def transform_macs(config: "MatcherConfig", height: int, width: int) -> int:
+    """Multiply-adds of one image's pass through every transform block over a
+    (height, width) coarse grid: the FFN (fuse 2d->d, fc1, fc2: 6·d² per
+    cell), the q/k/v/out projections of the aggregated tokens (4·d² per
+    token) and attention (2·d per query-key pair). Aggregation, norms and
+    upsampling are left out."""
+    d, s = config.d_model, config.s
+    cells, tokens = height * width, (height // s) * (width // s)
+    return 2 * config.n_layers * (6 * d * d * cells + 4 * d * d * tokens + 2 * d * tokens * tokens)
 
 
 def _xavier(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:

@@ -5,12 +5,14 @@ import threading
 import numpy as np
 import pytest
 
+from semimatch import lanes
 from semimatch import pipeline as P
 from semimatch import tensor as T
 from semimatch.bench import STAGES, bench_pipeline, timings_csv
 from semimatch.instrument import OpCounters, counters
 from semimatch.pipeline import Matcher, MatcherConfig
 from semimatch.synth import SynthConfig, render_pair
+from semimatch.transform import FeatureTransform
 
 TINY = MatcherConfig(widths=(4, 4, 8, 8), blocks=(1, 1, 1, 1), n_layers=1, n_heads=2, s=2,
                      d_fine=8, fine_patch_width=8)
@@ -120,7 +122,7 @@ class RecordingBackbone:
         return image if self.fused is None else self.fused.forward_deploy(image)
 
 
-TWO_CPUS = len(os.sched_getaffinity(0)) >= 2
+TWO_CPUS = lanes.free_cpus() >= 2
 
 
 class TestConcurrentBackbones:
@@ -137,13 +139,26 @@ class TestConcurrentBackbones:
         assert pyr_a.data.flat[0] == 0.0 and pyr_b.data.flat[0] == 1.0
         assert recorder.threads[0.0] is threading.current_thread()
         assert (recorder.threads[1.0] is not threading.current_thread()) == (threaded and TWO_CPUS)
-        assert (P.backbone_macs(config, size, size) >= P.CONCURRENT_BACKBONE_MACS) == threaded
+        assert (P.backbone_macs(config, size, size) >= lanes.CONCURRENT_MACS) == threaded
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         recorder = RecordingBackbone()
         P.backbone_pair(recorder, MatcherConfig(), np.zeros((256, 256)), np.ones((256, 256)))
         assert recorder.threads[1.0] is threading.current_thread()
+
+    def test_runs_where_the_platform_has_no_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert lanes.free_cpus() == (os.cpu_count() or 1)
+        recorder = RecordingBackbone()
+        pyr_a, pyr_b = P.backbone_pair(recorder, MatcherConfig(), np.zeros((256, 256)), np.ones((256, 256)))
+        assert pyr_a.data.flat[0] == 0.0 and pyr_b.data.flat[0] == 1.0
+        config = MatcherConfig()
+        transform = FeatureTransform(config, np.random.default_rng(0))
+        maps = [T.tensor(np.full((config.d_model, 16, 16), v, dtype=np.float32)) for v in (0.1, 0.2)]
+        with T.no_grad():  # ~840 M multiply-adds per image: two lanes where two CPUs exist
+            out_a, out_b = transform.forward(*maps)
+        assert out_a.shape == out_b.shape == maps[0].shape
 
     def test_work_is_the_smaller_padded_image(self):
         toy = MatcherConfig.toy()
@@ -158,7 +173,7 @@ class TestConcurrentBackbones:
         fused = matcher.fuse()
         a, b, _ = render_pair(3, 0, SynthConfig(size=128))
         sequential = matcher.match_pair(a, b, mode="optimized", fused=fused)
-        monkeypatch.setattr(P, "CONCURRENT_BACKBONE_MACS", 0)
+        monkeypatch.setattr(lanes, "CONCURRENT_MACS", 0)
         recorder = RecordingBackbone(fused)
         with T.no_grad():
             pyr_a, pyr_b = P.backbone_pair(recorder, matcher.config, a, b)
@@ -172,7 +187,7 @@ class TestConcurrentBackbones:
         assert len(concurrent.fine) > 0
 
     def test_inf_in_image_b_only_raises_numeric_error_and_leaves_no_thread(self, monkeypatch):
-        monkeypatch.setattr(P, "CONCURRENT_BACKBONE_MACS", 0)
+        monkeypatch.setattr(lanes, "CONCURRENT_MACS", 0)
         matcher = Matcher(MatcherConfig.toy(), seed=0)
         # the first conv overflows float32 on a bright image and maps a black one to zeros
         matcher.backbone.stages[0][0].conv3x3.kernel.data[:] = 1e38

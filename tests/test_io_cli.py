@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semimatch import pipeline
+from semimatch import lanes
 from semimatch import tensor as T
 from semimatch.cli import main
 from semimatch.config import Settings, apply_overrides, load_settings, parse_config_text
@@ -418,7 +418,7 @@ class TestCli:
         assert not out.exists() and not missing.exists()
 
     def test_inf_in_image_b_only_gives_numeric_exit(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(pipeline, "CONCURRENT_BACKBONE_MACS", 0)  # image B on the worker thread
+        monkeypatch.setattr(lanes, "CONCURRENT_MACS", 0)  # image B on the worker thread
         matcher = Matcher(TINY, seed=0)
         matcher.backbone.stages[0][0].conv3x3.kernel.data[:] = 1e38  # finite, so it loads
         weights, black, bright = tmp_path / "huge.smw", tmp_path / "a.pgm", tmp_path / "b.pgm"

@@ -1,8 +1,10 @@
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from semimatch import lanes
 from semimatch import tensor as T
 from semimatch.instrument import counters
 from semimatch.pipeline import MatcherConfig
@@ -11,6 +13,7 @@ from semimatch.transform import (
     FeatureTransform,
     aggregate_tokens,
     rope_encode,
+    transform_macs,
 )
 
 from helpers import tape_size, weighted_sum
@@ -363,3 +366,115 @@ class TestFeatureTransform:
         assert all(n.startswith("transform.layer") for n in names)
         parts = {n.split(".")[3] for n in names}
         assert parts <= {"agg_conv", "q_proj", "k_proj", "v_proj", "out_proj", "ffn"}
+
+
+class LaneRecorder:
+    """Wraps ``AggAttentionBlock.forward`` to record which thread runs each
+    block call: on the (2, d, H, W) stack, or on one image. A call whose
+    target is image B's input map, or the output of an earlier call on
+    image B, is one of B's."""
+
+    def __init__(self, monkeypatch, f_b):
+        self.b_maps = [f_b]
+        self.threads = {"stack": [], "a": [], "b": []}
+        forward = AggAttentionBlock.forward
+
+        def recording(block, target, source, *args):
+            out = forward(block, target, source, *args)
+            image = "stack" if target.ndim == 4 else "b" if any(target is m for m in self.b_maps) else "a"
+            self.threads[image].append(threading.current_thread())
+            if image == "b":
+                self.b_maps.append(out)
+            return out
+
+        monkeypatch.setattr(AggAttentionBlock, "forward", recording)
+
+    def b_on_worker(self) -> bool:
+        return all(t is not threading.current_thread() for t in self.threads["b"])
+
+
+TWO_CPUS = lanes.free_cpus() >= 2
+PAPER = MatcherConfig()
+
+
+class TestTransformLanes:
+    def test_work_pins(self):
+        # per image over the coarse grid of a 256² image (32²)
+        assert transform_macs(CFG, 32, 32) == 46_137_344
+        assert transform_macs(PAPER, 32, 32) == 3_372_220_416
+        assert transform_macs(CFG, 32, 32) < lanes.CONCURRENT_MACS <= transform_macs(PAPER, 16, 16)
+
+    @pytest.mark.parametrize("grid_a,grid_b", [((8, 8), (8, 8)), ((8, 12), (12, 8))])
+    def test_lanes_equal_in_order_bitwise(self, rng, monkeypatch, grid_a, grid_b):
+        transform = FeatureTransform(CFG, rng)
+        f_a = T.tensor(rng.standard_normal((32, *grid_a)).astype(np.float32))
+        f_b = T.tensor(rng.standard_normal((32, *grid_b)).astype(np.float32))
+        with T.no_grad():
+            want = transform.forward(f_a, f_b)  # stacked, or per image in order
+            monkeypatch.setattr(lanes, "CONCURRENT_MACS", 0)
+            recorder = LaneRecorder(monkeypatch, f_b)
+            got = transform.forward(f_a, f_b)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.data, w.data)
+        assert len(recorder.threads["b"]) == 2 * CFG.n_layers
+        assert recorder.b_on_worker() == TWO_CPUS
+        assert all(t is threading.current_thread() for t in recorder.threads["a"])
+
+    @pytest.mark.parametrize("config,grid,threaded", [(CFG, 32, False), (PAPER, 16, True)],
+                             ids=["toy-256", "paper-128"])
+    def test_image_b_on_a_worker_only_above_the_work_rule(self, monkeypatch, config, grid, threaded):
+        transform = FeatureTransform(config, np.random.default_rng(0))
+        f_a, f_b = (T.tensor(np.full((config.d_model, grid, grid), v, dtype=np.float32)) for v in (0.1, 0.2))
+        recorder = LaneRecorder(monkeypatch, f_b)
+        with T.no_grad():
+            transform.forward(f_a, f_b)
+        if threaded:  # one self and one cross call per image and layer
+            assert len(recorder.threads["b"]) == 2 * config.n_layers
+            assert recorder.b_on_worker() == TWO_CPUS
+        else:  # one stacked call per block, on the calling thread
+            assert recorder.threads["stack"] == [threading.current_thread()] * 2 * config.n_layers
+            assert recorder.threads["b"] == []
+
+    def test_work_is_the_smaller_grid(self, rng, monkeypatch):
+        monkeypatch.setattr(lanes, "CONCURRENT_MACS", transform_macs(CFG, 16, 16))
+        transform = FeatureTransform(CFG, rng)
+        f_a = T.tensor(rng.standard_normal((32, 16, 16)).astype(np.float32))
+        f_b = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
+        recorder = LaneRecorder(monkeypatch, f_b)
+        with T.no_grad():
+            transform.forward(f_a, f_b)
+        assert recorder.threads["b"] == [threading.current_thread()] * 2 * CFG.n_layers
+
+    def test_recorded_call_stays_stacked(self, rng, monkeypatch):
+        monkeypatch.setattr(lanes, "CONCURRENT_MACS", 0)
+        transform = FeatureTransform(CFG, rng)
+        f_a, f_b = (T.parameter(rng.standard_normal((32, 8, 8)).astype(np.float32)) for _ in range(2))
+        recorder = LaneRecorder(monkeypatch, f_b)
+        out_a, out_b = transform.forward(f_a, f_b)
+        assert tape_size(out_a + out_b) <= 111  # the bound of test_tape_size_per_transform_call
+        assert recorder.threads["stack"] == [threading.current_thread()] * 2 * CFG.n_layers
+        assert recorder.threads["b"] == []
+
+    def test_inf_in_image_b_lane_raises_and_leaves_no_thread(self, rng, monkeypatch):
+        monkeypatch.setattr(lanes, "CONCURRENT_MACS", 0)
+        transform = FeatureTransform(CFG, rng)
+        f_a = T.tensor(np.zeros((32, 8, 8), dtype=np.float32))
+        f_b = T.tensor(np.full((32, 8, 8), 3e38, dtype=np.float32))  # overflows in image B's block calls
+        before = threading.active_count()
+        with T.no_grad(), np.errstate(over="ignore", invalid="ignore"):
+            transform.forward(f_a, f_a)  # image A alone stays finite
+            with pytest.raises(T.NumericError, match="non-finite"):
+                transform.forward(f_a, f_b)
+        assert threading.active_count() == before
+
+    def test_score_entries_unchanged_under_lanes(self, rng, monkeypatch):
+        transform = FeatureTransform(CFG, rng)
+        fa, fb = (T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32)) for _ in range(2))
+        entries = []
+        for rule in (lanes.CONCURRENT_MACS, 0):
+            monkeypatch.setattr(lanes, "CONCURRENT_MACS", rule)
+            counters.reset("attn_score_entries")
+            with T.no_grad():
+                transform.forward(fa, fb)
+            entries.append(counters["attn_score_entries"])
+        assert entries[0] == entries[1] == 4 * CFG.n_layers * 16 * 16
