@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import tensor as T
+from .lanes import run_pair
 from .tensor import Tensor
 
 if TYPE_CHECKING:
@@ -176,6 +177,21 @@ class FusedBackbone:
 
     def __init__(self, stages: list[list[FusedBlock]]):
         self.stages = stages
+
+    def macs(self, height: int, width: int) -> int:
+        """Multiply-adds of one pass over a (height, width) image: each block's
+        kernel size times its output cells."""
+        macs = 0
+        for block in (block for stage in self.stages for block in stage):
+            height, width = (height - 1) // block.stride + 1, (width - 1) // block.stride + 1
+            macs += block.kernel.data.size * height * width
+        return macs
+
+    def forward_pair(self, image_a: Tensor, image_b: Tensor) -> tuple[FeaturePyramid, FeaturePyramid]:
+        """Both images' pyramids, image B on a worker thread when one pass over
+        the smaller image reaches the pair rule (``lanes.run_pair``)."""
+        work = min(self.macs(*image.shape[-2:]) for image in (image_a, image_b))
+        return run_pair(lambda: self.forward_deploy(image_a), lambda: self.forward_deploy(image_b), work)
 
     def forward_deploy(self, image: Tensor) -> FeaturePyramid:
         _check_dims(image)

@@ -1,12 +1,12 @@
 """Two independent computations on two threads, when the work is worth it.
 
-``Matcher.match_pair`` treats the two images alike until coarse matching:
-the backbone passes are independent, and within each transform layer so are
-the two self-block calls and the two cross-block calls. ``run_pair`` runs
-such a pair on the calling thread and one worker thread under one rule: two
-CPUs are free and each callable does at least ``CONCURRENT_MACS``
-multiply-adds. Below the rule it calls both in order on the calling thread.
-The thread count is fixed (main + 1) whatever the machine, with no knob.
+The two images' backbone passes (``FusedBackbone.forward_pair``) are
+independent, and so are a transform layer's two self-block and two
+cross-block calls (``FeatureTransform.forward``). ``run_pair`` runs such a
+pair on the calling thread and one worker under one rule: nothing records a
+tape (it is built on one thread), two CPUs are free and each callable does
+at least ``CONCURRENT_MACS`` multiply-adds; else both run in order on the
+calling thread. The thread count is fixed (main + 1), with no knob.
 """
 from __future__ import annotations
 
@@ -14,6 +14,8 @@ import contextvars
 import os
 import threading
 from typing import Callable, TypeVar
+
+from .tensor import grad_enabled
 
 A = TypeVar("A")
 B = TypeVar("B")
@@ -35,10 +37,9 @@ def free_cpus() -> int:
 
 
 def two_threads(work: int) -> bool:
-    """The pair rule: each callable does ``work`` > 0 multiply-adds, at least
-    ``CONCURRENT_MACS``, and two CPUs are free. A caller whose ops record a
-    tape passes ``work=0``, so the tape is built on one thread."""
-    return 0 < work and CONCURRENT_MACS <= work and free_cpus() >= 2
+    """The pair rule: no op records onto the tape, each callable does at least
+    ``CONCURRENT_MACS`` multiply-adds (``work``), and two CPUs are free."""
+    return not grad_enabled() and CONCURRENT_MACS <= work and free_cpus() >= 2
 
 
 def run_pair(first: Callable[[], A], second: Callable[[], B], work: int) -> tuple[A, B]:

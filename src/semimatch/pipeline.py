@@ -3,10 +3,10 @@
 The Matcher owns every parameter tensor; inference runs the fused deploy
 backbone and reports per-stage wall-clock so the benchmark harness can
 mirror the stage decomposition of the timing tables. Where the work is large
-enough to gain, the two images' backbone passes (``backbone_pair``) and
-their transform block calls (``FeatureTransform.forward``) each run on two
-threads through ``lanes.run_pair``; everything later runs on the calling
-thread.
+enough to gain, the two images' backbone passes
+(``FusedBackbone.forward_pair``) and their transform block calls
+(``FeatureTransform.forward``) each run on two threads, each stage choosing
+through ``lanes.run_pair``; everything later runs on the calling thread.
 """
 from __future__ import annotations
 
@@ -17,8 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .backbone import COARSE_STRIDE, STAGE_STRIDES, Backbone, FeaturePyramid, FusedBackbone, pad_to_multiple
-from .lanes import run_pair
+from .backbone import COARSE_STRIDE, STAGE_STRIDES, Backbone, FusedBackbone, pad_to_multiple
 from .matching import MODES, CoarseMatch, match_coarse
 from .refine import FineFusion, FineMatch, refine
 from .tensor import Tensor
@@ -182,7 +181,9 @@ class Matcher:
         """Match two grayscale [0, 1] images end to end (inference path).
 
         ``two_stage=False`` keeps stage-1 pixel matches only (ablation).
-        ``tau`` overrides the config's and is checked by the same rule.
+        ``tau`` overrides the config's and is checked by the same rule; it
+        applies to full mode only, so passing it with ``mode="optimized"``
+        (which keeps every mutual nearest neighbour) raises ``ValueError``.
         The two images' backbones, and each transform layer's block calls
         for the two images, may run on two threads (``lanes.run_pair``), so
         ``timings["backbone"]`` and ``timings["transform"]`` are the two
@@ -199,6 +200,8 @@ class Matcher:
                 raise T.NumericError(f"{name} holds non-finite pixels")
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
+        if tau is not None and mode == "optimized":
+            raise ValueError("tau applies to mode='full'; optimized mode keeps every mutual nearest neighbour")
         tau = (self.config if tau is None else replace(self.config, tau=tau)).tau
         multiple = COARSE_STRIDE * self.config.s  # coarse grid must divide s too
         padded_a, dims_a = pad_to_multiple(np.asarray(image_a, dtype=self.dtype), multiple)
@@ -208,7 +211,7 @@ class Matcher:
             if fused is None:
                 fused = self.fuse()
             t0 = time.perf_counter()
-            pyr_a, pyr_b = backbone_pair(fused, self.config, padded_a, padded_b)
+            pyr_a, pyr_b = fused.forward_pair(T.tensor(padded_a[None]), T.tensor(padded_b[None]))
             t1 = time.perf_counter()
             fa_t, fb_t = self.transform.forward(pyr_a.f_coarse, pyr_b.f_coarse)
             t2 = time.perf_counter()
@@ -236,29 +239,6 @@ class Matcher:
             coarse=coarse, fine=fine, grid_a=score.grid_a, grid_b=score.grid_b,
             dims_a=dims_a, dims_b=dims_b, mode=mode, timings=timings,
         )
-
-
-def backbone_macs(config: MatcherConfig, height: int, width: int) -> int:
-    """Multiply-adds of one deploy-backbone pass (one 3x3 conv per block) over
-    a padded (height, width) image."""
-    macs, c_in = 0, 1
-    for c_out, n_blocks, stride in zip(config.widths, config.blocks, STAGE_STRIDES):
-        height, width = height // stride, width // stride
-        macs += 9 * height * width * c_out * (c_in + (n_blocks - 1) * c_out)
-        c_in = c_out
-    return macs
-
-
-def backbone_pair(fused: FusedBackbone, config: MatcherConfig, padded_a: np.ndarray,
-                  padded_b: np.ndarray) -> tuple[FeaturePyramid, FeaturePyramid]:
-    """Both images' feature pyramids, image B on a worker thread when one pass
-    over the smaller padded image reaches the pair rule (``lanes.run_pair``)."""
-
-    def pyramid(padded: np.ndarray) -> FeaturePyramid:
-        return fused.forward_deploy(T.tensor(padded[None]))
-
-    work = min(backbone_macs(config, *padded.shape) for padded in (padded_a, padded_b))
-    return run_pair(lambda: pyramid(padded_a), lambda: pyramid(padded_b), work)
 
 
 def _valid_cells(padded_shape: tuple[int, int], original: tuple[int, int]) -> np.ndarray | None:

@@ -9,8 +9,9 @@ each head a contiguous slice of the feature axis, so callers never split
 or merge heads), ``FoldKernels`` and ``FoldBiases`` (batch-normed conv
 branches folded into one kernel and bias) and ``DualSoftmaxNLL`` (the
 dual-softmax log-likelihood of picked score entries, from row and column
-log-sum-exps). Values are float32 by default; build a graph from float64
-leaves to run the same code in checking precision.
+log-sum-exps). ``x[key]`` and ``gather_nd`` are one op, ``GatherND``.
+Values are float32 by default; build a graph from float64 leaves to run the
+same code in checking precision.
 
 Spatial ops take (C, H, W) maps. Depthwise conv, max-pool and bilinear
 upsampling also take a (B, C, H, W) stack in the same implementation:
@@ -198,7 +199,7 @@ class Tensor:
         return matmul(self, other)
 
     def __getitem__(self, key):
-        return Slice.apply(self, key=key)
+        return GatherND.apply(self, index=key)
 
     @property
     def T(self):
@@ -503,21 +504,10 @@ class Concat(Function):
         return tuple(out)
 
 
-class Slice(Function):
-    """Basic indexing only (ints and slices); advanced indexing uses gather_nd."""
-
-    def forward(self, a, key):
-        self.saved = (a.shape, key)
-        return np.ascontiguousarray(a[key])
-
-    def backward(self, grad):
-        shape, key = self.saved
-        out = np.zeros(shape, dtype=grad.dtype)
-        out[key] += grad
-        return (out,)
-
-
 class GatherND(Function):
+    """Every numpy index (ints, slices, Ellipsis, integer arrays); the backward
+    scatter-adds, so an element picked more than once gets each gradient."""
+
     def forward(self, a, index):
         self.saved = (a.shape, index)
         return np.ascontiguousarray(a[index])
@@ -813,20 +803,6 @@ def _row_bands(n_rows: int, row_bytes: int, fixed_bytes: int = 0) -> list[tuple[
     return [(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
 
 
-def _pad_plane(x: np.ndarray, pad: int) -> np.ndarray:
-    # copy plus zeroed border strips: np.pad costs 45-65 us even on toy maps
-    if pad == 0:
-        return x
-    *lead, h, w = x.shape
-    out = np.empty((*lead, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    out[..., pad:-pad, pad:-pad] = x
-    out[..., :pad, :] = 0
-    out[..., -pad:, :] = 0
-    out[..., pad:-pad, :pad] = 0
-    out[..., pad:-pad, -pad:] = 0
-    return out
-
-
 def _unpad_plane(x: np.ndarray, pad: int) -> np.ndarray:
     if pad == 0:
         return x
@@ -1009,7 +985,7 @@ class DepthwiseConv2d(Function):
         if kc != cin:
             raise ValueError(f"depthwise_conv2d: input has {cin} channels, kernel has {kc}")
         _, taps = _taps(x.shape, kh, kw, stride, pad)
-        xp = _pad_plane(x, pad)
+        xp = np.pad(x, ((0, 0),) * (x.ndim - 2) + ((pad, pad),) * 2) if pad else x
         weights = kernel.reshape(cin, -1, 1, 1)
         out = xp[taps[0]] * weights[:, 0]
         for t in range(1, len(taps)):
@@ -1109,7 +1085,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def gather_nd(x: Tensor, index: tuple) -> Tensor:
-    """Advanced indexing with integer arrays; backward scatter-adds."""
+    """``x[index]``: one op for every index, integer arrays included."""
     return GatherND.apply(x, index=index)
 
 

@@ -127,9 +127,8 @@ def pair_losses(matcher, image_a: np.ndarray, image_b: np.ndarray, h: np.ndarray
                          f"x s={matcher.config.s}), got {image_a.shape} and {image_b.shape}")
     ta = T.tensor(image_a[None, :, :], dtype=matcher.dtype)
     tb = T.tensor(image_b[None, :, :], dtype=matcher.dtype)
-    backbone = matcher.backbone.fold()  # once for both images
-    pyr_a = backbone.forward_deploy(ta)
-    pyr_b = backbone.forward_deploy(tb)
+    # one fold for both images; recorded, so A then B on this thread
+    pyr_a, pyr_b = matcher.backbone.fold().forward_pair(ta, tb)
     fa_t, fb_t = matcher.transform.forward(pyr_a.f_coarse, pyr_b.f_coarse)
     score = correlate(normalize_cells(fa_t), normalize_cells(fb_t), matcher.inv_temperature)
     gt = build_gt_homography(h, image_a.shape, image_b.shape)

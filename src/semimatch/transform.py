@@ -9,12 +9,12 @@ Blocks take (d, H, W) maps or (B, d, H, W) stacks, channels and spatial
 axes counted from the end. The transform runs a layer one of two ways:
 - stacked: two coarse maps of one shape form one (2, d, H, W) stack, so
   each layer is one self-block call and one cross-block call (the source is
-  the batch-reversed stack). Recorded calls (training) and small inference
-  take it;
+  the batch-reversed stack). Same-shape maps take it unless the pair rule
+  (``lanes.two_threads``, never true for recorded calls) holds;
 - per image: one block call per image, the two images' calls of a block
-  paired through ``lanes.run_pair``, so unrecorded calls whose per-image
-  work (``transform_macs``) reaches the pair rule run on two threads. Maps
-  of different shapes always take it.
+  paired through ``lanes.run_pair``, which runs them on two threads when
+  the per-image work (``transform_macs``) reaches the pair rule. Maps of
+  different shapes always take it.
 Both ways compute the same function, as every op treats the maps of a
 stack independently; only the gradients of shared weights are summed in
 another order.
@@ -193,18 +193,18 @@ class FeatureTransform:
     def forward(self, f_a: Tensor, f_b: Tensor) -> tuple[Tensor, Tensor]:
         """Transform two (d, H, W) coarse maps.
 
-        Unrecorded calls whose per-image work over the smaller grid reaches
-        the pair rule run each block once per image, image B's call on a
-        worker thread. Otherwise maps of one shape run as one (2, d, H, W)
-        stack: each layer calls its self block once and its cross block
-        once, with the batch-reversed stack as source (A<-B and B<-A in one
-        call); maps of different shapes run one block call per image in
-        order.
+        When the per-image work over the smaller grid meets the pair rule
+        (``lanes.two_threads``, never while recording), each block runs once
+        per image, image B's call on a worker thread. Otherwise maps of one
+        shape run as one (2, d, H, W) stack: each layer calls its self block
+        once and its cross block once, with the batch-reversed stack as
+        source (A<-B and B<-A in one call); maps of different shapes run one
+        block call per image in order.
         """
         if f_a.shape[0] != f_b.shape[0]:
             raise ValueError("both images must share the coarse feature dim")
         grid = min(f_a.shape[1:], f_b.shape[1:], key=math.prod)
-        work = 0 if T.grad_enabled() else transform_macs(self.config, *grid)
+        work = transform_macs(self.config, *grid)
         if f_a.shape == f_b.shape and not two_threads(work):
             pair = T.concat([f_a, f_b]).reshape((2, *f_a.shape))
             for self_block, cross_block in self.layers:

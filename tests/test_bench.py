@@ -1,13 +1,14 @@
 import os
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from semimatch import lanes
-from semimatch import pipeline as P
 from semimatch import tensor as T
+from semimatch.backbone import Backbone, FusedBackbone
 from semimatch.bench import STAGES, bench_pipeline, timings_csv
 from semimatch.instrument import OpCounters, counters
 from semimatch.pipeline import Matcher, MatcherConfig
@@ -109,17 +110,27 @@ class TestMatchPair:
         assert set(STAGES) <= set(result.timings)
 
 
-class RecordingBackbone:
-    """Stands in for a fused backbone: records the thread that runs each
-    image's ``forward_deploy``, keyed by the image's first pixel."""
+class RecordingBackbone(FusedBackbone):
+    """A fused backbone that records the thread running each image's
+    ``forward_deploy``, keyed by the image's first pixel. With ``run=False``
+    it returns the image instead of convolving it."""
 
-    def __init__(self, fused=None):
-        self.fused = fused
+    def __init__(self, fused, run=False):
+        super().__init__(fused.stages)
+        self.run = run
         self.threads = {}
 
     def forward_deploy(self, image):
         self.threads[float(image.data.flat[0])] = threading.current_thread()
-        return image if self.fused is None else self.fused.forward_deploy(image)
+        return super().forward_deploy(image) if self.run else image
+
+
+def recorder_for(config):
+    return RecordingBackbone(Backbone(config, np.random.default_rng(0)).fuse())
+
+
+def images(*arrays):
+    return [T.tensor(array[None]) for array in arrays]
 
 
 TWO_CPUS = lanes.free_cpus() >= 2
@@ -133,25 +144,27 @@ class TestConcurrentBackbones:
         (MatcherConfig(), 64, True),
     ], ids=["toy-256", "toy-1024", "paper-256", "paper-64"])
     def test_image_b_runs_on_a_worker_only_above_the_work_rule(self, config, size, threaded):
-        recorder = RecordingBackbone()
-        image_a, image_b = np.zeros((size, size)), np.ones((size, size))
-        pyr_a, pyr_b = P.backbone_pair(recorder, config, image_a, image_b)
+        recorder = recorder_for(config)
+        with T.no_grad():
+            pyr_a, pyr_b = recorder.forward_pair(*images(np.zeros((size, size)), np.ones((size, size))))
         assert pyr_a.data.flat[0] == 0.0 and pyr_b.data.flat[0] == 1.0
         assert recorder.threads[0.0] is threading.current_thread()
         assert (recorder.threads[1.0] is not threading.current_thread()) == (threaded and TWO_CPUS)
-        assert (P.backbone_macs(config, size, size) >= lanes.CONCURRENT_MACS) == threaded
+        assert (recorder.macs(size, size) >= lanes.CONCURRENT_MACS) == threaded
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        recorder = RecordingBackbone()
-        P.backbone_pair(recorder, MatcherConfig(), np.zeros((256, 256)), np.ones((256, 256)))
+        recorder = recorder_for(MatcherConfig())
+        with T.no_grad():
+            recorder.forward_pair(*images(np.zeros((256, 256)), np.ones((256, 256))))
         assert recorder.threads[1.0] is threading.current_thread()
 
     def test_runs_where_the_platform_has_no_affinity_call(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity")
         assert lanes.free_cpus() == (os.cpu_count() or 1)
-        recorder = RecordingBackbone()
-        pyr_a, pyr_b = P.backbone_pair(recorder, MatcherConfig(), np.zeros((256, 256)), np.ones((256, 256)))
+        recorder = recorder_for(MatcherConfig())
+        with T.no_grad():
+            pyr_a, pyr_b = recorder.forward_pair(*images(np.zeros((256, 256)), np.ones((256, 256))))
         assert pyr_a.data.flat[0] == 0.0 and pyr_b.data.flat[0] == 1.0
         config = MatcherConfig()
         transform = FeatureTransform(config, np.random.default_rng(0))
@@ -161,12 +174,31 @@ class TestConcurrentBackbones:
         assert out_a.shape == out_b.shape == maps[0].shape
 
     def test_work_is_the_smaller_padded_image(self):
-        toy = MatcherConfig.toy()
-        assert P.backbone_macs(toy, 256, 256) == 42_467_328
-        assert P.backbone_macs(MatcherConfig(), 256, 256) == 11_513_364_480
-        recorder = RecordingBackbone()
-        P.backbone_pair(recorder, toy, np.zeros((2048, 2048)), np.ones((64, 64)))
+        recorder = recorder_for(MatcherConfig.toy())
+        assert recorder.macs(256, 256) == 42_467_328
+        assert recorder_for(MatcherConfig()).macs(256, 256) == 11_513_364_480
+        with T.no_grad():
+            recorder.forward_pair(*images(np.zeros((2048, 2048)), np.ones((64, 64))))
         assert recorder.threads[1.0] is threading.current_thread()
+
+    def test_recorded_calls_start_no_thread(self, monkeypatch):
+        monkeypatch.setattr(lanes, "CONCURRENT_MACS", 0)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a recorded call started a thread")
+
+        monkeypatch.setattr(lanes, "threading", SimpleNamespace(Thread=no_thread))
+        assert T.grad_enabled()
+        config = MatcherConfig.toy()
+        backbone = Backbone(config, np.random.default_rng(0))
+        recorder = RecordingBackbone(backbone.fold(), run=True)
+        pyr_a, pyr_b = recorder.forward_pair(*images(np.zeros((32, 32)), np.ones((32, 32))))
+        assert recorder.threads[1.0] is threading.current_thread()
+        assert pyr_b.f_coarse.requires_grad
+        transform = FeatureTransform(config, np.random.default_rng(0))
+        for shape_b in ((config.d_model, 4, 4), (config.d_model, 4, 8)):  # stacked, then per image
+            out_a, out_b = transform.forward(pyr_a.f_coarse, T.tensor(np.ones(shape_b, dtype=np.float32)))
+            assert out_a.requires_grad and out_b.shape == shape_b
 
     def test_concurrent_equals_main_thread_bitwise(self, monkeypatch):
         matcher = Matcher(MatcherConfig.toy(), seed=0)
@@ -174,9 +206,9 @@ class TestConcurrentBackbones:
         a, b, _ = render_pair(3, 0, SynthConfig(size=128))
         sequential = matcher.match_pair(a, b, mode="optimized", fused=fused)
         monkeypatch.setattr(lanes, "CONCURRENT_MACS", 0)
-        recorder = RecordingBackbone(fused)
+        recorder = RecordingBackbone(fused, run=True)
         with T.no_grad():
-            pyr_a, pyr_b = P.backbone_pair(recorder, matcher.config, a, b)
+            pyr_a, pyr_b = recorder.forward_pair(*images(a, b))
             for image, pyramid in ((a, pyr_a), (b, pyr_b)):
                 want = fused.forward_deploy(T.tensor(image[None]))
                 for level in ("f_half", "f_quarter", "f_coarse"):

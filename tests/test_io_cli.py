@@ -1,13 +1,17 @@
 import json
 import os
 import struct
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semimatch import lanes
 from semimatch import tensor as T
+from semimatch.backbone import COARSE_STRIDE
 from semimatch.cli import main
 from semimatch.config import Settings, apply_overrides, load_settings, parse_config_text
 from semimatch.evaluate import match_dump_csv, parse_match_dump, read_homography_csv
@@ -218,6 +222,14 @@ class TestConfig:
             Matcher(TINY, seed=0).match_pair(image, image, mode="fast")
         assert counters["conv2d"] == 0
 
+    def test_tau_with_optimized_mode_raises_before_any_compute(self):
+        # optimized mode keeps every mutual nearest neighbour: a tau there would be ignored
+        image = np.zeros((16, 16), dtype=np.float32)
+        counters.reset("conv2d")
+        with pytest.raises(ValueError, match="tau"):
+            Matcher(TINY, seed=0).match_pair(image, image, mode="optimized", tau=0.5)
+        assert counters["conv2d"] == 0
+
     @pytest.mark.parametrize("tau", [float("nan"), 1.5, -0.1])
     def test_match_pair_checks_its_tau_override(self, tau):
         image = np.zeros((16, 16), dtype=np.float32)
@@ -288,6 +300,48 @@ class TestMatchDump:
         result = Matcher(MatcherConfig.toy(), seed=0).match_pair(image_a, image_b, mode=mode, tau=tau)
         assert result.dims_a == shape_a and result.dims_b == shape_b
         assert result.fine
+        for m in result.fine:
+            assert 0 <= m.pt_a[0] <= shape_a[1] - 1 and 0 <= m.pt_a[1] <= shape_a[0] - 1
+            assert 0 <= m.pt_b[0] <= shape_b[1] - 1 and 0 <= m.pt_b[1] <= shape_b[0] - 1
+
+
+@lru_cache(maxsize=None)
+def toy_matcher(model: str) -> Matcher:
+    if model == "trained":
+        return load_matcher(str(TOY_WEIGHTS))[0]
+    return Matcher(MatcherConfig.toy(), seed=0)
+
+
+def fill(shape: tuple[int, int], kind: str, seed: int) -> np.ndarray:
+    if kind == "noise":
+        return np.random.default_rng(seed).random(shape, dtype=np.float32)
+    return np.full(shape, (seed % 11) / 10, dtype=np.float32)
+
+
+sides = st.tuples(st.integers(1, 300), st.integers(1, 300))
+
+
+class TestDegenerateInputs:
+    @given(shape_a=sides, shape_b=sides, fill_a=st.sampled_from(["noise", "constant"]),
+           fill_b=st.sampled_from(["noise", "constant"]), seed=st.integers(0, 2**16),
+           model=st.sampled_from(["trained", "seed0"]), mode=st.sampled_from(["full", "optimized"]))
+    @example(shape_a=(64, 96), shape_b=(96, 64), fill_a="noise", fill_b="noise", seed=0, model="seed0", mode="full")
+    @example(shape_a=(40, 200), shape_b=(64, 64), fill_a="noise", fill_b="constant", seed=1, model="trained",
+             mode="optimized")
+    @example(shape_a=(17, 300), shape_b=(300, 17), fill_a="constant", fill_b="noise", seed=2, model="trained",
+             mode="full")
+    @example(shape_a=(1, 1), shape_b=(300, 17), fill_a="noise", fill_b="noise", seed=3, model="seed0",
+             mode="optimized")
+    @settings(max_examples=60, deadline=None)
+    def test_matches_land_inside_both_images(self, shape_a, shape_b, fill_a, fill_b, seed, model, mode):
+        image_a, image_b = fill(shape_a, fill_a, seed), fill(shape_b, fill_b, seed + 1)
+        tau = 0.0 if mode == "full" else None  # full mode keeps every mutual pair, as optimized mode does
+        result = toy_matcher(model).match_pair(image_a, image_b, mode=mode, tau=tau)
+        for (h, w), (grid_h, grid_w), cells in ((shape_a, result.grid_a, [m.i for m in result.coarse]),
+                                                (shape_b, result.grid_b, [m.j for m in result.coarse])):
+            rows, cols = np.divmod(np.asarray(cells, dtype=np.int64), grid_w)
+            assert ((rows + 1) * COARSE_STRIDE <= h).all() and ((cols + 1) * COARSE_STRIDE <= w).all()
+            assert (rows < grid_h).all()
         for m in result.fine:
             assert 0 <= m.pt_a[0] <= shape_a[1] - 1 and 0 <= m.pt_a[1] <= shape_a[0] - 1
             assert 0 <= m.pt_b[0] <= shape_b[1] - 1 and 0 <= m.pt_b[1] <= shape_b[0] - 1
