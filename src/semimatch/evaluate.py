@@ -13,11 +13,11 @@ from .pipeline import MatchResult
 from .supervision import build_gt_homography
 
 DUMP_SCHEMA = 1
+RANSAC_THRESHOLD_PX = 3.0
 
 
-def coarse_precision(matcher, dataset, indices, mode: str = "full", within_cells: int = 1,
-                     fused=None) -> tuple[int, int]:
-    """(hits, total): predicted coarse matches landing within N cells of GT."""
+def coarse_precision(matcher, dataset, indices, mode: str = "full", fused=None) -> tuple[int, int]:
+    """(hits, total): predicted coarse matches landing within one cell of GT, per axis."""
     fused = matcher.fuse() if fused is None else fused
     hits = total = 0
     for i in indices:
@@ -33,7 +33,7 @@ def coarse_precision(matcher, dataset, indices, mode: str = "full", within_cells
             pr, pc = divmod(m.j, cols)
             tr, tc = divmod(target, cols)
             total += 1
-            hits += abs(pr - tr) <= within_cells and abs(pc - tc) <= within_cells
+            hits += abs(pr - tr) <= 1 and abs(pc - tc) <= 1
     return hits, total
 
 
@@ -163,9 +163,8 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def eval_homography_dir(matcher, directory: str, mode: str = "full",
-                        ransac_threshold: float = 3.0, seed: int = 0) -> EvalReport:
-    """Match every stored pair, estimate H with RANSAC, report corner AUCs."""
+def eval_homography_dir(matcher, directory: str, mode: str = "full", seed: int = 0) -> EvalReport:
+    """Match every stored pair, estimate H with RANSAC (``RANSAC_THRESHOLD_PX``), report corner AUCs."""
     pairs = DirectoryPairs(directory)
     fused = matcher.fuse()
     corner_errors, n_matches = [], []
@@ -181,7 +180,7 @@ def eval_homography_dir(matcher, directory: str, mode: str = "full",
         src = np.array([m.pt_a for m in result.fine], dtype=np.float64)
         dst = np.array([m.pt_b for m in result.fine], dtype=np.float64)
         try:
-            h_est, _ = ransac_homography(src, dst, threshold_px=ransac_threshold, seed=seed)
+            h_est, _ = ransac_homography(src, dst, threshold_px=RANSAC_THRESHOLD_PX, seed=seed)
             corner_errors.append(
                 corner_reprojection_error(h_est, h_gt, width=image_a.shape[1], height=image_a.shape[0])
             )

@@ -1,9 +1,9 @@
 """End-to-end matcher: backbone -> transform -> coarse match -> refinement.
 
 The Matcher owns every parameter tensor; inference runs the fused deploy
-backbone and reports per-stage wall-clock so the benchmark harness can
-mirror the stage decomposition of the timing tables. Where the work is large
-enough to gain, the two images' backbone passes
+backbone and reports per-stage wall-clock in ``MatchResult.timings``, which
+``semimatch bench`` and ``semimatch eval-homography`` print. Where the work
+is large enough to gain, the two images' backbone passes
 (``FusedBackbone.forward_pair``) and their transform block calls
 (``FeatureTransform.forward``) each run on two threads, each stage choosing
 through ``lanes.run_pair``; everything later runs on the calling thread.
@@ -143,10 +143,7 @@ class Matcher:
         rng = np.random.default_rng(seed)
         self.backbone = Backbone(config, rng, dtype=dtype)
         self.transform = FeatureTransform(config, rng, dtype=dtype)
-        self.fusion = FineFusion(
-            d_model=config.d_model, c_quarter=config.widths[2], c_half=config.widths[1],
-            d_fine=config.d_fine, rng=rng, dtype=dtype,
-        )
+        self.fusion = FineFusion(config, rng, dtype=dtype)
 
     @property
     def inv_temperature(self) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,6 +21,9 @@ from . import tensor as T
 from .backbone import COARSE_STRIDE, he_normal
 from .matching import CoarseMatch
 from .tensor import Tensor
+
+if TYPE_CHECKING:
+    from .pipeline import MatcherConfig
 
 # window cell (row r, col c) corresponds to offset (dx, dy) = (c-1, r-1)
 _OFFSET_GRID = np.array([[c - 1, r - 1] for r in range(3) for c in range(3)], dtype=np.int64)
@@ -37,11 +41,11 @@ class FineFusion:
 
     up x2 -> 1x1-projected skip-add with the 1/4 backbone features -> 3x3
     conv -> up x2 -> skip-add with the 1/2 features -> 3x3 conv -> up x2.
-    Only feed-forward convolutions, no attention.
+    Only feed-forward convolutions, no attention; every width comes from a ``MatcherConfig``.
     """
 
-    def __init__(self, d_model: int, c_quarter: int, c_half: int, d_fine: int,
-                 rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, config: "MatcherConfig", rng: np.random.Generator, dtype=np.float32):
+        d_model, c_quarter, c_half, d_fine = config.d_model, config.widths[2], config.widths[1], config.d_fine
         self.proj_quarter = he_normal(rng, d_model, c_quarter, 1, dtype)
         self.proj_quarter_bias = T.parameter(np.zeros(d_model), dtype=dtype)
         self.conv_mid = he_normal(rng, c_half, d_model, 3, dtype)

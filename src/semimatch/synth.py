@@ -13,22 +13,25 @@ import numpy as np
 
 from .geometry import apply_homography, normalize_homography
 
+# the random warp's ranges; every benchmark input and the toy weights' training data use them
+SCALE_RANGE = (0.7, 1.4)
+ROTATION_MAX_DEG = 15.0
+PERSPECTIVE_MAX_DEG = 15.0
+TRANSLATION_FRAC = 0.08  # of the image side
+MARGIN_FRAC = 0.4  # texture border around A, of the image side, that B may sample
+
 
 @dataclass
 class SynthConfig:
+    """Image side and B's photometric jitter; the warp is fixed above."""
     size: int = 64
-    scale_range: tuple[float, float] = (0.7, 1.4)
-    rotation_max_deg: float = 15.0
-    perspective_max_deg: float = 15.0
-    translation_frac: float = 0.08
     gain_range: tuple[float, float] = (0.85, 1.15)
     bias_max: float = 0.08
     noise_sigma: float = 0.01
-    margin_frac: float = 0.4
 
 
-def bilinear_sample(image: np.ndarray, xs: np.ndarray, ys: np.ndarray, fill: float = 0.0) -> np.ndarray:
-    """Sample image at float coordinates; outside points return ``fill``."""
+def bilinear_sample(image: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Sample image at float coordinates; outside points return 0."""
     h, w = image.shape
     inside = (xs >= 0) & (xs <= w - 1) & (ys >= 0) & (ys <= h - 1)
     x = np.clip(xs, 0, w - 1)
@@ -45,7 +48,7 @@ def bilinear_sample(image: np.ndarray, xs: np.ndarray, ys: np.ndarray, fill: flo
         + image[y1, x0] * ty * (1 - tx)
         + image[y1, x1] * ty * tx
     )
-    return np.where(inside, out, fill)
+    return np.where(inside, out, 0.0)
 
 
 def _upscale(grid: np.ndarray, size: int) -> np.ndarray:
@@ -71,20 +74,20 @@ def make_texture(rng: np.random.Generator, size: int) -> np.ndarray:
     return out
 
 
-def random_homography(rng: np.random.Generator, size: int, cfg: SynthConfig) -> np.ndarray:
+def random_homography(rng: np.random.Generator, size: int) -> np.ndarray:
     """Similarity + perspective jitter about the frame center.
 
     A final corrective scale pulls the warped frame corners inside the
     image, so nearly every A cell keeps a valid partner in B.
     """
-    theta = math.radians(rng.uniform(-cfg.rotation_max_deg, cfg.rotation_max_deg))
-    scale = math.exp(rng.uniform(math.log(cfg.scale_range[0]), math.log(cfg.scale_range[1])))
-    tx, ty = rng.uniform(-cfg.translation_frac, cfg.translation_frac, size=2) * size
+    theta = math.radians(rng.uniform(-ROTATION_MAX_DEG, ROTATION_MAX_DEG))
+    scale = math.exp(rng.uniform(math.log(SCALE_RANGE[0]), math.log(SCALE_RANGE[1])))
+    tx, ty = rng.uniform(-TRANSLATION_FRAC, TRANSLATION_FRAC, size=2) * size
     c, s = math.cos(theta), math.sin(theta)
     similarity = np.array(
         [[scale * c, -scale * s, tx], [scale * s, scale * c, ty], [0.0, 0.0, 1.0]]
     )
-    tilt = math.tan(math.radians(cfg.perspective_max_deg))
+    tilt = math.tan(math.radians(PERSPECTIVE_MAX_DEG))
     px, py = rng.uniform(-tilt, tilt, size=2) / size
     perspective = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [px, py, 1.0]])
     center = np.array([[1.0, 0.0, size / 2], [0.0, 1.0, size / 2], [0.0, 0.0, 1.0]])
@@ -113,10 +116,10 @@ def render_pair(seed: int, index: int, cfg: SynthConfig = SynthConfig()) -> tupl
     """Deterministic (image_a, image_b, homography) triple for (seed, index)."""
     rng = np.random.default_rng([seed, index])
     size = cfg.size
-    margin = int(round(cfg.margin_frac * size))
+    margin = int(round(MARGIN_FRAC * size))
     texture = make_texture(rng, size + 2 * margin)
     image_a = texture[margin:margin + size, margin:margin + size].copy()
-    h = random_homography(rng, size, cfg)
+    h = random_homography(rng, size)
     h_inv = np.linalg.inv(h)
     ys, xs = np.meshgrid(np.arange(size, dtype=np.float64), np.arange(size, dtype=np.float64), indexing="ij")
     pts = np.stack([xs.ravel(), ys.ravel()], axis=1)

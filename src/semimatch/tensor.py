@@ -505,8 +505,9 @@ class Concat(Function):
 
 
 class GatherND(Function):
-    """Every numpy index (ints, slices, Ellipsis, integer arrays); the backward
-    scatter-adds, so an element picked more than once gets each gradient."""
+    """Every numpy index (ints, slices, Ellipsis, None, integer arrays). The backward
+    scatter-adds, so an element picked more than once gets each gradient; a key
+    without arrays picks each element at most once, so it adds by one slice."""
 
     def forward(self, a, index):
         self.saved = (a.shape, index)
@@ -514,6 +515,12 @@ class GatherND(Function):
 
     def backward(self, grad):
         shape, index = self.saved
+        parts = index if isinstance(index, tuple) else (index,)
+        if all(part is None or part is Ellipsis or isinstance(part, (slice, int, np.integer))
+               and not isinstance(part, bool) for part in parts):
+            out = np.zeros(shape, dtype=grad.dtype)
+            out[index] += grad
+            return (out,)
         positions = np.arange(math.prod(shape)).reshape(shape)[index]
         return (_scatter_add(shape, positions, grad),)
 
@@ -1173,13 +1180,12 @@ def dual_softmax_nll(s: Tensor, index: tuple, floor: float) -> Tensor:
     return DualSoftmaxNLL.apply(s, *index, floor=floor)
 
 
-def vanilla_attention(q: Tensor, k: Tensor, v: Tensor, scale: float | None = None, heads: int = 1) -> Tensor:
-    """softmax(q·kᵀ·scale)·v per head; scale defaults to 1/√(d/heads).
+def vanilla_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Tensor:
+    """softmax(q·kᵀ/√(d/heads))·v per head.
 
     Head i attends with the i-th of ``heads`` equal slices of the last axis
-    of q, k and v and writes that slice of the output. The plain product
-    form saturates for large feature dims, so the scaled variant is the
-    default; pass scale=1.0 for the unscaled product.
+    of q, k and v and writes that slice of the output. The scale keeps the
+    logits from saturating the softmax at large feature dims.
     """
     if q.shape[-1] != k.shape[-1]:
         raise ValueError(f"attention dim mismatch: {q.shape} vs {k.shape}")
@@ -1189,9 +1195,7 @@ def vanilla_attention(q: Tensor, k: Tensor, v: Tensor, scale: float | None = Non
         raise ValueError(f"attention leading dims differ: {q.shape}, {k.shape}, {v.shape}")
     if heads < 1 or q.shape[-1] % heads or v.shape[-1] % heads:
         raise ValueError(f"cannot split widths {q.shape[-1]} and {v.shape[-1]} into {heads} heads")
-    if scale is None:
-        scale = 1.0 / math.sqrt(q.shape[-1] // heads)
-    out = Attention.apply(q, k, v, scale=scale, heads=heads)
+    out = Attention.apply(q, k, v, scale=1.0 / math.sqrt(q.shape[-1] // heads), heads=heads)
     counters.add("attn_score_entries", math.prod(q.shape[:-2]) * q.shape[-2] * k.shape[-2])
     return out
 

@@ -29,6 +29,9 @@ from .supervision import (
 )
 from .tensor import Tensor
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 
 class DivergenceError(RuntimeError):
     """Training loss became non-finite."""
@@ -65,17 +68,14 @@ class LossRow:
 class AdamW:
     """Adaptive-moment optimizer with decoupled weight decay.
 
-    Decay applies to matrices/kernels only; biases and per-channel scales
-    are exempt, standard practice.
+    Moments decay at ``ADAM_BETAS``; ``ADAM_EPS`` guards the division. Decay
+    applies to matrices/kernels only; biases and per-channel scales are exempt.
     """
 
-    def __init__(self, params: list[Tensor], lr: float, weight_decay: float = 1e-2,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float, weight_decay: float = 1e-2):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
-        self.betas = betas
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data, dtype=np.float64) for p in params]
         self.v = [np.zeros_like(p.data, dtype=np.float64) for p in params]
@@ -86,7 +86,7 @@ class AdamW:
 
     def step(self, lr_scale: float = 1.0) -> None:
         self.t += 1
-        b1, b2 = self.betas
+        b1, b2 = ADAM_BETAS
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         lr = self.lr * lr_scale
@@ -98,7 +98,7 @@ class AdamW:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
             if self.weight_decay and p.data.ndim >= 2:
                 update = update + self.weight_decay * p.data
             p.data = (p.data - lr * update).astype(p.data.dtype)
@@ -187,9 +187,7 @@ def train_toy(matcher, dataset, cfg: TrainConfig, log=None) -> list[LossRow]:
     zero = 0.0
     for step in range(cfg.steps):
         start = time.perf_counter()
-        if cfg.lr == 0.0:
-            lr_scale = 0.0
-        elif cfg.warmup_steps > 0 and step < cfg.warmup_steps:
+        if cfg.warmup_steps > 0 and step < cfg.warmup_steps:
             lr_scale = (step + 1) / cfg.warmup_steps
         else:
             lr_scale = 1.0

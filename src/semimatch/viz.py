@@ -5,10 +5,11 @@ import numpy as np
 
 from .pipeline import MatchResult
 
+MAX_LINES = 200
 
-def render_matches(image_a: np.ndarray, image_b: np.ndarray, result: MatchResult,
-                   max_lines: int = 200) -> np.ndarray:
-    """Stack the two images horizontally and draw match lines over them.
+
+def render_matches(image_a: np.ndarray, image_b: np.ndarray, result: MatchResult) -> np.ndarray:
+    """Stack the two images horizontally and draw the ``MAX_LINES`` most confident matches.
 
     Line color runs red (low confidence) to green (high); confidences are
     min-max normalized so the optimized mode's raw scores render too.
@@ -18,7 +19,7 @@ def render_matches(image_a: np.ndarray, image_b: np.ndarray, result: MatchResult
     canvas = np.zeros((max(ha, hb), wa + wb, 3), dtype=np.float32)
     canvas[:ha, :wa] = image_a[:, :, None]
     canvas[:hb, wa:] = image_b[:, :, None]
-    matches = sorted(result.fine, key=lambda m: -m.confidence)[:max_lines]
+    matches = sorted(result.fine, key=lambda m: -m.confidence)[:MAX_LINES]
     if not matches:
         return canvas
     confs = np.array([m.confidence for m in matches])

@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -345,6 +346,42 @@ class TestDegenerateInputs:
         for m in result.fine:
             assert 0 <= m.pt_a[0] <= shape_a[1] - 1 and 0 <= m.pt_a[1] <= shape_a[0] - 1
             assert 0 <= m.pt_b[0] <= shape_b[1] - 1 and 0 <= m.pt_b[1] <= shape_b[0] - 1
+
+    @pytest.mark.parametrize("mode", ["full", "optimized"])
+    def test_fine_points_past_the_image_edge_are_dropped(self, mode):
+        # 16-px patches reach into the padding: 2 of the 6 coarse matches
+        # refine to pt_a (27, 5) in the 24-px-wide A and pt_b.x 35.0 in the
+        # 35-px-wide B, which the fine-point bounds filter drops
+        r = np.random.default_rng(813)
+        image_a, image_b = r.random((21, 24)).astype(np.float32), r.random((18, 35)).astype(np.float32)
+        matcher = Matcher(replace(MatcherConfig.toy(), fine_patch_width=16), seed=0)
+        result = matcher.match_pair(image_a, image_b, mode=mode, tau=0.0 if mode == "full" else None)
+        assert len(result.coarse) == 6 and len(result.fine) == 4
+        for m in result.fine:
+            assert 0 <= m.pt_a[0] <= 23 and 0 <= m.pt_a[1] <= 20
+            assert 0 <= m.pt_b[0] <= 34 and 0 <= m.pt_b[1] <= 17
+
+
+def assert_swap_symmetric(matcher: Matcher, image_a, image_b, mode: str) -> None:
+    """``match_pair(b, a)`` returns the mirrored coarse pairs of ``match_pair(a, b)``, with
+    confidences within 1e-5 (the two orders sum in another order, so not bitwise)."""
+    tau = 0.0 if mode == "full" else None
+    forward = {(m.i, m.j): m.confidence for m in matcher.match_pair(image_a, image_b, mode=mode, tau=tau).coarse}
+    swapped = {(m.j, m.i): m.confidence for m in matcher.match_pair(image_b, image_a, mode=mode, tau=tau).coarse}
+    assert forward and sorted(swapped) == sorted(forward)
+    np.testing.assert_allclose([swapped[k] for k in forward], list(forward.values()), rtol=0, atol=1e-5)
+
+
+class TestSwapSymmetry:
+    @pytest.mark.parametrize("mode", ["full", "optimized"])
+    def test_trained_toy_on_synthetic_pairs(self, mode):
+        for index in range(4):
+            image_a, image_b, _ = render_pair(1, index, SynthConfig(size=256))
+            assert_swap_symmetric(toy_matcher("trained"), image_a, image_b, mode)
+
+    @pytest.mark.parametrize("mode", ["full", "optimized"])
+    def test_unequal_sizes_take_the_per_image_transform(self, mode):
+        assert_swap_symmetric(toy_matcher("seed0"), fill((96, 64), "noise", 0), fill((64, 112), "noise", 1), mode)
 
 
 class TestCli:

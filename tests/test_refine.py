@@ -3,6 +3,7 @@ import pytest
 
 from semimatch import tensor as T
 from semimatch.matching import CoarseMatch
+from semimatch.pipeline import MatcherConfig
 from semimatch.refine import (
     FineFusion,
     cell_centers,
@@ -16,8 +17,9 @@ from semimatch.refine import (
 )
 
 
-def make_fusion(rng, d_model=8, c_quarter=6, c_half=4, d_fine=5):
-    return FineFusion(d_model, c_quarter, c_half, d_fine, rng)
+def make_fusion(rng):
+    # the coarse, 1/4 and 1/2 widths (d_model=8, 6, 4) that pyramid_inputs builds, and d_fine=5
+    return FineFusion(MatcherConfig(widths=(4, 4, 6, 8), n_heads=2, d_fine=5), rng)
 
 
 def pyramid_inputs(rng, d_model=8, c_quarter=6, c_half=4, h8=4, w8=4):

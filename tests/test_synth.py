@@ -15,12 +15,11 @@ class TestTexture:
 
 class TestRandomHomography:
     def test_corners_stay_inside_frame(self):
-        cfg = SynthConfig(size=64)
         inside = 0
         n = 200
         corners = np.array([[0, 0], [64, 0], [64, 64], [0, 64]], dtype=np.float64)
         for seed in range(n):
-            h = random_homography(np.random.default_rng(seed), 64, cfg)
+            h = random_homography(np.random.default_rng(seed), 64)
             warped, valid = apply_homography(h, corners)
             ok = valid.all() and (warped >= 0).all() and (warped <= 64).all()
             inside += ok
@@ -28,7 +27,7 @@ class TestRandomHomography:
 
     def test_produces_usable_ground_truth(self):
         for seed in range(20):
-            h = random_homography(np.random.default_rng(seed), 64, SynthConfig(size=64))
+            h = random_homography(np.random.default_rng(seed), 64)
             gt = build_gt_homography(h, (64, 64), (64, 64))
             assert len(gt) >= 16  # enough supervised cells to train on
 

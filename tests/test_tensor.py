@@ -1,5 +1,6 @@
 import gc
 import importlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -458,7 +459,7 @@ class TestVanillaAttention:
         q = np.zeros((2, d))
         q[0] = k[1] * 1e4  # row 0 overwhelmingly attends key 1
         v = rng.standard_normal((3, d))
-        out = T.vanilla_attention(T.tensor(q), T.tensor(k), T.tensor(v), scale=1.0)
+        out = T.vanilla_attention(T.tensor(q), T.tensor(k), T.tensor(v))
         np.testing.assert_allclose(out.data[0], v[1], atol=1e-4)
 
     def test_matches_composed_oracle(self, rng):
@@ -728,7 +729,9 @@ class TestScatterAndPad:
         ((2, 5, 6, 7), slice(None, None, -1)),
         ((2, 5, 6, 7), 0),
         ((2, 5, 6, 7), (Ellipsis, slice(1, 3))),
-    ], ids=["window", "reversed-stack", "first-map", "ellipsis"])
+        ((2, 5, 6, 7), (Ellipsis, 1)),
+        ((2, 5, 6, 7), (None, 1)),
+    ], ids=["window", "reversed-stack", "first-map", "ellipsis", "ellipsis-int", "new-axis"])
     def test_basic_index_gradient_equals_slice_add(self, rng, shape, key):
         x = T.parameter(rng.standard_normal(shape))
         out = x[key]
@@ -738,6 +741,24 @@ class TestScatterAndPad:
         want[key] += grad
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, want)
+        # the flat scatter that array keys take gives the same gradient
+        positions = np.arange(math.prod(shape)).reshape(shape)[key]
+        np.testing.assert_array_equal(got, T._scatter_add(shape, positions, grad))
+
+    @pytest.mark.parametrize("key", [slice(None, None, -1), 0], ids=["reversed-stack", "first-map"])
+    def test_basic_index_backward_allocates_only_its_result(self, rng, key):
+        # the transform's stacked pair at 256² in the paper config; an index
+        # array over the whole source would take 2x its bytes on its own
+        pair = T.parameter(rng.standard_normal((2, 256, 32, 32)).astype(np.float32))
+        out = pair[key]
+        grad = np.ones(out.shape, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            out._ctx.backward(grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * pair.data.nbytes
 
 
 def toposort_backward(root):
