@@ -11,19 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tensor as T
+from .config import STAGE_STRIDES, MatcherConfig
 from .lanes import run_pair
 from .tensor import Tensor
 
-if TYPE_CHECKING:
-    from .pipeline import MatcherConfig
-
 BN_EPS = 1e-5
-STAGE_STRIDES = (1, 2, 2, 2)  # a 1/2, 1/4, 1/8 pyramid
 COARSE_STRIDE = math.prod(STAGE_STRIDES)  # full-resolution pixels per coarse cell side
 
 
@@ -145,7 +141,7 @@ class FusedBlock:
 class Backbone:
     """Built from a ``MatcherConfig``'s ``widths`` and ``blocks``."""
 
-    def __init__(self, config: "MatcherConfig", rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, config: MatcherConfig, rng: np.random.Generator, dtype=np.float32):
         self.stages: list[list[RepVGGBlock]] = []
         c_in = 1  # grayscale input
         for width, n_blocks, stride in zip(config.widths, config.blocks, STAGE_STRIDES):

@@ -10,106 +10,18 @@ through ``lanes.run_pair``; everything later runs on the calling thread.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import tensor as T
-from .backbone import COARSE_STRIDE, STAGE_STRIDES, Backbone, FusedBackbone, pad_to_multiple
+from .backbone import COARSE_STRIDE, Backbone, FusedBackbone, pad_to_multiple
+from .config import MatcherConfig
 from .matching import MODES, CoarseMatch, match_coarse
 from .refine import FineFusion, FineMatch, refine
 from .tensor import Tensor
 from .transform import FeatureTransform
-
-
-@dataclass
-class MatcherConfig:
-    widths: tuple[int, ...] = (64, 64, 128, 256)
-    blocks: tuple[int, ...] = (1, 2, 4, 14)
-    n_layers: int = 4
-    n_heads: int = 8
-    s: int = 4
-    d_fine: int = 64
-    fine_patch_width: int = 8
-    inv_temperature: float | None = None
-    tau: float = 0.2
-
-    def __post_init__(self):
-        for key in ("widths", "blocks"):
-            values = getattr(self, key)
-            if len(values) != len(STAGE_STRIDES) or min(values) < 1:
-                raise ValueError(f"{key} needs one value >= 1 for each of the four stages, got {values}")
-        require_at_least(self, 0, "n_layers")
-        require_at_least(self, 1, "n_heads", "s", "d_fine")
-        if self.d_model % self.n_heads or (self.d_model // self.n_heads) % 4:
-            raise ValueError(f"n_heads={self.n_heads} must split d_model={self.d_model} into heads "
-                             "whose width is a multiple of 4 (2D rotary encoding)")
-        if self.fine_patch_width < 2 or self.fine_patch_width % 2:
-            raise ValueError(f"fine_patch_width must be even and >= 2, got {self.fine_patch_width}")
-        if self.inv_temperature is not None and not 0 < self.inv_temperature < math.inf:
-            raise ValueError(f"inv_temperature must be finite and > 0 when set, got {self.inv_temperature}")
-        if not 0 <= self.tau <= 1:  # a dual-softmax probability threshold; NaN fails too
-            raise ValueError(f"tau must be in [0, 1], got {self.tau}")
-
-    @property
-    def d_model(self) -> int:
-        return self.widths[-1]
-
-    @classmethod
-    def toy(cls) -> "MatcherConfig":
-        return cls(widths=(8, 8, 16, 32), blocks=(1, 1, 2, 2), n_layers=2,
-                   n_heads=4, s=2, d_fine=16)
-
-    def to_dict(self) -> dict:
-        return {
-            "widths": ",".join(str(w) for w in self.widths),
-            "blocks": ",".join(str(b) for b in self.blocks),
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "s": self.s,
-            "d_fine": self.d_fine,
-            "fine_patch_width": self.fine_patch_width,
-            "inv_temperature": "" if self.inv_temperature is None else self.inv_temperature,
-            "tau": self.tau,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MatcherConfig":
-        values = {}
-        for key, value in data.items():
-            if key not in cls.__dataclass_fields__:
-                raise KeyError(f"unknown matcher config key {key!r}")
-            values[key] = parse_setting(key, _MATCHER_PARSERS.get(key, int), value)
-        return cls(**values)
-
-
-_MATCHER_PARSERS = {
-    "widths": lambda value: tuple(int(v) for v in str(value).split(",")),
-    "blocks": lambda value: tuple(int(v) for v in str(value).split(",")),
-    "inv_temperature": lambda value: None if value in ("", None, "none") else float(value),
-    "tau": float,
-}
-
-
-def parse_setting(key: str, parse, value):
-    """``parse(value)``, with a value that does not parse reported under its key.
-    No setting takes a bool (JSON ``true``), and an int setting takes no float (``4.7``)."""
-    try:
-        if isinstance(value, bool) or parse is int and isinstance(value, float):
-            raise TypeError
-        return parse(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key}={value!r} is not a valid value") from None
-
-
-def require_at_least(config, bound, *keys: str) -> None:
-    """Raise ``ValueError`` naming the first of ``keys`` whose value is below ``bound`` or not finite."""
-    for key in keys:
-        value = getattr(config, key)
-        if not bound <= value < math.inf:  # NaN fails too
-            raise ValueError(f"{key} must be finite and >= {bound}, got {value}")
 
 
 def normalize_cells(features: Tensor) -> Tensor:

@@ -13,17 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tensor as T
 from .backbone import COARSE_STRIDE, he_normal
+from .config import MatcherConfig
 from .matching import CoarseMatch
 from .tensor import Tensor
-
-if TYPE_CHECKING:
-    from .pipeline import MatcherConfig
 
 # window cell (row r, col c) corresponds to offset (dx, dy) = (c-1, r-1)
 _OFFSET_GRID = np.array([[c - 1, r - 1] for r in range(3) for c in range(3)], dtype=np.int64)
@@ -44,7 +41,7 @@ class FineFusion:
     Only feed-forward convolutions, no attention; every width comes from a ``MatcherConfig``.
     """
 
-    def __init__(self, config: "MatcherConfig", rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, config: MatcherConfig, rng: np.random.Generator, dtype=np.float32):
         d_model, c_quarter, c_half, d_fine = config.d_model, config.widths[2], config.widths[1], config.d_fine
         self.proj_quarter = he_normal(rng, d_model, c_quarter, 1, dtype)
         self.proj_quarter_bias = T.parameter(np.zeros(d_model), dtype=dtype)
@@ -176,9 +173,11 @@ def stage2_pixel_offsets(fine_a: Tensor, fine_b: Tensor, pixels_a: np.ndarray,
 def refine(matches: list[CoarseMatch], fine_a: Tensor, fine_b: Tensor,
            grid_a: tuple[int, int], grid_b: tuple[int, int], w: int = 8,
            two_stage: bool = True) -> list[FineMatch]:
-    """Refine each coarse match to one sub-pixel fine match.
+    """Refine coarse matches to one sub-pixel fine match per distinct stage-1 pixel pair.
 
     Point A is fixed at the stage-1 pixel; point B adds the stage-2 offset.
+    Patches wider than the coarse stride can overlap, so two coarse matches
+    may pick the same pixel pair; only the first of them is kept.
     ``two_stage=False`` stops after stage 1 (ablation baseline).
     """
     if not matches:
@@ -189,6 +188,10 @@ def refine(matches: list[CoarseMatch], fine_a: Tensor, fine_b: Tensor,
         origins_b = patch_origins(cells[:, 1], grid_b, fine_b.shape, w)
         scores = local_scores(fine_a, fine_b, origins_a, origins_b, w).data
         pixels_a, pixels_b, confidence = stage1_pixels(scores, origins_a, origins_b)
+        key = np.ravel_multi_index((pixels_a[:, 1], pixels_a[:, 0], pixels_b[:, 1], pixels_b[:, 0]),
+                                   fine_a.shape[1:] + fine_b.shape[1:])
+        first = np.sort(np.unique(key, return_index=True)[1])
+        pixels_a, pixels_b, confidence = pixels_a[first], pixels_b[first], confidence[first]
         pts_b = pixels_b.astype(np.float64)
         if two_stage:
             pts_b += stage2_pixel_offsets(fine_a, fine_b, pixels_a, pixels_b).data

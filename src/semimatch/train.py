@@ -8,19 +8,19 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import refine as R
 from . import tensor as T
 from .backbone import COARSE_STRIDE
+from .config import TrainConfig
 from .matching import correlate
-from .pipeline import normalize_cells, require_at_least
+from .pipeline import normalize_cells
 from .supervision import (
     EmptySupervisionError,
     GroundTruth,
-    LossWeights,
     build_gt_homography,
     coarse_loss,
     fine_loss_stage1,
@@ -34,24 +34,8 @@ ADAM_EPS = 1e-8
 
 
 class DivergenceError(RuntimeError):
-    """Training loss became non-finite."""
-
-
-@dataclass
-class TrainConfig:
-    steps: int = 800
-    batch_size: int = 2
-    lr: float = 4e-3
-    weight_decay: float = 1e-2
-    warmup_steps: int = 100
-    clip_norm: float = 1.0
-    seed: int = 0
-    max_fine_matches: int = 48
-    weights: LossWeights = field(default_factory=LossWeights)
-
-    def __post_init__(self):
-        require_at_least(self, 1, "steps", "batch_size", "max_fine_matches")
-        require_at_least(self, 0, "lr", "weight_decay", "warmup_steps", "clip_norm", "seed")
+    """The total training loss became non-finite. Any non-finite term makes
+    the total non-finite (``0 * inf`` is NaN), so this one check covers all three."""
 
 
 @dataclass

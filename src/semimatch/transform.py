@@ -23,17 +23,14 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, partial
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tensor as T
+from .config import MatcherConfig
 from .instrument import counters
 from .lanes import run_pair, two_threads
 from .tensor import Tensor
-
-if TYPE_CHECKING:
-    from .pipeline import MatcherConfig
 
 
 def rope_encode(features: Tensor, positions: np.ndarray, heads: int = 1) -> Tensor:
@@ -107,7 +104,7 @@ class AggAttentionBlock:
     """One aggregated attention block (self or cross flavor), shaped by a
     ``MatcherConfig``'s ``d_model``, ``n_heads`` and ``s``."""
 
-    def __init__(self, kind: str, config: "MatcherConfig", rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, kind: str, config: MatcherConfig, rng: np.random.Generator, dtype=np.float32):
         if kind not in ("self", "cross"):
             raise ValueError(f"unknown block kind {kind!r}")
         self.kind = kind
@@ -183,7 +180,7 @@ class FeatureTransform:
     symmetric: transform(B, A) is the swap of transform(A, B).
     """
 
-    def __init__(self, config: "MatcherConfig", rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, config: MatcherConfig, rng: np.random.Generator, dtype=np.float32):
         self.config = config
         self.layers = [
             (AggAttentionBlock("self", config, rng, dtype), AggAttentionBlock("cross", config, rng, dtype))
@@ -222,7 +219,7 @@ class FeatureTransform:
             yield from cross_block.named_tensors(f"{prefix}.layer{i}.cross")
 
 
-def transform_macs(config: "MatcherConfig", height: int, width: int) -> int:
+def transform_macs(config: MatcherConfig, height: int, width: int) -> int:
     """Multiply-adds of one image's pass through every transform block over a
     (height, width) coarse grid: the FFN (fuse 2d->d, fc1, fc2: 6·d² per
     cell), the q/k/v/out projections of the aggregated tokens (4·d² per

@@ -165,6 +165,12 @@ class TestWeightContainer:
         with pytest.raises(WeightFormatError, match="n_heads"):
             load_matcher(str(path))
 
+    def test_embedded_config_key_unknown_to_the_matcher_is_named(self, tmp_path):
+        path = tmp_path / "w.smw"
+        path.write_bytes(serialize_weights(Matcher(TINY, seed=0).named_tensors(), {**TINY.to_dict(), "lr": 0.1}))
+        with pytest.raises(WeightFormatError, match="unknown matcher config key 'lr'"):
+            load_matcher(str(path))
+
 
 class TestConfig:
     def test_parse_key_values(self):
@@ -351,12 +357,13 @@ class TestDegenerateInputs:
     def test_fine_points_past_the_image_edge_are_dropped(self, mode):
         # 16-px patches reach into the padding: 2 of the 6 coarse matches
         # refine to pt_a (27, 5) in the 24-px-wide A and pt_b.x 35.0 in the
-        # 35-px-wide B, which the fine-point bounds filter drops
+        # 35-px-wide B, which the fine-point bounds filter drops; 3 of the
+        # other 4 refine to one pixel pair, which is kept once
         r = np.random.default_rng(813)
         image_a, image_b = r.random((21, 24)).astype(np.float32), r.random((18, 35)).astype(np.float32)
         matcher = Matcher(replace(MatcherConfig.toy(), fine_patch_width=16), seed=0)
         result = matcher.match_pair(image_a, image_b, mode=mode, tau=0.0 if mode == "full" else None)
-        assert len(result.coarse) == 6 and len(result.fine) == 4
+        assert len(result.coarse) == 6 and len(result.fine) == 2
         for m in result.fine:
             assert 0 <= m.pt_a[0] <= 23 and 0 <= m.pt_a[1] <= 20
             assert 0 <= m.pt_b[0] <= 34 and 0 <= m.pt_b[1] <= 17
@@ -382,6 +389,30 @@ class TestSwapSymmetry:
     @pytest.mark.parametrize("mode", ["full", "optimized"])
     def test_unequal_sizes_take_the_per_image_transform(self, mode):
         assert_swap_symmetric(toy_matcher("seed0"), fill((96, 64), "noise", 0), fill((64, 112), "noise", 1), mode)
+
+
+class TestTrainedToyKnobs:
+    def test_wide_patches_give_each_pixel_pair_once(self):
+        # 16-px patches of neighbouring cells overlap, so two coarse matches
+        # can refine to one pixel pair; RANSAC would count it twice
+        matcher = toy_matcher("trained")
+        matcher.config = replace(matcher.config, fine_patch_width=16)
+        image_a, image_b, _ = render_pair(1, 0, SynthConfig(size=256))
+        pairs = [(m.pt_a, m.pt_b) for m in matcher.match_pair(image_a, image_b, mode="optimized").fine]
+        assert len(pairs) > 300 and len(set(pairs)) == len(pairs)
+
+    def test_inv_temperature_scales_optimized_confidences(self):
+        # twice the default 10 / d_model; a power-of-two scale of the logits is exact
+        matcher = toy_matcher("trained")
+        image_a, image_b, _ = render_pair(1, 0, SynthConfig(size=256))
+        base = matcher.match_pair(image_a, image_b, mode="optimized")
+        matcher.config = replace(matcher.config, inv_temperature=0.625)
+        assert matcher.inv_temperature == 2 * 10 / matcher.config.d_model
+        hot = matcher.match_pair(image_a, image_b, mode="optimized")
+        assert len(base.coarse) == 523
+        assert [(m.i, m.j) for m in hot.coarse] == [(m.i, m.j) for m in base.coarse]
+        assert [m.confidence for m in hot.coarse] == [2 * m.confidence for m in base.coarse]
+        assert hot.fine == base.fine
 
 
 class TestCli:

@@ -324,6 +324,14 @@ class TestRefine:
         out = refine(matches, fine_a, fine_b, (4, 4), (4, 4), w=8)
         assert len(out) <= len(matches)
 
+    def test_one_fine_match_per_distinct_pixel_pair(self, rng):
+        # a 16-px patch spans the whole 16x16 map, so every coarse match reads one patch pair
+        fine_a = T.tensor(rng.standard_normal((6, 16, 16)).astype(np.float32))
+        fine_b = T.tensor(rng.standard_normal((6, 16, 16)).astype(np.float32))
+        matches = [CoarseMatch(0, 0, 0.9), CoarseMatch(1, 3, 0.8), CoarseMatch(2, 1, 0.7)]
+        out = refine(matches, fine_a, fine_b, (2, 2), (2, 2), w=16)
+        assert out == refine(matches[:1], fine_a, fine_b, (2, 2), (2, 2), w=16) and len(out) == 1
+
     def test_final_point_within_patch_footprint(self, rng):
         fine_a = T.tensor(rng.standard_normal((6, 32, 32)).astype(np.float32))
         fine_b = T.tensor(rng.standard_normal((6, 32, 32)).astype(np.float32))

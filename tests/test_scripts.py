@@ -19,3 +19,17 @@ def test_script_exits_zero(tmp_path, script, args):
     argv = [sys.executable, os.path.join(REPO, "scripts", script), *(a.format(tmp=tmp_path / "demo") for a in args)]
     proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_mutation_gate_snippets_occur_once():
+    # the gate itself runs as its own CI step; this keeps its table from rotting
+    sys.path.insert(0, os.path.join(REPO, "scripts"))
+    try:
+        import mutation_gate
+    finally:
+        sys.path.remove(os.path.join(REPO, "scripts"))
+    assert len(mutation_gate.MUTANTS) >= 20
+    assert len({m.name for m in mutation_gate.MUTANTS}) == len(mutation_gate.MUTANTS)
+    assert mutation_gate.count_snippets() == {m.name: 1 for m in mutation_gate.MUTANTS}
+    for mutant in mutation_gate.MUTANTS:
+        assert mutant.tests and all(os.path.isfile(os.path.join(REPO, t.split("::")[0])) for t in mutant.tests)
