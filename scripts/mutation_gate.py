@@ -33,9 +33,13 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    Mutant("run_pair drops the worker's exception", "src/semimatch/lanes.py",
-           'raise outcome["error"]', 'return value, outcome.get("value")',
-           ("tests/test_transform.py::TestTransformLanes::test_inf_in_image_b_lane_raises_and_leaves_no_thread",)),
+    Mutant("pairs drops the worker's exception", "src/semimatch/lanes.py",
+           "return first(), future.result()", "return first(), None if future.exception() else future.result()",
+           ("tests/test_transform.py::TestTransformLanes::test_inf_in_image_b_lane_raises_and_leaves_no_thread",
+            "tests/test_bench.py::TestConcurrentBackbones::test_inf_in_image_b_only_raises_numeric_error_and_leaves_no_thread")),
+    Mutant("pairs opens a new worker for every pair", "src/semimatch/lanes.py",
+           "future = worker.submit(", "future = ThreadPoolExecutor(max_workers=1).submit(",
+           ("tests/test_bench.py::TestConcurrentBackbones::test_each_stage_opens_one_worker_and_leaves_no_thread",)),
     Mutant("two_threads ignores recording", "src/semimatch/lanes.py",
            "return not grad_enabled() and CONCURRENT_MACS <= work", "return CONCURRENT_MACS <= work",
            ("tests/test_bench.py::TestConcurrentBackbones::test_recorded_calls_start_no_thread",)),

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import STAGE_STRIDES, MatcherConfig
-from .lanes import run_pair
+from .lanes import pairs
 from .tensor import Tensor
 
 BN_EPS = 1e-5
@@ -185,9 +185,10 @@ class FusedBackbone:
 
     def forward_pair(self, image_a: Tensor, image_b: Tensor) -> tuple[FeaturePyramid, FeaturePyramid]:
         """Both images' pyramids, image B on a worker thread when one pass over
-        the smaller image reaches the pair rule (``lanes.run_pair``)."""
+        the smaller image reaches the pair rule (``lanes.pairs``)."""
         work = min(self.macs(*image.shape[-2:]) for image in (image_a, image_b))
-        return run_pair(lambda: self.forward_deploy(image_a), lambda: self.forward_deploy(image_b), work)
+        with pairs(work) as run:
+            return run(lambda: self.forward_deploy(image_a), lambda: self.forward_deploy(image_b))
 
     def forward_deploy(self, image: Tensor) -> FeaturePyramid:
         _check_dims(image)

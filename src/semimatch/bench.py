@@ -4,7 +4,7 @@ Each repetition times the five stages of one pair (backbone, transform,
 coarse matching, fine fusion, refinement); warm-up repetitions are run and
 discarded before measuring. Repetitions run one after another; within one,
 ``match_pair`` may run the two images' backbone and transform on two
-threads (``lanes.run_pair``), and a stage's time is then their joint wall
+threads (``lanes.pairs``), and a stage's time is then their joint wall
 time.
 """
 from __future__ import annotations

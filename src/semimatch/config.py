@@ -139,14 +139,17 @@ class Settings:
 
 def parse_config_text(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in lines:
+            raise ValueError(f"line {lineno}: key {key!r} repeats line {lines[key]}")
+        out[key], lines[key] = value, lineno
     return out
 
 

@@ -2,18 +2,19 @@
 
 The two images' backbone passes (``FusedBackbone.forward_pair``) are
 independent, and so are a transform layer's two self-block and two
-cross-block calls (``FeatureTransform.forward``). ``run_pair`` runs such a
-pair on the calling thread and one worker under one rule: nothing records a
-tape (it is built on one thread), two CPUs are free and each callable does
-at least ``CONCURRENT_MACS`` multiply-adds; else both run in order on the
+cross-block calls (``FeatureTransform.forward``). ``pairs`` runs such pairs
+on the calling thread and one worker under one rule: nothing records a tape
+(it is built on one thread), two CPUs are free and each callable does at
+least ``CONCURRENT_MACS`` multiply-adds; else both run in order on the
 calling thread. The thread count is fixed (main + 1), with no knob.
 """
 from __future__ import annotations
 
 import contextvars
 import os
-import threading
-from typing import Callable, TypeVar
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from typing import Callable, Iterator, TypeVar
 
 from .tensor import grad_enabled
 
@@ -42,28 +43,22 @@ def two_threads(work: int) -> bool:
     return not grad_enabled() and CONCURRENT_MACS <= work and free_cpus() >= 2
 
 
-def run_pair(first: Callable[[], A], second: Callable[[], B], work: int) -> tuple[A, B]:
-    """``(first(), second())``. When ``two_threads(work)``, ``second`` runs on
-    one worker thread while the calling thread runs ``first``; the worker is
-    joined before this returns or raises, and its exception is re-raised
-    here. Otherwise both run in order on the calling thread."""
+@contextmanager
+def pairs(work: int) -> Iterator[Callable[[Callable[[], A], Callable[[], B]], tuple[A, B]]]:
+    """Yield ``run(first, second) -> (first(), second())`` for a block of
+    pairs, checking the pair rule once with ``work``. When it holds, every
+    ``second`` runs on the block's one worker thread, in the caller's context
+    (so numpy's errstate and any other context variable hold there too),
+    while the calling thread runs ``first``; ``run`` re-raises the worker's
+    exception, and leaving the block joins the worker, also on an exception.
+    Otherwise both run in order on the calling thread."""
     if not two_threads(work):
-        return first(), second()
-    outcome: dict = {}
+        yield lambda first, second: (first(), second())
+        return
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="semimatch-lane-b") as worker:
 
-    def worker() -> None:
-        try:
-            outcome["value"] = second()
-        except BaseException as exc:  # re-raised by the caller after the join
-            outcome["error"] = exc
+        def run(first: Callable[[], A], second: Callable[[], B]) -> tuple[A, B]:
+            future = worker.submit(contextvars.copy_context().run, second)
+            return first(), future.result()
 
-    # in the caller's context, so numpy's errstate and any other context variable hold there too
-    thread = threading.Thread(target=contextvars.copy_context().run, args=(worker,), name="semimatch-lane-b")
-    thread.start()
-    try:
-        value = first()
-    finally:
-        thread.join()
-    if "error" in outcome:
-        raise outcome["error"]
-    return value, outcome["value"]
+        yield run

@@ -6,7 +6,7 @@ backbone and reports per-stage wall-clock in ``MatchResult.timings``, which
 is large enough to gain, the two images' backbone passes
 (``FusedBackbone.forward_pair``) and their transform block calls
 (``FeatureTransform.forward``) each run on two threads, each stage choosing
-through ``lanes.run_pair``; everything later runs on the calling thread.
+through ``lanes.pairs``; everything later runs on the calling thread.
 """
 from __future__ import annotations
 
@@ -94,7 +94,7 @@ class Matcher:
         applies to full mode only, so passing it with ``mode="optimized"``
         (which keeps every mutual nearest neighbour) raises ``ValueError``.
         The two images' backbones, and each transform layer's block calls
-        for the two images, may run on two threads (``lanes.run_pair``), so
+        for the two images, may run on two threads (``lanes.pairs``), so
         ``timings["backbone"]`` and ``timings["transform"]`` are the two
         lanes' joint wall time; every later stage runs on the calling thread.
         Before anything is computed, an image that is not a 2-D array with

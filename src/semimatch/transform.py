@@ -12,9 +12,9 @@ axes counted from the end. The transform runs a layer one of two ways:
   the batch-reversed stack). Same-shape maps take it unless the pair rule
   (``lanes.two_threads``, never true for recorded calls) holds;
 - per image: one block call per image, the two images' calls of a block
-  paired through ``lanes.run_pair``, which runs them on two threads when
-  the per-image work (``transform_macs``) reaches the pair rule. Maps of
-  different shapes always take it.
+  paired in one ``lanes.pairs`` block per pass, which runs them on two
+  threads when the per-image work (``transform_macs``) reaches the pair
+  rule. Maps of different shapes always take it.
 Both ways compute the same function, as every op treats the maps of a
 stack independently; only the gradients of shared weights are summed in
 another order.
@@ -29,7 +29,7 @@ import numpy as np
 from . import tensor as T
 from .config import MatcherConfig
 from .instrument import counters
-from .lanes import run_pair, two_threads
+from .lanes import pairs, two_threads
 from .tensor import Tensor
 
 
@@ -192,11 +192,12 @@ class FeatureTransform:
 
         When the per-image work over the smaller grid meets the pair rule
         (``lanes.two_threads``, never while recording), each block runs once
-        per image, image B's call on a worker thread. Otherwise maps of one
-        shape run as one (2, d, H, W) stack: each layer calls its self block
-        once and its cross block once, with the batch-reversed stack as
-        source (A<-B and B<-A in one call); maps of different shapes run one
-        block call per image in order.
+        per image, image B's calls on one worker thread kept for the whole
+        pass (one ``lanes.pairs`` block). Otherwise maps of one shape run as
+        one (2, d, H, W) stack: each layer calls its self block once and its
+        cross block once, with the batch-reversed stack as source (A<-B and
+        B<-A in one call); maps of different shapes run one block call per
+        image in order.
         """
         if f_a.shape[0] != f_b.shape[0]:
             raise ValueError("both images must share the coarse feature dim")
@@ -208,9 +209,10 @@ class FeatureTransform:
                 pair = self_block.forward(pair, pair)
                 pair = cross_block.forward(pair, pair[::-1])
             return pair[0], pair[1]
-        for self_block, cross_block in self.layers:
-            f_a, f_b = run_pair(partial(self_block.forward, f_a, f_a), partial(self_block.forward, f_b, f_b), work)
-            f_a, f_b = run_pair(partial(cross_block.forward, f_a, f_b), partial(cross_block.forward, f_b, f_a), work)
+        with pairs(work) as run:
+            for self_block, cross_block in self.layers:
+                f_a, f_b = run(partial(self_block.forward, f_a, f_a), partial(self_block.forward, f_b, f_b))
+                f_a, f_b = run(partial(cross_block.forward, f_a, f_b), partial(cross_block.forward, f_b, f_a))
         return f_a, f_b
 
     def named_tensors(self, prefix: str = "transform"):

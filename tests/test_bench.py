@@ -1,7 +1,7 @@
 import os
 import sys
 import threading
-from types import SimpleNamespace
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -187,7 +187,7 @@ class TestConcurrentBackbones:
         def no_thread(*args, **kwargs):
             raise AssertionError("a recorded call started a thread")
 
-        monkeypatch.setattr(lanes, "threading", SimpleNamespace(Thread=no_thread))
+        monkeypatch.setattr(lanes, "ThreadPoolExecutor", no_thread)
         assert T.grad_enabled()
         config = MatcherConfig.toy()
         backbone = Backbone(config, np.random.default_rng(0))
@@ -199,6 +199,36 @@ class TestConcurrentBackbones:
         for shape_b in ((config.d_model, 4, 4), (config.d_model, 4, 8)):  # stacked, then per image
             out_a, out_b = transform.forward(pyr_a.f_coarse, T.tensor(np.ones(shape_b, dtype=np.float32)))
             assert out_a.requires_grad and out_b.shape == shape_b
+
+    def test_each_stage_opens_one_worker_and_leaves_no_thread(self, monkeypatch):
+        opened = []
+
+        class CountingExecutor(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(lanes, "CONCURRENT_MACS", 0)
+        monkeypatch.setattr(lanes, "free_cpus", lambda: 2)
+        monkeypatch.setattr(lanes, "ThreadPoolExecutor", CountingExecutor)
+        config = MatcherConfig.toy()  # two layers: four pairs in one transform pass
+        transform = FeatureTransform(config, np.random.default_rng(0))
+        recorder = RecordingBackbone(Backbone(config, np.random.default_rng(0)).fuse(), run=True)
+        maps = [T.tensor(np.full((config.d_model, 8, 8), v, dtype=np.float32)) for v in (0.1, 0.2)]
+        before = threading.active_count()
+        with T.no_grad():
+            for stage in (lambda: transform.forward(*maps),
+                          lambda: recorder.forward_pair(*images(np.zeros((32, 32)), np.ones((32, 32))))):
+                opened.clear()
+                stage()
+                assert len(opened) == 1
+                assert threading.active_count() == before
+            for first, second in ((lambda: 1 / 0, lambda: 1), (lambda: 1, lambda: 1 / 0)):  # each lane raises
+                opened.clear()
+                with pytest.raises(ZeroDivisionError), lanes.pairs(0) as run:
+                    run(first, second)
+                assert len(opened) == 1
+                assert threading.active_count() == before
 
     def test_concurrent_equals_main_thread_bitwise(self, monkeypatch):
         matcher = Matcher(MatcherConfig.toy(), seed=0)

@@ -270,6 +270,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="key=value"):
             parse_config_text("this is not a config\n")
 
+    def test_repeated_key_rejected_naming_both_lines(self):
+        with pytest.raises(ValueError, match="line 4: key 'lr' repeats line 1"):
+            parse_config_text("lr=0.1\nalpha=0.5\n# lr=0.3 in a comment is no setting\n lr = 0.2\n")
+
     def test_defaults_without_file(self):
         settings = load_settings(None)
         assert settings.matcher.d_model == 32
@@ -692,7 +696,7 @@ class TestCli:
         "n_layers=-1", "lr=-1", "clip_norm=-1", "warmup_steps=-5",
         "beta=-0.5", "max_fine_matches=0", "weight_decay=-1", "d_fine=0", "fine_patch_width=7", "inv_temperature=0", "seed=-1",
         "tau=nan", "tau=1.5", "tau=-0.1", "lr=inf", "weight_decay=inf", "clip_norm=inf", "inv_temperature=inf",
-        "alpha=inf", "beta=inf",
+        "alpha=inf", "beta=inf", "lr=0.1\nlr=0.2",
     ])
     def test_train_rejects_bad_config_value(self, tmp_path, capsys, line):
         data = tmp_path / "data"
