@@ -108,6 +108,12 @@ MUTANTS = [
     Mutant("layer-norm backward drops the mean term", "src/semimatch/tensor.py",
            "inner = grad.mean(axis=-1, keepdims=True) + y *", "inner = y *",
            ("tests/test_tensor.py::TestFusedOps::test_layer_norm_matches_composite",)),
+    Mutant("coarse_precision reads A's padded-grid index on the ground-truth grid", "src/semimatch/evaluate.py",
+           "target = gt_cells.get(divmod(m.i, result.grid_a[1]))", "target = gt_cells.get(divmod(m.i, gt.grid_a[1]))",
+           ("tests/test_io_cli.py::TestCoarsePrecision::test_each_cell_is_read_on_its_own_grid",)),
+    Mutant("a repeated tensor name is accepted", "src/semimatch/weights.py",
+           'if entry["name"] in tensors:', "if False:",
+           ("tests/test_io_cli.py::TestWeightContainer::test_repeated_tensor_name_rejected",)),
     Mutant("stage 2 weighs out-of-image window cells", "src/semimatch/refine.py",
            "bias = np.where(masks, 0.0, -1e30)", "bias = np.zeros(masks.shape)",
            ("tests/test_refine.py::TestStage2::test_masked_cells_get_no_weight",)),

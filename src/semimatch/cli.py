@@ -14,13 +14,14 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .bench import bench_pipeline, timings_csv
 from .config import load_settings
 from .evaluate import (
     DirectoryPairs,
+    bench_pipeline,
     eval_homography_dir,
     match_dump_csv,
     pair_paths,
+    timings_csv,
     write_homography_csv,
 )
 from .backbone import COARSE_STRIDE

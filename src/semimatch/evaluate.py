@@ -1,12 +1,20 @@
-"""Match dumps, synthetic-pair directories and the homography eval report."""
+"""Evaluation and timing reports, match dumps and synthetic-pair directories.
+
+Every report (``coarse_precision``, ``fine_match_errors``,
+``eval_homography_dir``, ``bench_pipeline``) matches its pairs through one
+loop, ``_match_pairs``, which fuses the backbone once; ``bench_pipeline``
+and ``eval_homography_dir`` summarize their results' per-stage wall-clock
+with ``StageTimings.of``. Within one ``match_pair`` the two images'
+backbone and transform may run on two threads (``lanes.pairs``), and a
+stage's time is then their joint wall time.
+"""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bench import STAGES
 from .geometry import apply_homography, corner_auc, corner_reprojection_error, ransac_homography
 from .imageio import atomic_write, load_image
 from .pipeline import MatchResult
@@ -14,43 +22,99 @@ from .supervision import build_gt_homography
 
 DUMP_SCHEMA = 1
 RANSAC_THRESHOLD_PX = 3.0
+STAGES = ("backbone", "transform", "coarse_match", "fine_fusion", "refinement")
+
+
+@dataclass
+class StageTimings:
+    mode: str
+    repetitions: int
+    mean: dict[str, float]
+    median: dict[str, float]
+    samples: dict[str, list[float]]
+
+    @classmethod
+    def of(cls, results: list[MatchResult]) -> "StageTimings":
+        """Per-stage (and total) samples, means and medians, in seconds, over match results of one mode."""
+        samples = {stage: [r.timings[stage] for r in results] for stage in (*STAGES, "total")}
+        return cls(
+            mode=results[0].mode,
+            repetitions=len(results),
+            mean={k: float(np.mean(v)) for k, v in samples.items()},
+            median={k: float(np.median(v)) for k, v in samples.items()},
+            samples=samples,
+        )
+
+    def summary(self) -> str:
+        lines = [f"pipeline timings ({self.mode} mode, {self.repetitions} reps), ms:"]
+        for stage in (*STAGES, "total"):
+            lines.append(
+                f"  {stage:<12} mean {1e3 * self.mean[stage]:8.3f}   median {1e3 * self.median[stage]:8.3f}"
+            )
+        return "\n".join(lines)
+
+
+def timings_csv(timings: StageTimings) -> str:
+    lines = ["stage,mean_ms,median_ms"]
+    for stage in (*STAGES, "total"):
+        lines.append(f"{stage},{1e3 * timings.mean[stage]:.4f},{1e3 * timings.median[stage]:.4f}")
+    return "\n".join(lines) + "\n"
+
+
+def _match_pairs(matcher, pairs, mode: str, fused=None, two_stage: bool = True):
+    """Match each (image A, image B, H) of ``pairs`` with one fused backbone; yield (result, H)."""
+    fused = matcher.fuse() if fused is None else fused
+    for image_a, image_b, h in pairs:
+        yield matcher.match_pair(image_a, image_b, mode=mode, fused=fused, two_stage=two_stage), h
+
+
+def _fine_points(result: MatchResult) -> tuple[np.ndarray, np.ndarray]:
+    """(src, dst): the (n, 2) float64 fine-match points in A and in B."""
+    src = np.array([m.pt_a for m in result.fine], dtype=np.float64).reshape(-1, 2)
+    dst = np.array([m.pt_b for m in result.fine], dtype=np.float64).reshape(-1, 2)
+    return src, dst
+
+
+def bench_pipeline(matcher, image_a: np.ndarray, image_b: np.ndarray, mode: str = "full",
+                   repetitions: int = 5, warmup: int = 1) -> StageTimings:
+    """Stage timings of ``repetitions`` matches of one pair, after ``warmup`` discarded ones."""
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
+    if warmup < 0:
+        raise ValueError("warmup must be >= 0")
+    runs = _match_pairs(matcher, [(image_a, image_b, None)] * (warmup + repetitions), mode)
+    return StageTimings.of([result for result, _ in runs][warmup:])
 
 
 def coarse_precision(matcher, dataset, indices, mode: str = "full", fused=None) -> tuple[int, int]:
-    """(hits, total): predicted coarse matches landing within one cell of GT, per axis."""
-    fused = matcher.fuse() if fused is None else fused
+    """(hits, total): predicted coarse matches landing within one cell of GT, per axis.
+
+    A match's cells are read on its own (padded) grids, ground truth on the
+    unpadded ones; a match whose A cell has no ground-truth partner is not scored.
+    """
     hits = total = 0
-    for i in indices:
-        image_a, image_b, h = dataset[i]
-        result = matcher.match_pair(image_a, image_b, mode=mode, fused=fused)
-        gt = build_gt_homography(h, image_a.shape, image_b.shape)
-        gt_map = dict(zip(gt.pairs_a.tolist(), gt.pairs_b.tolist()))
-        cols = result.grid_b[1]
+    for result, h in _match_pairs(matcher, (dataset[i] for i in indices), mode, fused):
+        gt = build_gt_homography(h, result.dims_a, result.dims_b)
+        gt_cells = {divmod(a, gt.grid_a[1]): divmod(b, gt.grid_b[1])  # (row, col) in A -> in B
+                    for a, b in zip(gt.pairs_a.tolist(), gt.pairs_b.tolist())}
         for m in result.coarse:
-            target = gt_map.get(m.i)
+            target = gt_cells.get(divmod(m.i, result.grid_a[1]))
             if target is None:
                 continue
-            pr, pc = divmod(m.j, cols)
-            tr, tc = divmod(target, cols)
+            pr, pc = divmod(m.j, result.grid_b[1])
             total += 1
-            hits += abs(pr - tr) <= 1 and abs(pc - tc) <= 1
+            hits += abs(pr - target[0]) <= 1 and abs(pc - target[1]) <= 1
     return hits, total
 
 
 def fine_match_errors(matcher, dataset, indices, mode: str = "full", two_stage: bool = True,
                       fused=None) -> np.ndarray:
     """Distances |pt_B - H(pt_A)| in px over every fine match of the pairs."""
-    fused = matcher.fuse() if fused is None else fused
     errors = []
-    for i in indices:
-        image_a, image_b, h = dataset[i]
-        result = matcher.match_pair(image_a, image_b, mode=mode, fused=fused, two_stage=two_stage)
-        if not result.fine:
-            continue
-        pts_a = np.array([m.pt_a for m in result.fine], dtype=np.float64)
-        pts_b = np.array([m.pt_b for m in result.fine], dtype=np.float64)
-        warped, ok = apply_homography(h, pts_a)
-        errors.extend(np.sqrt(((warped - pts_b) ** 2).sum(axis=1))[ok].tolist())
+    for result, h in _match_pairs(matcher, (dataset[i] for i in indices), mode, fused, two_stage):
+        src, dst = _fine_points(result)
+        warped, ok = apply_homography(h, src)
+        errors.extend(np.sqrt(((warped - dst) ** 2).sum(axis=1))[ok].tolist())
     return np.asarray(errors)
 
 
@@ -100,7 +164,9 @@ def read_homography_csv(path: str) -> np.ndarray:
                 rows.append([float(v) for v in line.split(",")])
     h = np.array(rows, dtype=np.float64)
     if h.shape != (3, 3):
-        raise ValueError(f"homography file must hold a 3x3 matrix, got {h.shape}")
+        raise ValueError(f"homography file {path} must hold a 3x3 matrix, got {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError(f"homography file {path} holds non-finite entries")
     return h
 
 
@@ -136,11 +202,10 @@ class DirectoryPairs:
 
 @dataclass
 class EvalReport:
-    mode: str
     corner_errors: list[float]
     auc: dict[float, float]
     n_matches: list[int]
-    stage_means: dict[str, float] = field(default_factory=dict)
+    timings: StageTimings
 
     def csv(self) -> str:
         lines = ["pair,corner_error_px,n_matches"]
@@ -149,48 +214,33 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
     def summary(self) -> str:
-        lines = [
-            f"homography evaluation ({self.mode} mode, {len(self.corner_errors)} pairs)",
+        return "\n".join([
+            f"homography evaluation ({self.timings.mode} mode, {len(self.corner_errors)} pairs)",
             "  AUC@3px  {:.4f}".format(self.auc[3.0]),
             "  AUC@5px  {:.4f}".format(self.auc[5.0]),
             "  AUC@10px {:.4f}".format(self.auc[10.0]),
             f"  median corner error: {np.median(self.corner_errors):.3f} px",
             f"  mean matches per pair: {np.mean(self.n_matches):.1f}",
-        ]
-        if self.stage_means:
-            lines.append("  mean stage times (ms): " + ", ".join(
-                f"{k}={1e3 * v:.2f}" for k, v in self.stage_means.items()))
-        return "\n".join(lines)
+            "  mean stage times (ms): " + ", ".join(f"{k}={1e3 * v:.2f}" for k, v in self.timings.mean.items()),
+        ])
 
 
 def eval_homography_dir(matcher, directory: str, mode: str = "full", seed: int = 0) -> EvalReport:
     """Match every stored pair, estimate H with RANSAC (``RANSAC_THRESHOLD_PX``), report corner AUCs."""
-    pairs = DirectoryPairs(directory)
-    fused = matcher.fuse()
-    corner_errors, n_matches = [], []
-    stage_sums = dict.fromkeys((*STAGES, "total"), 0.0)
-    for image_a, image_b, h_gt in pairs:
-        result = matcher.match_pair(image_a, image_b, mode=mode, fused=fused)
-        for stage in stage_sums:
-            stage_sums[stage] += result.timings[stage]
-        n_matches.append(len(result.fine))
-        if len(result.fine) < 4:
-            corner_errors.append(float("inf"))
-            continue
-        src = np.array([m.pt_a for m in result.fine], dtype=np.float64)
-        dst = np.array([m.pt_b for m in result.fine], dtype=np.float64)
+    results, corner_errors = [], []
+    for result, h_gt in _match_pairs(matcher, DirectoryPairs(directory), mode):
+        results.append(result)
+        src, dst = _fine_points(result)
+        height, width = result.dims_a
         try:
             h_est, _ = ransac_homography(src, dst, threshold_px=RANSAC_THRESHOLD_PX, seed=seed)
-            corner_errors.append(
-                corner_reprojection_error(h_est, h_gt, width=image_a.shape[1], height=image_a.shape[0])
-            )
-        except ValueError:
-            corner_errors.append(float("inf"))
-    finite = [min(e, 1e6) for e in corner_errors]
+            error = corner_reprojection_error(h_est, h_gt, width=width, height=height)
+        except ValueError:  # under 4 matches, or no model: scored as a miss
+            error = np.inf
+        corner_errors.append(min(error, 1e6))
     return EvalReport(
-        mode=mode,
-        corner_errors=finite,
-        auc=corner_auc(finite),
-        n_matches=n_matches,
-        stage_means={k: v / len(pairs) for k, v in stage_sums.items()},
+        corner_errors=corner_errors,
+        auc=corner_auc(corner_errors),
+        n_matches=[len(r.fine) for r in results],
+        timings=StageTimings.of(results),
     )

@@ -2,11 +2,12 @@
 
 The Matcher owns every parameter tensor; inference runs the fused deploy
 backbone and reports per-stage wall-clock in ``MatchResult.timings``, which
-``semimatch bench`` and ``semimatch eval-homography`` print. Where the work
-is large enough to gain, the two images' backbone passes
-(``FusedBackbone.forward_pair``) and their transform block calls
-(``FeatureTransform.forward``) each run on two threads, each stage choosing
-through ``lanes.pairs``; everything later runs on the calling thread.
+``evaluate.StageTimings`` summarizes for ``semimatch bench`` and
+``semimatch eval-homography``. Where the work is large enough to gain, the
+two images' backbone passes (``FusedBackbone.forward_pair``) and their
+transform block calls (``FeatureTransform.forward``) each run on two
+threads, each stage choosing through ``lanes.pairs``; everything later runs
+on the calling thread.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from . import tensor as T
 from .backbone import COARSE_STRIDE, Backbone, FusedBackbone, pad_to_multiple
 from .config import MatcherConfig
 from .matching import MODES, CoarseMatch, match_coarse
-from .refine import FineFusion, FineMatch, refine
+from .refine import FineFusion, FineMatch, cell_centers, refine
 from .tensor import Tensor
 from .transform import FeatureTransform
 
@@ -155,11 +156,10 @@ def _valid_cells(padded_shape: tuple[int, int], original: tuple[int, int]) -> np
     oh, ow = original
     if (ph, pw) == (oh, ow):
         return None
-    rows = np.arange(ph // COARSE_STRIDE)
-    cols = np.arange(pw // COARSE_STRIDE)
-    ok_r = (rows + 1) * COARSE_STRIDE <= oh
-    ok_c = (cols + 1) * COARSE_STRIDE <= ow
-    return (ok_r[:, None] & ok_c[None, :]).reshape(-1)
+    grid = (ph // COARSE_STRIDE, pw // COARSE_STRIDE)
+    # a cell is valid when it ends inside the unpadded image on both axes
+    x_end, y_end = (cell_centers(np.arange(grid[0] * grid[1]), grid) + COARSE_STRIDE // 2).T
+    return (x_end <= ow) & (y_end <= oh)
 
 
 def _in_bounds(match: FineMatch, dims_a: tuple[int, int], dims_b: tuple[int, int]) -> bool:

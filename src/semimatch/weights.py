@@ -73,6 +73,8 @@ def deserialize_weights(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
         if manifest["format_version"] != FORMAT_VERSION:
             raise ValueError(f"unsupported format version {manifest['format_version']}")
         for entry in manifest["tensors"]:
+            if entry["name"] in tensors:
+                raise ValueError(f"tensor {entry['name']} is listed twice")
             if entry["offset"] != cursor:
                 raise ValueError(f"tensor {entry['name']} offset overlaps or leaves a gap")
             end = entry["offset"] + entry["length"]

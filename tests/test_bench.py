@@ -9,7 +9,7 @@ import pytest
 from semimatch import lanes
 from semimatch import tensor as T
 from semimatch.backbone import Backbone, FusedBackbone
-from semimatch.bench import STAGES, bench_pipeline, timings_csv
+from semimatch.evaluate import STAGES, bench_pipeline, timings_csv
 from semimatch.instrument import OpCounters, counters
 from semimatch.pipeline import Matcher, MatcherConfig
 from semimatch.synth import SynthConfig, render_pair

@@ -15,11 +15,12 @@ from semimatch import tensor as T
 from semimatch.backbone import COARSE_STRIDE
 from semimatch.cli import main
 from semimatch.config import Settings, apply_overrides, load_settings, parse_config_text
-from semimatch.evaluate import match_dump_csv, parse_match_dump, read_homography_csv
+from semimatch.evaluate import coarse_precision, match_dump_csv, parse_match_dump, read_homography_csv
+from semimatch.geometry import apply_homography
 from semimatch.imageio import ImageFormatError, load_image, save_pgm, save_ppm
 from semimatch.instrument import counters
 from semimatch.pipeline import Matcher, MatcherConfig
-from semimatch.synth import SynthConfig, render_pair
+from semimatch.synth import SynthConfig, SyntheticPairs, render_pair
 from semimatch.train import TrainConfig
 from semimatch.weights import (
     MAGIC,
@@ -169,6 +170,16 @@ class TestWeightContainer:
         path = tmp_path / "w.smw"
         path.write_bytes(serialize_weights(Matcher(TINY, seed=0).named_tensors(), {**TINY.to_dict(), "lr": 0.1}))
         with pytest.raises(WeightFormatError, match="unknown matcher config key 'lr'"):
+            load_matcher(str(path))
+
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        # without the check the later copy would silently win
+        named = list(toy_matcher("seed0").named_tensors())
+        name, first = named[0]
+        copy = T.tensor(np.full(first.shape, 7.0, dtype=np.float32))
+        path = tmp_path / "w.smw"
+        path.write_bytes(serialize_weights([*named, (name, copy)], MatcherConfig.toy().to_dict()))
+        with pytest.raises(WeightFormatError, match=f"tensor {name} is listed twice"):
             load_matcher(str(path))
 
 
@@ -419,6 +430,39 @@ class TestTrainedToyKnobs:
         assert hot.fine == base.fine
 
 
+def coarse_precision_oracle(result, h) -> tuple[int, int]:
+    """coarse_precision of one result by pixel arithmetic: each match's cells read as (row, col)
+    on its own grids, A's cell centre warped by H to the nearest cell of B's unpadded grid."""
+    (ha, wa), (hb, wb) = result.dims_a, result.dims_b
+    hits = total = 0
+    for m in result.coarse:
+        row_a, col_a = divmod(m.i, result.grid_a[1])
+        if row_a >= ha // COARSE_STRIDE or col_a >= wa // COARSE_STRIDE:
+            continue  # a cell reaching into A's padding has no ground truth
+        centre = [[(col_a + 0.5) * COARSE_STRIDE, (row_a + 0.5) * COARSE_STRIDE]]
+        (x, y), finite = (v[0] for v in apply_homography(h, centre))
+        if not (finite and 0 <= x < wb and 0 <= y < hb):
+            continue
+        target_row = min(max(round(y / COARSE_STRIDE - 0.5), 0), hb // COARSE_STRIDE - 1)
+        target_col = min(max(round(x / COARSE_STRIDE - 0.5), 0), wb // COARSE_STRIDE - 1)
+        row_b, col_b = divmod(m.j, result.grid_b[1])
+        total += 1
+        hits += abs(row_b - target_row) <= 1 and abs(col_b - target_col) <= 1
+    return hits, total
+
+
+class TestCoarsePrecision:
+    # 72 and 88 are padded to 80 and 96, so their coarse grids are one cell wider than the ground truth's
+    @pytest.mark.parametrize("size,expected", [(64, (233, 235)), (72, (248, 275)), (80, (280, 304)),
+                                               (88, (306, 374))])
+    def test_each_cell_is_read_on_its_own_grid(self, size, expected):
+        matcher = toy_matcher("trained")
+        pairs = SyntheticPairs(6, seed=42, cfg=SynthConfig(size=size))
+        scored = coarse_precision(matcher, pairs, range(6), mode="optimized")
+        oracle = [coarse_precision_oracle(matcher.match_pair(a, b, mode="optimized"), h) for a, b, h in pairs]
+        assert scored == tuple(map(sum, zip(*oracle))) == expected
+
+
 class TestCli:
     def test_synth_then_train_then_match_then_eval(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -475,6 +519,18 @@ class TestCli:
         bench_lines = (tmp_path / "bench.csv").read_text().splitlines()
         assert bench_lines[0] == "stage,mean_ms,median_ms"
         assert len(bench_lines) == 7
+
+    def test_non_finite_homography_file_exits_1_naming_it(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--count", "2", "--size", "32", "--out", str(data)]) == 0
+        bad = data / "pair0001_H.csv"
+        bad.write_text("nan,0,0\n0,1,0\n0,0,1\n")
+        weights = tmp_path / "tiny.smw"
+        save_matcher(str(weights), Matcher(TINY, seed=0))
+        capsys.readouterr()
+        assert main(["eval-homography", "--data", str(data), "--weights", str(weights)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input") and str(bad) in err and "non-finite" in err
 
     def test_missing_weights_gives_io_exit_and_no_partial_output(self, tmp_path):
         out = tmp_path / "matches.csv"

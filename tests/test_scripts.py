@@ -12,6 +12,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ("bench_aggregation.py", ["--grid", "8", "--dim", "8", "--reps", "1"]),
     ("compare_attention_forms.py", ["--tokens", "16", "--dim", "8"]),
     ("run_demo.py", ["--pairs", "4", "--steps", "2", "--workdir", "{tmp}"]),
+    ("output_hashes.py", ["--size", "64", "--steps", "1"]),
 ])
 def test_script_exits_zero(tmp_path, script, args):
     env = dict(os.environ)
