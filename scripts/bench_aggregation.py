@@ -1,4 +1,4 @@
-"""Aggregation-range sweep: attention cost and match quality per s.
+"""Aggregation-range sweep: attention cost per s.
 
 Times the aggregated attention score computation for several aggregation
 ranges on one coarse grid, and reports the score-matrix size each range

@@ -117,6 +117,14 @@ MUTANTS = [
     Mutant("stage 2 weighs out-of-image window cells", "src/semimatch/refine.py",
            "bias = np.where(masks, 0.0, -1e30)", "bias = np.zeros(masks.shape)",
            ("tests/test_refine.py::TestStage2::test_masked_cells_get_no_weight",)),
+    Mutant("DirectoryPairs reads H lazily again", "src/semimatch/evaluate.py",
+           "self.homographies = [read_homography_csv(pair_paths(directory, i)[2]) for i in self.indices]",
+           'self.homographies = type("Lazy", (), {"__getitem__": lambda _, i: read_homography_csv('
+           "pair_paths(directory, self.indices[i])[2])})()",
+           ("tests/test_io_cli.py::TestCli::test_homography_entry_that_is_no_number_fails_before_any_pair_is_used",)),
+    Mutant("read_homography_csv drops the file name", "src/semimatch/evaluate.py",
+           'f"homography file {path} line {lineno}: ', 'f"line {lineno}: ',
+           ("tests/test_io_cli.py::TestCli::test_homography_entry_that_is_no_number_fails_before_any_pair_is_used",)),
 ]
 
 

@@ -162,10 +162,10 @@ class Backbone:
         with T.no_grad():
             return self.fold()
 
-    def named_tensors(self, prefix: str = "backbone"):
+    def named_tensors(self):
         for s, stage in enumerate(self.stages):
             for b, block in enumerate(stage):
-                yield from block.named_tensors(f"{prefix}.stage{s}.block{b}")
+                yield from block.named_tensors(f"backbone.stage{s}.block{b}")
 
 
 class FusedBackbone:
@@ -194,15 +194,16 @@ class FusedBackbone:
         _check_dims(image)
         x = image
         outputs = []
-        for stage in self.stages:
+        for s, stage in enumerate(self.stages):
             for block in stage:
                 x = T.conv2d(x, block.kernel, block.bias, stride=block.stride, pad=1)
                 if x.requires_grad:
                     x = x.relu()
                 else:  # a fresh, unrecorded conv output: ReLU in place, no second map
                     np.maximum(x.data, 0, out=x.data)
-            outputs.append(x)
-        return FeaturePyramid(f_half=outputs[1], f_quarter=outputs[2], f_coarse=outputs[3])
+            if s:  # stage 0's full-resolution map only feeds stage 1, so it is not kept
+                outputs.append(x)
+        return FeaturePyramid(*outputs)
 
 
 def _check_dims(image: Tensor) -> None:
@@ -213,8 +214,8 @@ def _check_dims(image: Tensor) -> None:
         raise ValueError(f"image dims must be divisible by {COARSE_STRIDE}, got {h}x{w}; pad first")
 
 
-def pad_to_multiple(image: np.ndarray, multiple: int = COARSE_STRIDE) -> tuple[np.ndarray, tuple[int, int]]:
-    """Right/bottom zero-pad so both dims divide; returns (padded, original hw).
+def pad_to_multiple(image: np.ndarray, multiple: int) -> tuple[np.ndarray, tuple[int, int]]:
+    """Right/bottom zero-pad so both dims divide ``multiple``; returns (padded, original hw).
 
     The pipeline pads to ``COARSE_STRIDE * s`` so the coarse grid also
     divides the attention aggregation range.

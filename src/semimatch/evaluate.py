@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import apply_homography, corner_auc, corner_reprojection_error, ransac_homography
+from .geometry import AUC_THRESHOLDS_PX, apply_homography, corner_auc, corner_reprojection_error, ransac_homography
 from .imageio import atomic_write, load_image
 from .pipeline import MatchResult
 from .supervision import build_gt_homography
@@ -138,30 +138,22 @@ def match_dump_csv(result: MatchResult, model: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_match_dump(text: str) -> tuple[dict[str, str], np.ndarray]:
-    header: dict[str, str] = {}
-    rows = []
-    for line in text.splitlines():
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
-            header[key.strip()] = value.strip()
-        elif line and not line.startswith("x_a"):
-            rows.append([float(v) for v in line.split(",")])
-    return header, np.array(rows, dtype=np.float64).reshape(-1, 5)
-
-
 def write_homography_csv(path: str, h: np.ndarray) -> None:
     atomic_write(path, "".join(",".join(repr(float(v)) for v in row) + "\n"
                                for row in np.asarray(h, dtype=np.float64)))
 
 
 def read_homography_csv(path: str) -> np.ndarray:
+    """The 3x3 matrix in ``path``; a ``ValueError`` names the file (and the line of an entry that is no number)."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                rows.append([float(v) for v in line.split(",")])
+                try:
+                    rows.append([float(v) for v in line.split(",")])
+                except ValueError:
+                    raise ValueError(f"homography file {path} line {lineno}: {line!r} holds a non-number") from None
     h = np.array(rows, dtype=np.float64)
     if h.shape != (3, 3):
         raise ValueError(f"homography file {path} must hold a 3x3 matrix, got {h.shape}")
@@ -184,20 +176,23 @@ def list_pairs(directory: str) -> list[int]:
 
 
 class DirectoryPairs:
-    """Dataset view over a synth output directory: (image A, image B, H) per pair."""
+    """Dataset view over a synth output directory: (image A, image B, H) per pair.
+
+    Every H file is read and checked here, so a bad one fails before any pair is used."""
 
     def __init__(self, directory: str):
         self.directory = directory
         self.indices = list_pairs(directory)
         if not self.indices:
             raise FileNotFoundError(f"no pairXXXX_A.pgm files in {directory}")
+        self.homographies = [read_homography_csv(pair_paths(directory, i)[2]) for i in self.indices]
 
     def __len__(self) -> int:
         return len(self.indices)
 
     def __getitem__(self, i: int):
-        path_a, path_b, path_h = pair_paths(self.directory, self.indices[i])
-        return load_image(path_a), load_image(path_b), read_homography_csv(path_h)
+        path_a, path_b, _ = pair_paths(self.directory, self.indices[i])
+        return load_image(path_a), load_image(path_b), self.homographies[i]
 
 
 @dataclass
@@ -216,9 +211,7 @@ class EvalReport:
     def summary(self) -> str:
         return "\n".join([
             f"homography evaluation ({self.timings.mode} mode, {len(self.corner_errors)} pairs)",
-            "  AUC@3px  {:.4f}".format(self.auc[3.0]),
-            "  AUC@5px  {:.4f}".format(self.auc[5.0]),
-            "  AUC@10px {:.4f}".format(self.auc[10.0]),
+            *(f"  {f'AUC@{t:g}px':<9}{self.auc[t]:.4f}" for t in AUC_THRESHOLDS_PX),
             f"  median corner error: {np.median(self.corner_errors):.3f} px",
             f"  mean matches per pair: {np.mean(self.n_matches):.1f}",
             "  mean stage times (ms): " + ", ".join(f"{k}={1e3 * v:.2f}" for k, v in self.timings.mean.items()),

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+AUC_THRESHOLDS_PX = (3.0, 5.0, 10.0)  # the corner-error thresholds of every AUC report
+
 
 class DegenerateGeometryError(ValueError):
     """Raised when an estimation problem is rank-deficient."""
@@ -166,8 +168,8 @@ def corner_reprojection_error(h_est: np.ndarray, h_gt: np.ndarray, width: int, h
     return float(np.sqrt(((est - gt) ** 2).sum(axis=1)).mean())
 
 
-def corner_auc(errors, thresholds=(3.0, 5.0, 10.0)) -> dict[float, float]:
-    """Area under the truncated cumulative error curve, per threshold.
+def corner_auc(errors) -> dict[float, float]:
+    """Area under the truncated cumulative error curve, per threshold of ``AUC_THRESHOLDS_PX``.
 
     Each pair contributes max(0, 1 - err/t); the mean over pairs equals the
     exact area under the empirical CDF clipped at t, normalized to [0, 1].
@@ -177,4 +179,4 @@ def corner_auc(errors, thresholds=(3.0, 5.0, 10.0)) -> dict[float, float]:
         raise ValueError("corner_auc needs at least one error value")
     if (errors < 0).any():
         raise ValueError("errors must be nonnegative")
-    return {float(t): float(np.clip(1.0 - errors / t, 0.0, 1.0).mean()) for t in thresholds}
+    return {float(t): float(np.clip(1.0 - errors / t, 0.0, 1.0).mean()) for t in AUC_THRESHOLDS_PX}

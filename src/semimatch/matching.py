@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .config import MatcherConfig
 from .instrument import counters
 from .tensor import Tensor
 
@@ -32,7 +33,7 @@ class CoarseMatch:
     confidence: float
 
 
-def correlate(f_a: Tensor, f_b: Tensor, inv_temperature: float = 1.0) -> ScoreMatrix:
+def correlate(f_a: Tensor, f_b: Tensor, inv_temperature: float) -> ScoreMatrix:
     """s(i, j) = inv_temperature * <f_i, f_j> over flattened coarse grids."""
     if f_a.shape[0] != f_b.shape[0]:
         raise ValueError(f"channel mismatch: {f_a.shape} vs {f_b.shape}")
@@ -80,8 +81,9 @@ def match_coarse(
     f_a: Tensor,
     f_b: Tensor,
     mode: str = "full",
-    tau: float = 0.2,
-    inv_temperature: float = 1.0,
+    tau: float = MatcherConfig.tau,
+    *,
+    inv_temperature: float,
     valid_a: np.ndarray | None = None,
     valid_b: np.ndarray | None = None,
 ) -> tuple[list[CoarseMatch], ScoreMatrix]:

@@ -63,13 +63,13 @@ class FineFusion:
         x = T.conv2d(x.relu(), self.conv_out, self.conv_out_bias, pad=1)
         return T.bilinear_upsample(x, 2)
 
-    def named_tensors(self, prefix: str = "fine_fusion"):
-        yield f"{prefix}.proj_quarter.kernel", self.proj_quarter
-        yield f"{prefix}.proj_quarter.bias", self.proj_quarter_bias
-        yield f"{prefix}.conv_mid.kernel", self.conv_mid
-        yield f"{prefix}.conv_mid.bias", self.conv_mid_bias
-        yield f"{prefix}.conv_out.kernel", self.conv_out
-        yield f"{prefix}.conv_out.bias", self.conv_out_bias
+    def named_tensors(self):
+        yield "fine_fusion.proj_quarter.kernel", self.proj_quarter
+        yield "fine_fusion.proj_quarter.bias", self.proj_quarter_bias
+        yield "fine_fusion.conv_mid.kernel", self.conv_mid
+        yield "fine_fusion.conv_mid.bias", self.conv_mid_bias
+        yield "fine_fusion.conv_out.kernel", self.conv_out
+        yield "fine_fusion.conv_out.bias", self.conv_out_bias
 
 
 def cell_centers(cells: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
@@ -171,7 +171,7 @@ def stage2_pixel_offsets(fine_a: Tensor, fine_b: Tensor, pixels_a: np.ndarray,
 
 
 def refine(matches: list[CoarseMatch], fine_a: Tensor, fine_b: Tensor,
-           grid_a: tuple[int, int], grid_b: tuple[int, int], w: int = 8,
+           grid_a: tuple[int, int], grid_b: tuple[int, int], w: int,
            two_stage: bool = True) -> list[FineMatch]:
     """Refine coarse matches to one sub-pixel fine match per distinct stage-1 pixel pair.
 

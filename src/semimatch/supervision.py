@@ -26,9 +26,8 @@ PROB_FLOOR = 1e-12
 class GroundTruth:
     """Cell-level correspondence derived from a known warp.
 
-    ``pairs_a``/``pairs_b`` are flat cell indices; ``warped_centers`` is the
-    exact sub-pixel image-B location of each paired A cell center. The
-    homography is kept so fine targets can be recomputed for any pixel.
+    ``pairs_a``/``pairs_b`` are flat cell indices. The homography is kept
+    so fine targets can be recomputed for any pixel (``warp``).
     """
 
     homography: np.ndarray
@@ -36,7 +35,6 @@ class GroundTruth:
     grid_b: tuple[int, int]
     pairs_a: np.ndarray
     pairs_b: np.ndarray
-    warped_centers: np.ndarray
 
     def __len__(self) -> int:
         return len(self.pairs_a)
@@ -69,7 +67,6 @@ def build_gt_homography(h: np.ndarray, dims_a: tuple[int, int], dims_b: tuple[in
         grid_b=grid_b,
         pairs_a=flat_a[inside],
         pairs_b=flat_b[inside],
-        warped_centers=warped[inside],
     )
 
 

@@ -19,15 +19,16 @@ ROTATION_MAX_DEG = 15.0
 PERSPECTIVE_MAX_DEG = 15.0
 TRANSLATION_FRAC = 0.08  # of the image side
 MARGIN_FRAC = 0.4  # texture border around A, of the image side, that B may sample
+# B's photometric jitter: gain * B + bias + Gaussian noise
+GAIN_RANGE = (0.85, 1.15)
+BIAS_MAX = 0.08
+NOISE_SIGMA = 0.01
 
 
 @dataclass
 class SynthConfig:
-    """Image side and B's photometric jitter; the warp is fixed above."""
+    """Image side; the warp and the jitter are fixed above."""
     size: int = 64
-    gain_range: tuple[float, float] = (0.85, 1.15)
-    bias_max: float = 0.08
-    noise_sigma: float = 0.01
 
 
 def bilinear_sample(image: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -125,9 +126,9 @@ def render_pair(seed: int, index: int, cfg: SynthConfig = SynthConfig()) -> tupl
     pts = np.stack([xs.ravel(), ys.ravel()], axis=1)
     src, _ = apply_homography(h_inv, pts)
     image_b = bilinear_sample(texture, src[:, 0] + margin, src[:, 1] + margin).reshape(size, size)
-    gain = rng.uniform(*cfg.gain_range)
-    bias = rng.uniform(-cfg.bias_max, cfg.bias_max)
-    image_b = gain * image_b + bias + rng.normal(0.0, cfg.noise_sigma, image_b.shape)
+    gain = rng.uniform(*GAIN_RANGE)
+    bias = rng.uniform(-BIAS_MAX, BIAS_MAX)
+    image_b = gain * image_b + bias + rng.normal(0.0, NOISE_SIGMA, image_b.shape)
     return image_a.astype(np.float32), np.clip(image_b, 0.0, 1.0).astype(np.float32), h
 
 

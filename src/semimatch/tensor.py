@@ -52,6 +52,7 @@ import numpy as np
 from .instrument import counters
 
 DEFAULT_DTYPE = np.float32
+LAYER_NORM_EPS = 1e-5
 
 _grad_enabled = True
 _finite_checks = False
@@ -605,9 +606,9 @@ class Linear(Function):
 class LayerNorm(Function):
     """Parameter-free normalization over the last axis."""
 
-    def forward(self, x, eps):
+    def forward(self, x):
         centered = x - x.mean(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+        inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
         out = centered * inv_std
         self.saved = (out, inv_std)
         return out
@@ -1148,9 +1149,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return Linear.apply(x, weight, bias)
 
 
-def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Parameter-free layer normalization over the last axis."""
-    return LayerNorm.apply(x, eps=eps)
+def layer_norm(x: Tensor) -> Tensor:
+    """Parameter-free layer normalization over the last axis, ``LAYER_NORM_EPS`` under the square root."""
+    return LayerNorm.apply(x)
 
 
 def rotary(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:

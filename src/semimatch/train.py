@@ -56,7 +56,7 @@ class AdamW:
     applies to matrices/kernels only; biases and per-channel scales are exempt.
     """
 
-    def __init__(self, params: list[Tensor], lr: float, weight_decay: float = 1e-2):
+    def __init__(self, params: list[Tensor], lr: float, weight_decay: float):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay

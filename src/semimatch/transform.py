@@ -215,10 +215,10 @@ class FeatureTransform:
                 f_a, f_b = run(partial(cross_block.forward, f_a, f_b), partial(cross_block.forward, f_b, f_a))
         return f_a, f_b
 
-    def named_tensors(self, prefix: str = "transform"):
+    def named_tensors(self):
         for i, (self_block, cross_block) in enumerate(self.layers):
-            yield from self_block.named_tensors(f"{prefix}.layer{i}.self")
-            yield from cross_block.named_tensors(f"{prefix}.layer{i}.cross")
+            yield from self_block.named_tensors(f"transform.layer{i}.self")
+            yield from cross_block.named_tensors(f"transform.layer{i}.cross")
 
 
 def transform_macs(config: MatcherConfig, height: int, width: int) -> int:

@@ -190,7 +190,7 @@ class TestBackboneForward:
 
 class TestHelpers:
     def test_pad_to_multiple(self):
-        padded, dims = pad_to_multiple(np.ones((13, 17)))
+        padded, dims = pad_to_multiple(np.ones((13, 17)), 8)
         assert padded.shape == (16, 24) and dims == (13, 17)
         assert padded[13:].sum() == 0 and padded[:, 17:].sum() == 0
         padded32, _ = pad_to_multiple(np.ones((13, 17)), 32)

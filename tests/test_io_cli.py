@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import struct
@@ -15,7 +16,7 @@ from semimatch import tensor as T
 from semimatch.backbone import COARSE_STRIDE
 from semimatch.cli import main
 from semimatch.config import Settings, apply_overrides, load_settings, parse_config_text
-from semimatch.evaluate import coarse_precision, match_dump_csv, parse_match_dump, read_homography_csv
+from semimatch.evaluate import coarse_precision, match_dump_csv, read_homography_csv
 from semimatch.geometry import apply_homography
 from semimatch.imageio import ImageFormatError, load_image, save_pgm, save_ppm
 from semimatch.instrument import counters
@@ -35,6 +36,13 @@ from semimatch.weights import (
 TINY = MatcherConfig(widths=(4, 4, 8, 8), blocks=(1, 1, 1, 1), n_layers=1, n_heads=2, s=2,
                      d_fine=8, fine_patch_width=8)
 TOY_WEIGHTS = Path(__file__).resolve().parents[1] / "benchmark" / "toy_weights.smw"
+
+
+def read_match_dump(text: str) -> tuple[dict[str, str], np.ndarray]:
+    """A match dump's ``# key=value`` header and its (n, 5) rows, which follow one column-name line."""
+    header = dict(line[2:].split("=", 1) for line in text.splitlines() if line.startswith("# "))
+    rows = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=len(header) + 1, ndmin=2)
+    return header, rows.reshape(-1, 5)
 
 
 def container(manifest: bytes, payload: bytes = b"") -> bytes:
@@ -296,7 +304,7 @@ class TestMatchDump:
         image = rng.random((32, 40), dtype=np.float64).astype(np.float32)
         result = matcher.match_pair(image, image, mode="optimized")
         text = match_dump_csv(result, model="cafe" * 16)
-        header, rows = parse_match_dump(text)
+        header, rows = read_match_dump(text)
         assert header["mode"] == "optimized"
         assert header["schema"] == "1"
         assert int(header["width_a"]) == 40 and int(header["height_a"]) == 32
@@ -496,7 +504,7 @@ class TestCli:
             "--out", str(out_csv), "--viz", str(viz),
         ])
         assert code == 0 and out_csv.exists() and viz.exists()
-        header, rows = parse_match_dump(out_csv.read_text())
+        header, rows = read_match_dump(out_csv.read_text())
         assert header["mode"] == "optimized"
         same = np.abs(rows[:, 0:2] - rows[:, 2:4]).max(axis=1)
         assert (same < 1.0).mean() >= 0.95  # identical-image self matching
@@ -531,6 +539,27 @@ class TestCli:
         assert main(["eval-homography", "--data", str(data), "--weights", str(weights)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("invalid input") and str(bad) in err and "non-finite" in err
+
+    def test_homography_entry_that_is_no_number_fails_before_any_pair_is_used(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "data"
+        assert main(["synth", "--count", "3", "--size", "32", "--out", str(data)]) == 0
+        bad = data / "pair0002_H.csv"
+        bad.write_text("1,0,0\n0,1,abc\n0,0,1\n")
+        weights = tmp_path / "tiny.smw"
+        save_matcher(str(weights), Matcher(TINY, seed=0))
+
+        def never(*args, **kwargs):
+            raise AssertionError("a pair was used before every homography file was checked")
+
+        monkeypatch.setattr(Matcher, "match_pair", never)
+        monkeypatch.setattr("semimatch.cli.train_toy", never)
+        capsys.readouterr()
+        for argv in (["eval-homography", "--data", str(data), "--weights", str(weights)],
+                     ["train-toy", "--data", str(data), "--out", str(tmp_path / "trained.smw")]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("invalid input") and f"{bad} line 2" in err and "'0,1,abc'" in err
+        assert not (tmp_path / "trained.smw").exists()
 
     def test_missing_weights_gives_io_exit_and_no_partial_output(self, tmp_path):
         out = tmp_path / "matches.csv"

@@ -49,19 +49,19 @@ class TestCorrelate:
 
     def test_channel_mismatch(self, rng):
         with pytest.raises(ValueError, match="channel"):
-            correlate(feature_map(rng, 4, 2, 2), feature_map(rng, 5, 2, 2))
+            correlate(feature_map(rng, 4, 2, 2), feature_map(rng, 5, 2, 2), 1.0)
 
 
 class TestDualSoftmax:
     def test_single_entry(self):
-        score = correlate(T.tensor(np.ones((1, 1, 1))), T.tensor(np.ones((1, 1, 1))))
+        score = correlate(T.tensor(np.ones((1, 1, 1))), T.tensor(np.ones((1, 1, 1))), 1.0)
         dual_softmax(score)
         np.testing.assert_allclose(score.p.data, [[1.0]])
 
     def test_diagonal_dominant_closed_form(self):
         s = np.array([[10.0, 0.0], [0.0, 10.0]], dtype=np.float64)
         score = correlate(T.tensor(np.eye(2).reshape(2, 2, 1) * np.sqrt(10)),
-                          T.tensor(np.eye(2).reshape(2, 2, 1) * np.sqrt(10)))
+                          T.tensor(np.eye(2).reshape(2, 2, 1) * np.sqrt(10)), 1.0)
         np.testing.assert_allclose(score.s.data, s, atol=1e-4)
         dual_softmax(score)
         expected_diag = (1.0 / (1.0 + np.exp(-10.0))) ** 2
@@ -72,7 +72,7 @@ class TestDualSoftmax:
         s = T.tensor(rng.standard_normal((7, 9)))
         row = T.softmax(s, axis=1).data
         col = T.softmax(s, axis=0).data
-        score = dual_softmax(correlate(feature_map(rng, 3, 1, 7), feature_map(rng, 3, 3, 3)))
+        score = dual_softmax(correlate(feature_map(rng, 3, 1, 7), feature_map(rng, 3, 3, 3), 1.0))
         p = score.p.data
         assert np.all(p >= 0) and np.all(p <= 1)
         rp = T.softmax(score.s, axis=1).data
@@ -140,7 +140,7 @@ class TestMatchCoarse:
     def test_optimized_mode_skips_softmax(self, rng):
         fa, fb = feature_map(rng, 8, 4, 4), feature_map(rng, 8, 4, 4)
         counters.reset("softmax", "dual_softmax")
-        matches, score = match_coarse(fa, fb, mode="optimized")
+        matches, score = match_coarse(fa, fb, mode="optimized", inv_temperature=1.0)
         assert counters["softmax"] == 0 and counters["dual_softmax"] == 0
         assert score.p is None  # the probability matrix is never materialized
         assert all(np.isfinite(c.confidence) for c in matches)
@@ -172,9 +172,9 @@ class TestMatchCoarse:
         fa, fb = feature_map(rng, 8, 3, 3), feature_map(rng, 8, 3, 3)
         valid = np.ones(9, dtype=bool)
         valid[4:] = False
-        matches, _ = match_coarse(fa, fb, mode="optimized", valid_a=valid)
+        matches, _ = match_coarse(fa, fb, mode="optimized", inv_temperature=1.0, valid_a=valid)
         assert all(c.i < 4 for c in matches)
 
     def test_unknown_mode(self, rng):
         with pytest.raises(ValueError, match="mode"):
-            match_coarse(feature_map(rng, 4, 2, 2), feature_map(rng, 4, 2, 2), mode="turbo")
+            match_coarse(feature_map(rng, 4, 2, 2), feature_map(rng, 4, 2, 2), mode="turbo", inv_temperature=1.0)

@@ -347,16 +347,16 @@ class TestRefine:
         fine_a = T.tensor(rng.standard_normal((6, 32, 32)).astype(np.float32))
         fine_b = T.tensor(rng.standard_normal((6, 32, 32)).astype(np.float32))
         matches = [CoarseMatch(3, 9, 1.0), CoarseMatch(12, 2, 1.0)]
-        fwd = refine(matches, fine_a, fine_b, (4, 4), (4, 4), two_stage=False)
+        fwd = refine(matches, fine_a, fine_b, (4, 4), (4, 4), w=8, two_stage=False)
         mirrored = [CoarseMatch(m.j, m.i, m.confidence) for m in matches]
-        bwd = refine(mirrored, fine_b, fine_a, (4, 4), (4, 4), two_stage=False)
+        bwd = refine(mirrored, fine_b, fine_a, (4, 4), (4, 4), w=8, two_stage=False)
         for f, b in zip(fwd, bwd):
             assert f.pt_a == tuple(int(v) for v in b.pt_b)
             assert tuple(int(v) for v in f.pt_b) == b.pt_a
 
     def test_stage1_only_returns_integer_points(self, rng):
         fine = T.tensor(rng.standard_normal((6, 16, 16)).astype(np.float32))
-        out = refine([CoarseMatch(0, 3, 1.0)], fine, fine, (2, 2), (2, 2), two_stage=False)
+        out = refine([CoarseMatch(0, 3, 1.0)], fine, fine, (2, 2), (2, 2), w=8, two_stage=False)
         assert float(out[0].pt_b[0]).is_integer() and float(out[0].pt_b[1]).is_integer()
 
     def test_batched_score_matrices_match_single(self, rng):

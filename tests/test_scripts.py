@@ -1,4 +1,5 @@
 """Each script under scripts/ runs to completion at a small size."""
+import json
 import os
 import subprocess
 import sys
@@ -6,6 +7,8 @@ import sys
 import pytest
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# settable values in src/ as scripts/surface.py counts them; a change that adds one raises this on purpose
+SETTABLE_VALUES_CEILING = 132
 
 
 @pytest.mark.parametrize("script,args", [
@@ -20,6 +23,13 @@ def test_script_exits_zero(tmp_path, script, args):
     argv = [sys.executable, os.path.join(REPO, "scripts", script), *(a.format(tmp=tmp_path / "demo") for a in args)]
     proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_settable_values_stay_within_the_ceiling():
+    proc = subprocess.run([sys.executable, os.path.join(REPO, "scripts", "surface.py")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["settable_values"] <= SETTABLE_VALUES_CEILING
 
 
 def test_mutation_gate_snippets_occur_once():

@@ -3,6 +3,7 @@ import pytest
 
 from semimatch import tensor as T
 from semimatch.matching import ScoreMatrix, dual_softmax
+from semimatch.refine import cell_centers
 from semimatch.supervision import (
     EmptySupervisionError,
     LossWeights,
@@ -19,7 +20,7 @@ class TestBuildGtHomography:
         gt = build_gt_homography(np.eye(3), (32, 32), (32, 32))
         assert len(gt) == 16
         np.testing.assert_array_equal(gt.pairs_a, gt.pairs_b)
-        centers = gt.warped_centers
+        centers, _ = gt.warp(cell_centers(gt.pairs_a, gt.grid_a))
         np.testing.assert_array_equal(centers[0], [4.0, 4.0])
 
     def test_translation_by_one_cell_shifts_column(self):
@@ -36,7 +37,8 @@ class TestBuildGtHomography:
         h = np.eye(3) + rng.normal(0, 0.02, (3, 3))
         h[2, 2] = 1.0
         gt = build_gt_homography(h, (48, 40), (40, 48))
-        for i, j, center in zip(gt.pairs_a, gt.pairs_b, gt.warped_centers):
+        centers, _ = gt.warp(cell_centers(gt.pairs_a, gt.grid_a))
+        for i, j, center in zip(gt.pairs_a, gt.pairs_b, centers):
             r, c = divmod(i, 5)
             p = np.array([c * 8 + 4, r * 8 + 4, 1.0])
             q = h @ p
@@ -51,7 +53,8 @@ class TestBuildGtHomography:
         h = np.eye(3) + rng.normal(0, 0.01, (3, 3))
         h[2, 2] = 1.0
         gt = build_gt_homography(h, (64, 64), (64, 64))
-        for j, center in zip(gt.pairs_b, gt.warped_centers):
+        centers, _ = gt.warp(cell_centers(gt.pairs_a, gt.grid_a))
+        for j, center in zip(gt.pairs_b, centers):
             jr, jc = divmod(j, 8)
             target = np.array([jc * 8 + 4, jr * 8 + 4])
             interior = (center > 4).all() and (center < 60).all()

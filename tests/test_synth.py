@@ -1,8 +1,10 @@
 import numpy as np
 
+from semimatch import synth
 from semimatch.geometry import apply_homography
+from semimatch.refine import cell_centers
 from semimatch.supervision import build_gt_homography
-from semimatch.synth import SynthConfig, SyntheticPairs, make_texture, random_homography, render_pair
+from semimatch.synth import SyntheticPairs, make_texture, random_homography, render_pair
 
 
 class TestTexture:
@@ -51,14 +53,17 @@ class TestRenderPair:
             assert img.shape == (64, 64)
             assert img.min() >= 0.0 and img.max() <= 1.0
 
-    def test_warp_consistency_photometry_aside(self):
+    def test_warp_consistency_photometry_aside(self, monkeypatch):
         """Sampling A at H^{-1}(q) approximates B up to the photometric jitter."""
-        cfg = SynthConfig(size=64, gain_range=(1.0, 1.0), bias_max=0.0, noise_sigma=0.0)
-        a, b, h = render_pair(11, 2, cfg)
+        monkeypatch.setattr(synth, "GAIN_RANGE", (1.0, 1.0))
+        monkeypatch.setattr(synth, "BIAS_MAX", 0.0)
+        monkeypatch.setattr(synth, "NOISE_SIGMA", 0.0)
+        a, b, h = render_pair(11, 2)
         gt = build_gt_homography(h, (64, 64), (64, 64))
         # compare at warped cell centers, bilinear interpolation of B
         errs = []
-        for (i, center) in zip(gt.pairs_a, gt.warped_centers):
+        warped, _ = gt.warp(cell_centers(gt.pairs_a, gt.grid_a))
+        for (i, center) in zip(gt.pairs_a, warped):
             r, c = divmod(int(i), 8)
             x, y = center
             if 1 <= x <= 62 and 1 <= y <= 62:
