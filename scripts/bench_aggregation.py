@@ -25,7 +25,7 @@ def time_attention(f, s, reps):
             q_map, kv_map = aggregate_tokens(f, f, s, kernel)
             q = q_map.reshape((d, -1)).transpose((1, 0))
             kv = kv_map.reshape((d, -1)).transpose((1, 0))
-            T.vanilla_attention(q, kv, kv)
+            T.vanilla_attention(q, kv, kv, heads=1)
 
     run()
     counters.reset("attn_score_entries")

@@ -27,7 +27,7 @@ def main():
     v = T.tensor(rng.standard_normal((args.tokens, args.dim)).astype(np.float32))
 
     with T.no_grad():
-        vanilla = T.vanilla_attention(q, k, v).data
+        vanilla = T.vanilla_attention(q, k, v, heads=1).data
         linear = T.linear_attention(q, k, v).data
         literal = T.linear_attention(q, k, v, normalized=False).data
         linear_scaled = T.linear_attention(q, k, v * 10.0).data

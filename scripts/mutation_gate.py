@@ -125,6 +125,18 @@ MUTANTS = [
     Mutant("read_homography_csv drops the file name", "src/semimatch/evaluate.py",
            'f"homography file {path} line {lineno}: ', 'f"line {lineno}: ',
            ("tests/test_io_cli.py::TestCli::test_homography_entry_that_is_no_number_fails_before_any_pair_is_used",)),
+    Mutant("two_threads ignores the BLAS thread count", "src/semimatch/lanes.py",
+           "CONCURRENT_MACS <= work and blas_one_thread() and free_cpus()", "CONCURRENT_MACS <= work and free_cpus()",
+           ("tests/test_bench.py::TestConcurrentBackbones::test_blas_at_its_default_starts_no_thread",)),
+    Mutant("DirectoryPairs stops checking B images", "src/semimatch/evaluate.py",
+           "if not os.path.isfile(path_b):", "if False:",
+           ("tests/test_io_cli.py::TestCli::test_missing_b_image_fails_before_any_pair_is_used",)),
+    Mutant("the shared softmax helper skips the max shift", "src/semimatch/tensor.py",
+           "    x -= peak\n", "",
+           ("tests/test_tensor.py::TestSoftmax::test_large_logits_stable",)),
+    Mutant("softmax backward writes into a shared gradient", "src/semimatch/tensor.py",
+           "_softmax_vjp_inplace(grad.astype(np.result_type(grad, y)), y, axis)", "_softmax_vjp_inplace(grad, y, axis)",
+           ("tests/test_tensor.py::TestSoftmax::test_backward_leaves_a_shared_gradient_intact",)),
 ]
 
 

@@ -11,6 +11,7 @@ stage's time is then their joint wall time.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,9 +62,9 @@ def timings_csv(timings: StageTimings) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _match_pairs(matcher, pairs, mode: str, fused=None, two_stage: bool = True):
+def _match_pairs(matcher, pairs, mode: str, two_stage: bool = True):
     """Match each (image A, image B, H) of ``pairs`` with one fused backbone; yield (result, H)."""
-    fused = matcher.fuse() if fused is None else fused
+    fused = matcher.fuse()
     for image_a, image_b, h in pairs:
         yield matcher.match_pair(image_a, image_b, mode=mode, fused=fused, two_stage=two_stage), h
 
@@ -75,8 +76,8 @@ def _fine_points(result: MatchResult) -> tuple[np.ndarray, np.ndarray]:
     return src, dst
 
 
-def bench_pipeline(matcher, image_a: np.ndarray, image_b: np.ndarray, mode: str = "full",
-                   repetitions: int = 5, warmup: int = 1) -> StageTimings:
+def bench_pipeline(matcher, image_a: np.ndarray, image_b: np.ndarray, *, mode: str,
+                   repetitions: int, warmup: int) -> StageTimings:
     """Stage timings of ``repetitions`` matches of one pair, after ``warmup`` discarded ones."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -86,14 +87,14 @@ def bench_pipeline(matcher, image_a: np.ndarray, image_b: np.ndarray, mode: str 
     return StageTimings.of([result for result, _ in runs][warmup:])
 
 
-def coarse_precision(matcher, dataset, indices, mode: str = "full", fused=None) -> tuple[int, int]:
+def coarse_precision(matcher, dataset, indices, mode: str) -> tuple[int, int]:
     """(hits, total): predicted coarse matches landing within one cell of GT, per axis.
 
     A match's cells are read on its own (padded) grids, ground truth on the
     unpadded ones; a match whose A cell has no ground-truth partner is not scored.
     """
     hits = total = 0
-    for result, h in _match_pairs(matcher, (dataset[i] for i in indices), mode, fused):
+    for result, h in _match_pairs(matcher, (dataset[i] for i in indices), mode):
         gt = build_gt_homography(h, result.dims_a, result.dims_b)
         gt_cells = {divmod(a, gt.grid_a[1]): divmod(b, gt.grid_b[1])  # (row, col) in A -> in B
                     for a, b in zip(gt.pairs_a.tolist(), gt.pairs_b.tolist())}
@@ -107,11 +108,10 @@ def coarse_precision(matcher, dataset, indices, mode: str = "full", fused=None) 
     return hits, total
 
 
-def fine_match_errors(matcher, dataset, indices, mode: str = "full", two_stage: bool = True,
-                      fused=None) -> np.ndarray:
+def fine_match_errors(matcher, dataset, indices, mode: str, two_stage: bool = True) -> np.ndarray:
     """Distances |pt_B - H(pt_A)| in px over every fine match of the pairs."""
     errors = []
-    for result, h in _match_pairs(matcher, (dataset[i] for i in indices), mode, fused, two_stage):
+    for result, h in _match_pairs(matcher, (dataset[i] for i in indices), mode, two_stage):
         src, dst = _fine_points(result)
         warped, ok = apply_homography(h, src)
         errors.extend(np.sqrt(((warped - dst) ** 2).sum(axis=1))[ok].tolist())
@@ -168,23 +168,26 @@ def pair_paths(directory: str, index: int) -> tuple[str, str, str]:
 
 
 def list_pairs(directory: str) -> list[int]:
-    indices = []
-    for name in sorted(os.listdir(directory)):
-        if name.startswith("pair") and name.endswith("_A.pgm"):
-            indices.append(int(name[4:-6]))
-    return indices
+    """Indices of the A images in ``directory`` named as ``pair_paths`` names them; other files are ignored."""
+    names = (re.fullmatch(r"pair(\d{4}|[1-9]\d{4,})_A\.pgm", name) for name in os.listdir(directory))
+    return sorted(int(m[1]) for m in names if m)
 
 
 class DirectoryPairs:
     """Dataset view over a synth output directory: (image A, image B, H) per pair.
 
-    Every H file is read and checked here, so a bad one fails before any pair is used."""
+    Every B image is looked up and every H file read and checked here, so a
+    missing or bad one fails before any pair is used."""
 
     def __init__(self, directory: str):
         self.directory = directory
         self.indices = list_pairs(directory)
         if not self.indices:
             raise FileNotFoundError(f"no pairXXXX_A.pgm files in {directory}")
+        for i in self.indices:
+            path_b = pair_paths(directory, i)[1]
+            if not os.path.isfile(path_b):
+                raise FileNotFoundError(f"no B image {path_b} for pair {i}")
         self.homographies = [read_homography_csv(pair_paths(directory, i)[2]) for i in self.indices]
 
     def __len__(self) -> int:
@@ -218,7 +221,7 @@ class EvalReport:
         ])
 
 
-def eval_homography_dir(matcher, directory: str, mode: str = "full", seed: int = 0) -> EvalReport:
+def eval_homography_dir(matcher, directory: str, mode: str, seed: int) -> EvalReport:
     """Match every stored pair, estimate H with RANSAC (``RANSAC_THRESHOLD_PX``), report corner AUCs."""
     results, corner_errors = [], []
     for result, h_gt in _match_pairs(matcher, DirectoryPairs(directory), mode):

@@ -100,9 +100,10 @@ def symmetric_transfer_errors(h: np.ndarray, src: np.ndarray, dst: np.ndarray) -
 def ransac_homography(
     src: np.ndarray,
     dst: np.ndarray,
-    threshold_px: float = 3.0,
+    *,
+    threshold_px: float,
+    seed: int,
     max_iters: int = 10000,
-    seed: int = 0,
     confidence: float = 0.999,
 ) -> tuple[np.ndarray, np.ndarray]:
     """4-point RANSAC with symmetric transfer error and an inlier refit.

@@ -4,9 +4,9 @@ The two images' backbone passes (``FusedBackbone.forward_pair``) are
 independent, and so are a transform layer's two self-block and two
 cross-block calls (``FeatureTransform.forward``). ``pairs`` runs such pairs
 on the calling thread and one worker under one rule: nothing records a tape
-(it is built on one thread), two CPUs are free and each callable does at
-least ``CONCURRENT_MACS`` multiply-adds; else both run in order on the
-calling thread. The thread count is fixed (main + 1), with no knob.
+(it is built on one thread), BLAS runs one thread, two CPUs are free and
+each callable does at least ``CONCURRENT_MACS`` multiply-adds; else both run
+in order on the calling thread. One worker at most (main + 1), with no knob.
 """
 from __future__ import annotations
 
@@ -37,10 +37,18 @@ def free_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def blas_one_thread() -> bool:
+    """Whether OpenBLAS runs one thread, as it reads ``OPENBLAS_NUM_THREADS``,
+    else ``OMP_NUM_THREADS``, when numpy loads: only "1" counts. At its
+    default it threads each GEMM over every CPU, and two lanes run slower."""
+    return (os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")) == "1"
+
+
 def two_threads(work: int) -> bool:
     """The pair rule: no op records onto the tape, each callable does at least
-    ``CONCURRENT_MACS`` multiply-adds (``work``), and two CPUs are free."""
-    return not grad_enabled() and CONCURRENT_MACS <= work and free_cpus() >= 2
+    ``CONCURRENT_MACS`` multiply-adds (``work``), BLAS runs one thread and
+    two CPUs are free."""
+    return not grad_enabled() and CONCURRENT_MACS <= work and blas_one_thread() and free_cpus() >= 2
 
 
 @contextmanager

@@ -80,7 +80,7 @@ def mnn_select(m: np.ndarray, tau: float = float("-inf")) -> list[CoarseMatch]:
 def match_coarse(
     f_a: Tensor,
     f_b: Tensor,
-    mode: str = "full",
+    mode: str,
     tau: float = MatcherConfig.tau,
     *,
     inv_temperature: float,

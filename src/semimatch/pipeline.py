@@ -83,7 +83,7 @@ class Matcher:
         self,
         image_a: np.ndarray,
         image_b: np.ndarray,
-        mode: str = "full",
+        mode: str,
         tau: float | None = None,
         fused: FusedBackbone | None = None,
         two_stage: bool = True,
@@ -116,7 +116,6 @@ class Matcher:
         multiple = COARSE_STRIDE * self.config.s  # coarse grid must divide s too
         padded_a, dims_a = pad_to_multiple(np.asarray(image_a, dtype=self.dtype), multiple)
         padded_b, dims_b = pad_to_multiple(np.asarray(image_b, dtype=self.dtype), multiple)
-        timings: dict[str, float] = {}
         with T.no_grad():
             if fused is None:
                 fused = self.fuse()
@@ -141,7 +140,7 @@ class Matcher:
                               w=self.fine_patch_width, two_stage=two_stage)
             t5 = time.perf_counter()
         fine = [m for m in fine if _in_bounds(m, dims_a, dims_b)]
-        timings.update(
+        timings = dict(
             backbone=t1 - t0, transform=t2 - t1, coarse_match=t3 - t2,
             fine_fusion=t4 - t3, refinement=t5 - t4, total=t5 - t0,
         )

@@ -553,19 +553,36 @@ class MatMul(Function):
         )
 
 
+def _softmax_inplace(x: np.ndarray, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """Overwrite ``x`` with its softmax along ``axis``, max-shifted so no exp
+    overflows; returns (peak, total), whose log-sum-exp is peak + log(total)."""
+    peak = x.max(axis=axis, keepdims=True)
+    x -= peak
+    np.exp(x, out=x)
+    total = x.sum(axis=axis, keepdims=True)
+    x /= total
+    return peak, total
+
+
+def _softmax_vjp_inplace(grad: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Gradient through y = softmax(·) along ``axis``, y·(grad - Σ grad·y), written into the caller's grad."""
+    grad -= (grad * y).sum(axis=axis, keepdims=True)
+    grad *= y
+    return grad
+
+
 class Softmax(Function):
     def forward(self, a, axis):
-        shifted = a - a.max(axis=axis, keepdims=True)
-        np.exp(shifted, out=shifted)
-        shifted /= shifted.sum(axis=axis, keepdims=True)
-        self.saved = (shifted, axis)
+        y = a.copy()
+        _softmax_inplace(y, axis)
+        self.saved = (y, axis)
         counters.add("softmax")
-        return shifted
+        return y
 
     def backward(self, grad):
         y, axis = self.saved
-        inner = (grad * y).sum(axis=axis, keepdims=True)
-        return (y * (grad - inner),)
+        # a copy: grad may be shared, e.g. Add hands one array to both parents
+        return (_softmax_vjp_inplace(grad.astype(np.result_type(grad, y)), y, axis),)
 
 
 # ---------------------------------------------------------------------------
@@ -658,9 +675,7 @@ class Attention(Function):
         q, k, v = (_heads_first(a, heads) for a in (q, k, v))
         probs = q @ _swapped(k)
         probs *= scale
-        probs -= probs.max(axis=-1, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=-1, keepdims=True)
+        _softmax_inplace(probs)
         self.saved = (q, k, v, probs, scale, heads)
         counters.add("softmax")
         return _heads_last(probs @ v)
@@ -669,9 +684,7 @@ class Attention(Function):
         q, k, v, probs, scale, heads = self.saved
         grad = _heads_first(grad, heads)
         dv = _swapped(probs) @ grad
-        dscores = grad @ _swapped(v)
-        dscores -= (dscores * probs).sum(axis=-1, keepdims=True)
-        dscores *= probs
+        dscores = _softmax_vjp_inplace(grad @ _swapped(v), probs)
         dscores *= scale
         return _heads_last(dscores @ k), _heads_last(_swapped(dscores) @ q), _heads_last(dv)
 
@@ -726,14 +739,6 @@ class FoldBiases(Function):
         return (*dbiases, *dscales, *(grad for _ in stds))
 
 
-def _softmax_lse(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # softmax and log-sum-exp along the last axis
-    peak = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - peak)
-    total = e.sum(axis=-1, keepdims=True)
-    return e / total, (peak + np.log(total))[..., 0]
-
-
 class DualSoftmaxNLL(Function):
     """Mean over picked (k, a, b) of -max(log p, log floor), p the dual-softmax
     probability rowsoftmax(s[k])[a, b] · colsoftmax(s[k])[a, b] of (K, N, M)
@@ -745,9 +750,9 @@ class DualSoftmaxNLL(Function):
 
     def forward(self, s, k, a, b, floor):
         scores = s.reshape(-1, *s.shape[-2:])
-        row_p, row_lse = _softmax_lse(scores[k, a, :])
-        col_p, col_lse = _softmax_lse(scores[k, :, b])
-        log_p = 2.0 * scores[k, a, b] - row_lse - col_lse
+        row_p, col_p = scores[k, a, :], scores[k, :, b]  # copies: integer-array indexing
+        row_lse, col_lse = (peak + np.log(total) for peak, total in map(_softmax_inplace, (row_p, col_p)))
+        log_p = 2.0 * scores[k, a, b] - row_lse[..., 0] - col_lse[..., 0]
         log_floor = math.log(floor)
         self.saved = (s.shape, k, a, b, row_p, col_p, log_p >= log_floor)
         return np.asarray(-np.maximum(log_p, log_floor).mean(), dtype=s.dtype)
@@ -1181,7 +1186,7 @@ def dual_softmax_nll(s: Tensor, index: tuple, floor: float) -> Tensor:
     return DualSoftmaxNLL.apply(s, *index, floor=floor)
 
 
-def vanilla_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1) -> Tensor:
+def vanilla_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """softmax(q·kᵀ/√(d/heads))·v per head.
 
     Head i attends with the i-th of ``heads`` equal slices of the last axis

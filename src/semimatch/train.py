@@ -168,26 +168,14 @@ def train_toy(matcher, dataset, cfg: TrainConfig, log=None) -> list[LossRow]:
     optimizer = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
     curve: list[LossRow] = []
-    zero = 0.0
     for step in range(cfg.steps):
         start = time.perf_counter()
-        if cfg.warmup_steps > 0 and step < cfg.warmup_steps:
-            lr_scale = (step + 1) / cfg.warmup_steps
-        else:
-            lr_scale = 1.0
+        lr_scale = min(1.0, (step + 1) / cfg.warmup_steps) if cfg.warmup_steps > 0 else 1.0
         optimizer.zero_grad()
         batch = [dataset[int(i)] for i in rng.integers(0, len(dataset), size=cfg.batch_size)]
-        terms = {"l_c": [], "l_f1": [], "l_f2": []}
-        for image_a, image_b, h in batch:
-            l_c, l_f1, l_f2 = pair_losses(matcher, image_a, image_b, h, cfg, rng)
-            terms["l_c"].append(l_c)
-            if l_f1 is not None:
-                terms["l_f1"].append(l_f1)
-            if l_f2 is not None:
-                terms["l_f2"].append(l_f2)
-        l_c = _mean(terms["l_c"])
-        l_f1 = _mean(terms["l_f1"]) if terms["l_f1"] else zero
-        l_f2 = _mean(terms["l_f2"]) if terms["l_f2"] else zero
+        # per term, the pairs that gave it (a fine term may be None); l_c comes from every pair
+        terms = zip(*[pair_losses(matcher, image_a, image_b, h, cfg, rng) for image_a, image_b, h in batch])
+        l_c, l_f1, l_f2 = (_mean([t for t in term if t is not None]) for term in terms)
         loss = total_loss(l_c, l_f1, l_f2, cfg.weights)
         value = float(loss.data)
         if not math.isfinite(value):
@@ -195,15 +183,8 @@ def train_toy(matcher, dataset, cfg: TrainConfig, log=None) -> list[LossRow]:
         loss.backward()
         grad_norm = clip_gradients(params, cfg.clip_norm)
         optimizer.step(lr_scale)
-        row = LossRow(
-            step=step,
-            l_c=float(l_c.data) if isinstance(l_c, Tensor) else float(l_c),
-            l_f1=float(l_f1.data) if isinstance(l_f1, Tensor) else float(l_f1),
-            l_f2=float(l_f2.data) if isinstance(l_f2, Tensor) else float(l_f2),
-            total=value,
-            grad_norm=grad_norm,
-            step_s=time.perf_counter() - start,
-        )
+        row = LossRow(step, *(float(t.data if isinstance(t, Tensor) else t) for t in (l_c, l_f1, l_f2)),
+                      total=value, grad_norm=grad_norm, step_s=time.perf_counter() - start)
         curve.append(row)
         if log is not None:
             log(row)
@@ -211,6 +192,9 @@ def train_toy(matcher, dataset, cfg: TrainConfig, log=None) -> list[LossRow]:
 
 
 def _mean(terms):
+    """Mean of loss terms, added in order; 0.0 for none."""
+    if not terms:
+        return 0.0
     out = terms[0]
     for t in terms[1:]:
         out = out + t

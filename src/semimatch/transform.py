@@ -33,7 +33,7 @@ from .lanes import pairs, two_threads
 from .tensor import Tensor
 
 
-def rope_encode(features: Tensor, positions: np.ndarray, heads: int = 1) -> Tensor:
+def rope_encode(features: Tensor, positions: np.ndarray, heads: int) -> Tensor:
     """Rotate feature channels by position so dot products depend only on offsets.
 
     ``features`` is (..., n, d) and ``positions`` is (n, 2) in grid units.

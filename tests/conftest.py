@@ -17,6 +17,12 @@ def finite_checks():
 
 
 @pytest.fixture
+def blas_one_thread(monkeypatch):
+    """BLAS reads as one thread to the lanes' pair rule, as under benchmark/env.py."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(1234)
 

@@ -131,11 +131,11 @@ def _op_cases(rng):
         ("maxpool2d", [pool_in], lambda x: weighted_sum(T.maxpool2d(x, 2, 2))),
         ("bilinear_upsample", [img], lambda x: weighted_sum(T.bilinear_upsample(x, 2))),
         ("layer_norm", [m1], lambda x: weighted_sum(T.layer_norm(x))),
-        ("vanilla_attention", [q, k, v], lambda a, b, c: weighted_sum(T.vanilla_attention(a, b, c))),
+        ("vanilla_attention", [q, k, v], lambda a, b, c: weighted_sum(T.vanilla_attention(a, b, c, heads=1))),
         ("linear_attention", [q, k, v], lambda a, b, c: weighted_sum(T.linear_attention(a, b, c))),
         ("linear_attention_literal", [q, k, v],
          lambda a, b, c: weighted_sum(T.linear_attention(a, b, c, normalized=False))),
-        ("rope_encode", [q], lambda x: weighted_sum(rope_encode(x, positions))),
+        ("rope_encode", [q], lambda x: weighted_sum(rope_encode(x, positions, heads=1))),
     ]
 
 
@@ -211,7 +211,7 @@ def test_criterion_03_token_reduction(rng):
             kv_map = f if s == 1 else T.maxpool2d(f, s, s)
             q = q_map.reshape((d, -1)).transpose((1, 0))
             kv = kv_map.reshape((d, -1)).transpose((1, 0))
-            return T.vanilla_attention(q, kv, kv)
+            return T.vanilla_attention(q, kv, kv, heads=1)
 
     counters.reset("attn_score_entries")
     score_pass(4, kern4)
@@ -372,7 +372,7 @@ def test_criterion_07_rope_properties(rng):
         p_q = rng.uniform(-40, 40, 2)
         p_k = rng.uniform(-40, 40, 2)
         t = rng.uniform(-60, 60, 2)
-        enc = lambda x, p: rope_encode(T.tensor(x, dtype=np.float64), p.reshape(1, 2)).data
+        enc = lambda x, p: rope_encode(T.tensor(x, dtype=np.float64), p.reshape(1, 2), heads=1).data
         s0 = float((enc(q, p_q) * enc(k, p_k)).sum())
         s1 = float((enc(q, p_q + t) * enc(k, p_k + t)).sum())
         worst_shift = max(worst_shift, abs(s0 - s1))
@@ -407,12 +407,11 @@ def test_criterion_08_toy_training(trained_toy):
 
     held = SyntheticPairs(550, seed=42)
     indices = list(range(500, 500 + TOY_HELDOUT))
-    fused = matcher.fuse()
-    hits, total = coarse_precision(matcher, held, indices, fused=fused)
+    hits, total = coarse_precision(matcher, held, indices, mode="full")
     precision = hits / max(total, 1)
 
-    errors_two_stage = fine_match_errors(matcher, held, indices, two_stage=True, fused=fused)
-    errors_stage1 = fine_match_errors(matcher, held, indices, two_stage=False, fused=fused)
+    errors_two_stage = fine_match_errors(matcher, held, indices, mode="full", two_stage=True)
+    errors_stage1 = fine_match_errors(matcher, held, indices, mode="full", two_stage=False)
     median_two = float(np.median(errors_two_stage))
     median_one = float(np.median(errors_stage1))
     elapsed = time.perf_counter() - start

@@ -1,4 +1,5 @@
 import os
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -32,12 +33,12 @@ def pair():
 
 class TestBenchPipeline:
     def test_single_repetition_gives_one_sample_per_stage(self, matcher, pair):
-        timings = bench_pipeline(matcher, *pair, repetitions=1, warmup=0)
+        timings = bench_pipeline(matcher, *pair, mode="full", repetitions=1, warmup=0)
         for stage in (*STAGES, "total"):
             assert len(timings.samples[stage]) == 1
 
     def test_stage_times_sum_close_to_total(self, matcher, pair):
-        timings = bench_pipeline(matcher, *pair, repetitions=3, warmup=1)
+        timings = bench_pipeline(matcher, *pair, mode="full", repetitions=3, warmup=1)
         stage_sum = sum(timings.mean[s] for s in STAGES)
         assert abs(stage_sum - timings.mean["total"]) <= 0.1 * timings.mean["total"]
 
@@ -52,12 +53,12 @@ class TestBenchPipeline:
 
     def test_repetitions_must_be_positive(self, matcher, pair):
         with pytest.raises(ValueError, match=">= 1"):
-            bench_pipeline(matcher, *pair, repetitions=0)
+            bench_pipeline(matcher, *pair, mode="full", repetitions=0, warmup=1)
 
     def test_negative_warmup_is_rejected_before_any_run(self, matcher, pair):
         counters.reset("dual_softmax")
         with pytest.raises(ValueError, match="warmup"):
-            bench_pipeline(matcher, *pair, repetitions=1, warmup=-2)
+            bench_pipeline(matcher, *pair, mode="full", repetitions=1, warmup=-2)
         assert counters["dual_softmax"] == 0
 
     def test_warmup_count_respected(self, matcher, pair):
@@ -67,7 +68,7 @@ class TestBenchPipeline:
         assert counters["dual_softmax"] == 5
 
     def test_csv_and_summary_formats(self, matcher, pair):
-        timings = bench_pipeline(matcher, *pair, repetitions=1, warmup=0)
+        timings = bench_pipeline(matcher, *pair, mode="full", repetitions=1, warmup=0)
         lines = timings_csv(timings).splitlines()
         assert lines[0] == "stage,mean_ms,median_ms"
         assert len(lines) == len(STAGES) + 2
@@ -136,6 +137,7 @@ def images(*arrays):
 TWO_CPUS = lanes.free_cpus() >= 2
 
 
+@pytest.mark.usefixtures("blas_one_thread")
 class TestConcurrentBackbones:
     @pytest.mark.parametrize("config,size,threaded", [
         (MatcherConfig.toy(), 256, False),  # ~42 M multiply-adds per image
@@ -158,6 +160,33 @@ class TestConcurrentBackbones:
         with T.no_grad():
             recorder.forward_pair(*images(np.zeros((256, 256)), np.ones((256, 256))))
         assert recorder.threads[1.0] is threading.current_thread()
+
+    def test_blas_at_its_default_starts_no_thread(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setattr(lanes, "CONCURRENT_MACS", 0)
+        monkeypatch.setattr(lanes, "free_cpus", lambda: 2)
+        recorder = recorder_for(MatcherConfig.toy())
+        with T.no_grad():
+            recorder.forward_pair(*images(np.zeros((32, 32)), np.ones((32, 32))))
+        assert recorder.threads[1.0] is threading.current_thread()
+
+    @pytest.mark.parametrize("blas_env,one_thread", [
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ], ids=["default", "openblas-1", "omp-1", "openblas-2-over-omp-1"])
+    def test_blas_rule_in_a_fresh_process(self, blas_env, one_thread):
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env.update(blas_env, PYTHONPATH=os.path.dirname(os.path.dirname(lanes.__file__)))
+        code = ("from semimatch import lanes, tensor as T\n"
+                "with T.no_grad():\n"
+                "    print(lanes.blas_one_thread(), lanes.two_threads(lanes.CONCURRENT_MACS), lanes.free_cpus() >= 2)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        blas, threaded, two_cpus = (word == "True" for word in proc.stdout.split())
+        assert blas == one_thread and threaded == (one_thread and two_cpus)
 
     def test_runs_where_the_platform_has_no_affinity_call(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity")

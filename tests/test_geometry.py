@@ -114,15 +114,15 @@ class TestRansac:
         src = rng.uniform(0, 100, (50, 2))
         dst, _ = apply_homography(random_homography(rng), src)
         dst[::7] += 20.0
-        h1, m1 = ransac_homography(src, dst, seed=3)
-        h2, m2 = ransac_homography(src, dst, seed=3)
+        h1, m1 = ransac_homography(src, dst, threshold_px=3.0, seed=3)
+        h2, m2 = ransac_homography(src, dst, threshold_px=3.0, seed=3)
         np.testing.assert_array_equal(h1, h2)
         np.testing.assert_array_equal(m1, m2)
 
     def test_too_few_matches(self, rng):
         pts = rng.uniform(0, 5, (3, 2))
         with pytest.raises(ValueError, match=">= 4"):
-            ransac_homography(pts, pts)
+            ransac_homography(pts, pts, threshold_px=3.0, seed=0)
 
     @pytest.mark.parametrize("setting,value", [
         ("threshold_px", 0.0), ("threshold_px", -1.0), ("threshold_px", float("inf")), ("threshold_px", float("nan")),
@@ -132,7 +132,7 @@ class TestRansac:
         src = rng.uniform(0, 100, (20, 2))
         dst, _ = apply_homography(random_homography(rng), src)
         with pytest.raises(ValueError, match=setting):
-            ransac_homography(src, dst, **{setting: value})
+            ransac_homography(src, dst, **{"threshold_px": 3.0, "seed": 0, setting: value})
 
     def test_symmetric_transfer_error_is_max_of_directions(self, rng):
         h = random_homography(rng)

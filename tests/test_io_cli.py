@@ -16,7 +16,7 @@ from semimatch import tensor as T
 from semimatch.backbone import COARSE_STRIDE
 from semimatch.cli import main
 from semimatch.config import Settings, apply_overrides, load_settings, parse_config_text
-from semimatch.evaluate import coarse_precision, match_dump_csv, read_homography_csv
+from semimatch.evaluate import DirectoryPairs, coarse_precision, match_dump_csv, read_homography_csv
 from semimatch.geometry import apply_homography
 from semimatch.imageio import ImageFormatError, load_image, save_pgm, save_ppm
 from semimatch.instrument import counters
@@ -146,8 +146,8 @@ class TestWeightContainer:
         loaded, digest = load_matcher(str(path))
         assert len(digest) == 64
         image = rng.random((32, 32), dtype=np.float64).astype(np.float32)
-        r1 = matcher.match_pair(image, image)
-        r2 = loaded.match_pair(image, image)
+        r1 = matcher.match_pair(image, image, mode="full")
+        r2 = loaded.match_pair(image, image, mode="full")
         assert [(m.i, m.j) for m in r1.coarse] == [(m.i, m.j) for m in r2.coarse]
 
     def test_bad_magic(self):
@@ -561,6 +561,38 @@ class TestCli:
             assert err.startswith("invalid input") and f"{bad} line 2" in err and "'0,1,abc'" in err
         assert not (tmp_path / "trained.smw").exists()
 
+    def test_missing_b_image_fails_before_any_pair_is_used(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "data"
+        assert main(["synth", "--count", "2", "--size", "32", "--out", str(data)]) == 0
+        (data / "pair0001_B.pgm").unlink()
+        weights = tmp_path / "tiny.smw"
+        save_matcher(str(weights), Matcher(TINY, seed=0))
+
+        def never(*args, **kwargs):
+            raise AssertionError("a pair was used before every B image was found")
+
+        monkeypatch.setattr(Matcher, "match_pair", never)
+        monkeypatch.setattr("semimatch.cli.train_toy", never)
+        capsys.readouterr()
+        for argv in (["eval-homography", "--data", str(data), "--weights", str(weights)],
+                     ["train-toy", "--data", str(data), "--out", str(tmp_path / "trained.smw")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("i/o error") and str(data / "pair0001_B.pgm") in err
+        assert not (tmp_path / "trained.smw").exists()
+
+    def test_stray_names_in_a_pair_directory_are_ignored(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--count", "2", "--size", "32", "--out", str(data)]) == 0
+        for stray in ("pair_old_A.pgm", "pair001_A.pgm", "pair00001_A.pgm", "pair0000_A.pgm.bak"):
+            (data / stray).write_bytes((data / "pair0000_A.pgm").read_bytes())
+        assert DirectoryPairs(str(data)).indices == [0, 1]
+        weights = tmp_path / "tiny.smw"
+        save_matcher(str(weights), Matcher(TINY, seed=0))
+        capsys.readouterr()
+        assert main(["eval-homography", "--data", str(data), "--weights", str(weights)]) == 0
+        assert "(full mode, 2 pairs)" in capsys.readouterr().out
+
     def test_missing_weights_gives_io_exit_and_no_partial_output(self, tmp_path):
         out = tmp_path / "matches.csv"
         img = tmp_path / "img.pgm"
@@ -628,6 +660,7 @@ class TestCli:
             assert err.startswith("i/o error") and "missing" in err and "Traceback" not in err
         assert not out.exists() and not missing.exists()
 
+    @pytest.mark.usefixtures("blas_one_thread")
     def test_inf_in_image_b_only_gives_numeric_exit(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(lanes, "CONCURRENT_MACS", 0)  # image B on the worker thread
         matcher = Matcher(TINY, seed=0)

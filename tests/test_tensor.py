@@ -444,13 +444,21 @@ class TestSoftmax:
         T.softmax(x, axis=-1).sum().backward()
         np.testing.assert_allclose(x.grad, 0.0, atol=1e-12)
 
+    def test_backward_leaves_a_shared_gradient_intact(self, rng):
+        # Add hands one gradient array to both parents; softmax's backward must not write into it
+        x = T.parameter(rng.standard_normal((3, 5)), dtype=np.float64)
+        other = T.parameter(np.zeros((3, 5)), dtype=np.float64)
+        w = rng.standard_normal((3, 5))
+        ((T.softmax(x, axis=-1) + other) * T.tensor(w, dtype=np.float64)).sum().backward()
+        np.testing.assert_array_equal(other.grad, w)
+
 
 class TestVanillaAttention:
     def test_single_key_returns_value(self, rng):
         q = T.tensor(rng.standard_normal((5, 8)))
         k = T.tensor(rng.standard_normal((1, 8)))
         v = T.tensor(rng.standard_normal((1, 8)))
-        out = T.vanilla_attention(q, k, v)
+        out = T.vanilla_attention(q, k, v, heads=1)
         np.testing.assert_allclose(out.data, np.repeat(v.data, 5, axis=0), atol=1e-6)
 
     def test_dominant_logit_selects_row(self, rng):
@@ -459,12 +467,12 @@ class TestVanillaAttention:
         q = np.zeros((2, d))
         q[0] = k[1] * 1e4  # row 0 overwhelmingly attends key 1
         v = rng.standard_normal((3, d))
-        out = T.vanilla_attention(T.tensor(q), T.tensor(k), T.tensor(v))
+        out = T.vanilla_attention(T.tensor(q), T.tensor(k), T.tensor(v), heads=1)
         np.testing.assert_allclose(out.data[0], v[1], atol=1e-4)
 
     def test_matches_composed_oracle(self, rng):
         q, k, v = (rng.standard_normal(s) for s in ((5, 8), (7, 8), (7, 8)))
-        got = T.vanilla_attention(T.tensor(q), T.tensor(k), T.tensor(v)).data
+        got = T.vanilla_attention(T.tensor(q), T.tensor(k), T.tensor(v), heads=1).data
         logits = q @ k.T / np.sqrt(8)
         weights = np.exp(logits - logits.max(axis=1, keepdims=True))
         weights /= weights.sum(axis=1, keepdims=True)
@@ -472,7 +480,8 @@ class TestVanillaAttention:
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
-            T.vanilla_attention(T.tensor(rng.random((2, 4))), T.tensor(rng.random((3, 5))), T.tensor(rng.random((3, 5))))
+            T.vanilla_attention(T.tensor(rng.random((2, 4))), T.tensor(rng.random((3, 5))), T.tensor(rng.random((3, 5))),
+                                heads=1)
 
 
 class TestLinearAttention:
@@ -483,7 +492,7 @@ class TestLinearAttention:
         out = T.linear_attention(q, k, v)
         np.testing.assert_allclose(out.data, np.repeat(v.data, 4, axis=0), atol=1e-6)
         # agrees exactly with vanilla attention in the single-key case
-        vanilla = T.vanilla_attention(q, k, v)
+        vanilla = T.vanilla_attention(q, k, v, heads=1)
         np.testing.assert_allclose(out.data, vanilla.data, atol=1e-6)
 
     def test_zero_query_gives_constant_weighted_mean(self, rng):
@@ -644,7 +653,7 @@ class TestFusedOps:
     def test_attention_counts_one_softmax_and_its_score_entries(self, rng):
         q, k, v = (T.tensor(rng.standard_normal(s)) for s in ((2, 5, 8), (2, 7, 8), (2, 7, 8)))
         counters.reset("softmax", "attn_score_entries")
-        T.vanilla_attention(q, k, v)
+        T.vanilla_attention(q, k, v, heads=1)
         # every entry of the batched call: 2 maps x 5 queries x 7 keys
         assert counters["softmax"] == 1 and counters["attn_score_entries"] == 70
 
@@ -652,7 +661,7 @@ class TestFusedOps:
         q = T.tensor(rng.standard_normal((2, 5, 8)))
         kv = T.tensor(rng.standard_normal((3, 7, 8)))
         with pytest.raises(ValueError, match="leading dims"):
-            T.vanilla_attention(q, kv, kv)
+            T.vanilla_attention(q, kv, kv, heads=1)
 
 
 class TestDualSoftmaxNLL:
@@ -825,14 +834,14 @@ class TestBackward:
         def build(x, k):
             feat = T.conv2d(T.tensor(x, dtype=np.float64), T.tensor(k, dtype=np.float64), stride=1, pad=1)
             tokens = feat.reshape((4, 36)).transpose((1, 0))
-            out = T.vanilla_attention(tokens, tokens, tokens)
+            out = T.vanilla_attention(tokens, tokens, tokens, heads=1)
             return weighted_sum(out, 3)
 
         xt = T.parameter(x0, dtype=np.float64)
         kt = T.parameter(k0, dtype=np.float64)
         feat = T.conv2d(xt, kt, stride=1, pad=1)
         tokens = feat.reshape((4, 36)).transpose((1, 0))
-        weighted_sum(T.vanilla_attention(tokens, tokens, tokens), 3).backward()
+        weighted_sum(T.vanilla_attention(tokens, tokens, tokens, heads=1), 3).backward()
 
         fd_x = numeric_gradient(lambda x, k: float(build(x, k).data), [x0, k0], which=0)
         fd_k = numeric_gradient(lambda x, k: float(build(x, k).data), [x0, k0], which=1)

@@ -36,17 +36,17 @@ def rotation_matrix(d, dx, dy):
 class TestRope:
     def test_zero_position_is_identity(self, rng):
         x = T.tensor(rng.standard_normal((5, 16)), dtype=np.float64)
-        out = rope_encode(x, np.zeros((5, 2)))
+        out = rope_encode(x, np.zeros((5, 2)), heads=1)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_requires_divisible_dim(self, rng):
         with pytest.raises(ValueError, match="divisible by 4"):
-            rope_encode(T.tensor(rng.standard_normal((3, 10))), np.zeros((3, 2)))
+            rope_encode(T.tensor(rng.standard_normal((3, 10))), np.zeros((3, 2)), heads=1)
 
     def test_norm_preserved(self, rng):
         x = rng.standard_normal((100, 32))
         pos = rng.uniform(-50, 50, size=(100, 2))
-        out = rope_encode(T.tensor(x, dtype=np.float64), pos)
+        out = rope_encode(T.tensor(x, dtype=np.float64), pos, heads=1)
         np.testing.assert_allclose(
             np.linalg.norm(out.data, axis=1), np.linalg.norm(x, axis=1), atol=1e-6
         )
@@ -56,8 +56,8 @@ class TestRope:
         k = rng.standard_normal((1, 32))
 
         def score(pq, pk):
-            eq = rope_encode(T.tensor(q, dtype=np.float64), np.array([pq], float))
-            ek = rope_encode(T.tensor(k, dtype=np.float64), np.array([pk], float))
+            eq = rope_encode(T.tensor(q, dtype=np.float64), np.array([pq], float), heads=1)
+            ek = rope_encode(T.tensor(k, dtype=np.float64), np.array([pk], float), heads=1)
             return float((eq.data * ek.data).sum())
 
         base = score((3.0, 8.0), (11.0, 2.0))
@@ -69,8 +69,8 @@ class TestRope:
         q = rng.standard_normal(16)
         k = rng.standard_normal(16)
         dx, dy = 4.0, -3.0
-        eq = rope_encode(T.tensor(q[None], dtype=np.float64), np.zeros((1, 2)))
-        ek = rope_encode(T.tensor(k[None], dtype=np.float64), np.array([[dx, dy]]))
+        eq = rope_encode(T.tensor(q[None], dtype=np.float64), np.zeros((1, 2)), heads=1)
+        ek = rope_encode(T.tensor(k[None], dtype=np.float64), np.array([[dx, dy]]), heads=1)
         via_encoding = float((eq.data * ek.data).sum())
         direct = float(q @ rotation_matrix(16, dx, dy) @ k)
         assert abs(via_encoding - direct) < 1e-10
@@ -85,7 +85,7 @@ class TestRope:
         got = rope_encode(T.tensor(x, dtype=np.float64), pos, heads=3).data
         for head in range(3):
             part = x[:, 8 * head:8 * (head + 1)]
-            want = rope_encode(T.tensor(part, dtype=np.float64), pos).data
+            want = rope_encode(T.tensor(part, dtype=np.float64), pos, heads=1).data
             np.testing.assert_array_equal(got[:, 8 * head:8 * (head + 1)], want)
 
     @pytest.mark.parametrize("width", [12, 4])
@@ -271,8 +271,8 @@ def split_merge_block(block, target, source):
     if block.kind == "self":
         ys, xs = np.mgrid[0:ah, 0:aw]
         positions = np.stack([xs.ravel(), ys.ravel()], axis=1) * s + (s - 1) / 2.0
-        q, k = rope_encode(q, positions), rope_encode(k, positions)
-    attended = T.linear(merge(T.vanilla_attention(q, k, v)), block.out_proj)
+        q, k = rope_encode(q, positions, heads=1), rope_encode(k, positions, heads=1)
+    attended = T.linear(merge(T.vanilla_attention(q, k, v, heads=1)), block.out_proj)
     up = T.bilinear_upsample(to_map(attended, ah, aw), s)
     hidden = T.layer_norm(T.linear(tokens(T.concat([target, up], axis=0)), block.fuse))
     hidden = T.linear(hidden, block.fc1, block.fc1_bias).relu()
@@ -397,6 +397,7 @@ TWO_CPUS = lanes.free_cpus() >= 2
 PAPER = MatcherConfig()
 
 
+@pytest.mark.usefixtures("blas_one_thread")
 class TestTransformLanes:
     def test_work_pins(self):
         # per image over the coarse grid of a 256² image (32²)
