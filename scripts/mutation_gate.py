@@ -114,6 +114,12 @@ MUTANTS = [
     Mutant("a repeated tensor name is accepted", "src/semimatch/weights.py",
            'if entry["name"] in tensors:', "if False:",
            ("tests/test_io_cli.py::TestWeightContainer::test_repeated_tensor_name_rejected",)),
+    Mutant("the serializer skips the little-endian cast", "src/semimatch/weights.py",
+           "arr = np.ascontiguousarray(tensor.data, dtype=_DTYPES[code])", "arr = np.ascontiguousarray(tensor.data)",
+           ("tests/test_io_cli.py::TestWeightContainer::test_strided_and_big_endian_tensors_are_cast_like_the_oracle",)),
+    Mutant("deserialize_weights returns views of the blob", "src/semimatch/weights.py",
+           'tensors[entry["name"]] = arr.reshape(entry["shape"]).copy()', 'tensors[entry["name"]] = arr.reshape(entry["shape"])',
+           ("tests/test_io_cli.py::TestWeightContainer::test_loaded_tensors_own_writable_memory",)),
     Mutant("stage 2 weighs out-of-image window cells", "src/semimatch/refine.py",
            "bias = np.where(masks, 0.0, -1e30)", "bias = np.zeros(masks.shape)",
            ("tests/test_refine.py::TestStage2::test_masked_cells_get_no_weight",)),
@@ -128,9 +134,10 @@ MUTANTS = [
     Mutant("two_threads ignores the BLAS thread count", "src/semimatch/lanes.py",
            "CONCURRENT_MACS <= work and blas_one_thread() and free_cpus()", "CONCURRENT_MACS <= work and free_cpus()",
            ("tests/test_bench.py::TestConcurrentBackbones::test_blas_at_its_default_starts_no_thread",)),
-    Mutant("DirectoryPairs stops checking B images", "src/semimatch/evaluate.py",
-           "if not os.path.isfile(path_b):", "if False:",
-           ("tests/test_io_cli.py::TestCli::test_missing_b_image_fails_before_any_pair_is_used",)),
+    Mutant("DirectoryPairs checks no image when it opens", "src/semimatch/evaluate.py",
+           "check_image(path)", "pass",
+           ("tests/test_io_cli.py::TestCli::test_missing_b_image_fails_before_any_pair_is_used",
+            "tests/test_io_cli.py::TestCli::test_truncated_image_fails_named_before_any_pair_is_used")),
     Mutant("the shared softmax helper skips the max shift", "src/semimatch/tensor.py",
            "    x -= peak\n", "",
            ("tests/test_tensor.py::TestSoftmax::test_large_logits_stable",)),

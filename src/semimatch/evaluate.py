@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import AUC_THRESHOLDS_PX, apply_homography, corner_auc, corner_reprojection_error, ransac_homography
-from .imageio import atomic_write, load_image
+from .imageio import atomic_write, check_image, load_image
 from .pipeline import MatchResult
 from .supervision import build_gt_homography
 
@@ -176,8 +176,8 @@ def list_pairs(directory: str) -> list[int]:
 class DirectoryPairs:
     """Dataset view over a synth output directory: (image A, image B, H) per pair.
 
-    Every B image is looked up and every H file read and checked here, so a
-    missing or bad one fails before any pair is used."""
+    Every image's header and payload size and every H file are read and
+    checked here, so a missing or bad file fails, named, before any pair is used."""
 
     def __init__(self, directory: str):
         self.directory = directory
@@ -185,9 +185,8 @@ class DirectoryPairs:
         if not self.indices:
             raise FileNotFoundError(f"no pairXXXX_A.pgm files in {directory}")
         for i in self.indices:
-            path_b = pair_paths(directory, i)[1]
-            if not os.path.isfile(path_b):
-                raise FileNotFoundError(f"no B image {path_b} for pair {i}")
+            for path in pair_paths(directory, i)[:2]:
+                check_image(path)
         self.homographies = [read_homography_csv(pair_paths(directory, i)[2]) for i in self.indices]
 
     def __len__(self) -> int:

@@ -45,21 +45,37 @@ def _read_header(blob: bytes) -> tuple[bytes, list[int], int]:
     return magic, fields, pos + 1
 
 
-def load_image(path: str) -> np.ndarray:
-    """Read a P5/P6 file as a float32 grayscale (H, W) array in [0, 1]."""
+def _read_pixels(path: str) -> tuple[np.ndarray, int, int, int]:
+    """The file's uint8 payload with its height, width and channel count.
+
+    Every format error names ``path``."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    magic, (width, height, maxval), start = _read_header(blob)
-    if maxval != 255:
-        raise ImageFormatError(f"unsupported maxval {maxval}, want 255")
-    if width < 1 or height < 1:
-        raise ImageFormatError(f"image has no pixels: {width}x{height}")
-    channels = 1 if magic == b"P5" else 3
-    need = width * height * channels
-    payload = blob[start:start + need]
-    if len(payload) < need:
-        raise ImageFormatError(f"truncated payload: want {need} bytes, got {len(payload)}")
-    data = np.frombuffer(payload, dtype=np.uint8).astype(np.float32) / 255.0
+    try:
+        magic, (width, height, maxval), start = _read_header(blob)
+        if maxval != 255:
+            raise ImageFormatError(f"unsupported maxval {maxval}, want 255")
+        if width < 1 or height < 1:
+            raise ImageFormatError(f"image has no pixels: {width}x{height}")
+        channels = 1 if magic == b"P5" else 3
+        need = width * height * channels
+        payload = blob[start:start + need]
+        if len(payload) < need:
+            raise ImageFormatError(f"truncated payload: want {need} bytes, got {len(payload)}")
+    except ImageFormatError as exc:
+        raise ImageFormatError(f"{path}: {exc}") from None
+    return np.frombuffer(payload, dtype=np.uint8), height, width, channels
+
+
+def check_image(path: str) -> None:
+    """Raise ``ImageFormatError`` naming ``path`` unless it holds a whole P5/P6 image."""
+    _read_pixels(path)
+
+
+def load_image(path: str) -> np.ndarray:
+    """Read a P5/P6 file as a float32 grayscale (H, W) array in [0, 1]."""
+    pixels, height, width, channels = _read_pixels(path)
+    data = pixels.astype(np.float32) / 255.0
     if channels == 1:
         return data.reshape(height, width)
     return (data.reshape(height, width, 3) @ LUMA.astype(np.float32)).astype(np.float32)

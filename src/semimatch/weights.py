@@ -28,33 +28,35 @@ class WeightFormatError(ValueError):
 
 
 def serialize_weights(named_tensors, config: dict | None = None) -> bytes:
+    """The container as one ``bytes``: tensors are joined from memoryviews, so
+    a tensor is copied only where its dtype or layout needs a cast."""
     entries = []
-    chunks = []
+    views = []
     offset = 0
     for name, tensor in named_tensors:
-        arr = np.ascontiguousarray(tensor.data)
-        code = "f4" if arr.dtype == np.float32 else "f8"
-        raw = arr.astype(_DTYPES[code]).tobytes()
+        code = "f4" if tensor.data.dtype == np.float32 else "f8"
+        arr = np.ascontiguousarray(tensor.data, dtype=_DTYPES[code])
         entries.append({
             "name": name,
             "dtype": code,
             "shape": list(arr.shape),
             "offset": offset,
-            "length": len(raw),
+            "length": arr.nbytes,
         })
-        chunks.append(raw)
-        offset += len(raw)
+        views.append(memoryview(arr))
+        offset += arr.nbytes
     manifest = {
         "format_version": FORMAT_VERSION,
         "config": config or {},
         "tensors": entries,
     }
     body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    return MAGIC + struct.pack("<I", len(body)) + body + b"".join(chunks)
+    return b"".join([MAGIC, struct.pack("<I", len(body)), body, *views])
 
 
 def deserialize_weights(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
-    """Returns (config, {name: array}). Validates offsets before any copy."""
+    """Returns (config, {name: array}). Validates offsets before any copy and
+    reads the payload through a memoryview, so each tensor is copied once."""
     if not blob.startswith(MAGIC):
         raise WeightFormatError("not a weight container (bad magic)")
     head = len(MAGIC)
@@ -65,7 +67,7 @@ def deserialize_weights(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     payload_start = body_start + body_len
     if len(blob) < payload_start:
         raise WeightFormatError("truncated manifest")
-    payload = blob[payload_start:]
+    payload = memoryview(blob)[payload_start:]
     tensors: dict[str, np.ndarray] = {}
     cursor = 0
     try:  # anything off in the manifest is a format error: bad UTF-8 or JSON, a missing or mistyped field
@@ -101,7 +103,9 @@ def load_matcher(path: str):
     """Rebuild a Matcher from a container; every tensor must be present and finite."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    digest = model_hash(blob)
     config_dict, tensors = deserialize_weights(blob)
+    del blob  # the tensors are copies; the model is built without the file bytes held
     try:
         config = MatcherConfig.from_dict(config_dict)
     except (KeyError, ValueError) as exc:
@@ -120,8 +124,8 @@ def load_matcher(path: str):
             raise WeightFormatError(f"tensor {name} has shape {arr.shape}, expected {target.shape}")
         if not np.isfinite(arr).all():
             raise NumericError(f"tensor {name} holds non-finite values")
-        target.data = arr.astype(target.dtype)
-    return matcher, model_hash(blob)
+        target.data = arr.astype(target.dtype, copy=False)
+    return matcher, digest
 
 
 def model_hash(blob: bytes) -> str:

@@ -1,9 +1,13 @@
-"""Shared oracles: central finite differences and gradient comparison."""
+"""Shared oracles: central finite differences, gradient comparison and the
+plain weight serializer."""
+import json
+import struct
 from collections import Counter
 
 import numpy as np
 
 from semimatch import tensor as T
+from semimatch.weights import _DTYPES, FORMAT_VERSION, MAGIC
 
 
 def numeric_gradient(build_loss, arrays, which, h=1e-4):
@@ -90,3 +94,22 @@ def assert_batch_axis_exact(op, x, *shared, seed=0):
     assert np.abs(batched[0] - np.stack([g[0] for g in per_map])).max() <= 1e-10
     for j in range(1, len(batched)):
         assert np.abs(batched[j] - sum(g[j] for g in per_map)).max() <= 1e-10
+
+
+def serialize_weights_oracle(named_tensors, config: dict | None = None) -> bytes:
+    """The weight container built the plain way, holding three copies of the
+    payload at once: each tensor's ``tobytes()``, their join, and the join
+    with the header. ``weights.serialize_weights`` must return these bytes."""
+    entries = []
+    chunks = []
+    offset = 0
+    for name, tensor in named_tensors:
+        arr = np.ascontiguousarray(tensor.data)
+        code = "f4" if arr.dtype == np.float32 else "f8"
+        raw = arr.astype(_DTYPES[code]).tobytes()
+        entries.append({"name": name, "dtype": code, "shape": list(arr.shape), "offset": offset, "length": len(raw)})
+        chunks.append(raw)
+        offset += len(raw)
+    manifest = {"format_version": FORMAT_VERSION, "config": config or {}, "tensors": entries}
+    body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    return MAGIC + struct.pack("<I", len(body)) + body + b"".join(chunks)

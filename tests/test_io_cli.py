@@ -1,16 +1,22 @@
 import io
 import json
 import os
+import re
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import semimatch
+from helpers import serialize_weights_oracle
 from semimatch import lanes
 from semimatch import tensor as T
 from semimatch.backbone import COARSE_STRIDE
@@ -36,6 +42,8 @@ from semimatch.weights import (
 TINY = MatcherConfig(widths=(4, 4, 8, 8), blocks=(1, 1, 1, 1), n_layers=1, n_heads=2, s=2,
                      d_fine=8, fine_patch_width=8)
 TOY_WEIGHTS = Path(__file__).resolve().parents[1] / "benchmark" / "toy_weights.smw"
+# sha256 of the seed-0 paper-config container (57.5 MiB of float32 payload)
+PAPER_SEED0_SHA256 = "6e0deb5c6cc91fb5e7f3541f137e118042105c6f817492f3141a1c7d524a871c"
 
 
 def read_match_dump(text: str) -> tuple[dict[str, str], np.ndarray]:
@@ -97,7 +105,7 @@ class TestImageIO:
         path = tmp_path / "t.pgm"
         with open(path, "wb") as fh:
             fh.write(b"P5\n4 4\n255\n\x00\x00")
-        with pytest.raises(ImageFormatError, match="truncated"):
+        with pytest.raises(ImageFormatError, match=re.escape(f"{path}: truncated payload: want 16 bytes, got 2")):
             load_image(str(path))
 
     def test_header_comments_allowed(self, tmp_path):
@@ -166,6 +174,38 @@ class TestWeightContainer:
         matcher, digest = load_matcher(str(TOY_WEIGHTS))
         assert digest == model_hash(TOY_WEIGHTS.read_bytes()) and digest.startswith("8cc3b6b1")
         assert matcher.config == MatcherConfig.toy()
+        assert serialize_weights(matcher.named_tensors(), matcher.config.to_dict()) == TOY_WEIGHTS.read_bytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("config", [MatcherConfig(), MatcherConfig.toy(), TINY], ids=["paper", "toy", "tiny"])
+    def test_container_bytes_equal_the_three_copy_oracle(self, config, dtype):
+        named = list(Matcher(config, seed=0, dtype=dtype).named_tensors())
+        # compared by digest so that the two paper-size containers are never held at once
+        digest = model_hash(serialize_weights(named, config.to_dict()))
+        assert digest == model_hash(serialize_weights_oracle(named, config.to_dict()))
+
+    def test_seed0_paper_container_digest_is_pinned(self):
+        matcher = Matcher(MatcherConfig(), seed=0)
+        assert model_hash(serialize_weights(matcher.named_tensors(), matcher.config.to_dict())) == PAPER_SEED0_SHA256
+
+    def test_strided_and_big_endian_tensors_are_cast_like_the_oracle(self, rng):
+        base = rng.standard_normal((5, 7)).astype(np.float32)
+        # a big-endian float32 array is not np.float32, so both write it as f8
+        arrays = {"transposed": base.T, "big_endian": base.astype(">f4"), "strided_f8": base.astype(np.float64)[:, ::2]}
+        named = [(name, SimpleNamespace(data=arr)) for name, arr in arrays.items()]
+        blob = serialize_weights(named, {})
+        assert blob == serialize_weights_oracle(named, {})
+        _, tensors = deserialize_weights(blob)
+        for name, arr in arrays.items():
+            np.testing.assert_array_equal(tensors[name], arr)
+
+    def test_loaded_tensors_own_writable_memory(self, tmp_path):
+        path = tmp_path / "w.smw"
+        save_matcher(str(path), Matcher(TINY, seed=0))
+        _, tensors = deserialize_weights(path.read_bytes())
+        loaded, _ = load_matcher(str(path))
+        for name, arr in [*tensors.items(), *((name, t.data) for name, t in loaded.named_tensors())]:
+            assert arr.flags.owndata and arr.flags.writeable, name
 
     def test_embedded_config_is_checked_before_the_model_is_built(self, tmp_path):
         matcher = Matcher(TINY, seed=0)
@@ -189,6 +229,55 @@ class TestWeightContainer:
         path.write_bytes(serialize_weights([*named, (name, copy)], MatcherConfig.toy().to_dict()))
         with pytest.raises(WeightFormatError, match=f"tensor {name} is listed twice"):
             load_matcher(str(path))
+
+
+# Runs one container call at paper size in a fresh process and prints, in bytes,
+# how far it raised the peak RSS and the payload, and whether every tensor owns
+# writable memory.
+RSS_PROBE = """
+import json, resource, sys
+from semimatch.pipeline import Matcher, MatcherConfig
+from semimatch.weights import load_matcher, save_matcher, serialize_weights
+call, path = sys.argv[1:]
+if call != "load_matcher":
+    matcher = Matcher(MatcherConfig(), seed=0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+if call == "serialize_weights":
+    blob = serialize_weights(matcher.named_tensors(), matcher.config.to_dict())
+elif call == "save_matcher":
+    save_matcher(path, matcher)
+else:
+    matcher, _ = load_matcher(path)
+grown = 1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+arrays = [t.data for _, t in matcher.named_tensors()]
+print(json.dumps({"grown": grown, "payload": sum(a.nbytes for a in arrays),
+                  "owned": all(a.flags.owndata and a.flags.writeable for a in arrays)}))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux reports it")
+class TestWeightMemory:
+    """Paper-size containers cost one payload copy to write and two to load,
+    each measured above the peak of a fresh process whose matcher is built."""
+
+    @staticmethod
+    def probe(call: str, path) -> dict:
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(semimatch.__file__)))
+        proc = subprocess.run([sys.executable, "-c", RSS_PROBE, call, str(path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("call", ["serialize_weights", "save_matcher"])
+    def test_writing_holds_one_payload_copy(self, tmp_path, call):
+        report = self.probe(call, tmp_path / "paper.smw")
+        assert report["grown"] <= 1.25 * report["payload"], report
+
+    def test_loading_holds_two_payload_copies_and_owns_its_tensors(self, tmp_path):
+        path = tmp_path / "paper.smw"
+        self.probe("save_matcher", path)
+        report = self.probe("load_matcher", path)
+        assert report["grown"] <= 2.25 * report["payload"] and report["owned"], report
 
 
 class TestConfig:
@@ -579,6 +668,25 @@ class TestCli:
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith("i/o error") and str(data / "pair0001_B.pgm") in err
+        assert not (tmp_path / "trained.smw").exists()
+
+    def test_truncated_image_fails_named_before_any_pair_is_used(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "data"
+        assert main(["synth", "--count", "2", "--size", "32", "--out", str(data)]) == 0
+        bad = data / "pair0001_B.pgm"
+        bad.write_bytes(bad.read_bytes()[:-32 * 32])  # the header only
+        weights = tmp_path / "tiny.smw"
+        save_matcher(str(weights), Matcher(TINY, seed=0))
+        calls = []
+        monkeypatch.setattr(Matcher, "match_pair", lambda *args, **kwargs: calls.append("match_pair"))
+        monkeypatch.setattr("semimatch.cli.train_toy", lambda *args, **kwargs: calls.append("train_toy"))
+        capsys.readouterr()
+        for argv in (["eval-homography", "--data", str(data), "--weights", str(weights)],
+                     ["train-toy", "--data", str(data), "--out", str(tmp_path / "trained.smw")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("format error") and f"{bad}: truncated payload: want 1024 bytes, got 0" in err
+        assert calls == []
         assert not (tmp_path / "trained.smw").exists()
 
     def test_stray_names_in_a_pair_directory_are_ignored(self, tmp_path, capsys):
