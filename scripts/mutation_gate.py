@@ -131,6 +131,13 @@ MUTANTS = [
     Mutant("read_homography_csv drops the file name", "src/semimatch/evaluate.py",
            'f"homography file {path} line {lineno}: ', 'f"line {lineno}: ',
            ("tests/test_io_cli.py::TestCli::test_homography_entry_that_is_no_number_fails_before_any_pair_is_used",)),
+    Mutant("a negative tensor length is accepted", "src/semimatch/weights.py",
+           'type(entry[key]) is int and entry[key] >= 0 for key in ("offset", "length")',
+           'type(entry[key]) is int for key in ("offset", "length")',
+           ("tests/test_io_cli.py::TestWeightContainer::test_length_that_is_negative_or_no_int_is_rejected",)),
+    Mutant("a ragged homography row is reported without the file name", "src/semimatch/evaluate.py",
+           "if len(row) != 3:", "if not row:",
+           ("tests/test_io_cli.py::TestCli::test_ragged_homography_file_fails_named_before_any_pair_is_used",)),
     Mutant("two_threads ignores the BLAS thread count", "src/semimatch/lanes.py",
            "CONCURRENT_MACS <= work and blas_one_thread() and free_cpus()", "CONCURRENT_MACS <= work and free_cpus()",
            ("tests/test_bench.py::TestConcurrentBackbones::test_blas_at_its_default_starts_no_thread",)),

@@ -60,7 +60,7 @@ def main():
     matcher = Matcher(MatcherConfig.toy(), seed=0)
     curve = train_toy(matcher, SyntheticPairs(16, seed=42), TrainConfig(steps=args.steps, batch_size=2, seed=0))
     out["train/losses"] = digest([(r.step, r.l_c, r.l_f1, r.l_f2, r.total, r.grad_norm) for r in curve])
-    out["train/weights"] = hashlib.sha256(serialize_weights(matcher.named_tensors())).hexdigest()
+    out["train/weights"] = hashlib.sha256(serialize_weights(matcher.named_tensors(), {})).hexdigest()
     print(json.dumps(out, indent=1, sort_keys=True))
 
 

@@ -38,7 +38,7 @@ class BatchNormStats:
     deploy network bit-for-bit comparable with the training-mode network.
     """
 
-    def __init__(self, channels: int, dtype=np.float32):
+    def __init__(self, channels: int, dtype):
         self.mean = T.tensor(np.zeros(channels), dtype=dtype)
         self.var = T.tensor(np.ones(channels), dtype=dtype)
         self.scale = T.parameter(np.ones(channels), dtype=dtype)
@@ -58,14 +58,14 @@ class BatchNormStats:
         yield f"{prefix}.bn_shift", self.shift
 
 
-def he_normal(rng: np.random.Generator, out_c: int, in_c: int, k: int, dtype=np.float32) -> Tensor:
+def he_normal(rng: np.random.Generator, out_c: int, in_c: int, k: int, dtype) -> Tensor:
     """An (out_c, in_c, k, k) conv kernel parameter drawn from N(0, 2 / fan_in)."""
     std = math.sqrt(2.0 / (in_c * k * k))
     return T.parameter(rng.normal(0.0, std, size=(out_c, in_c, k, k)), dtype=dtype)
 
 
 class ConvBranch:
-    def __init__(self, in_c: int, out_c: int, k: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, in_c: int, out_c: int, k: int, rng: np.random.Generator, dtype):
         self.kernel = he_normal(rng, out_c, in_c, k, dtype)
         self.bias = T.parameter(np.zeros(out_c), dtype=dtype)
         self.bn = BatchNormStats(out_c, dtype=dtype)

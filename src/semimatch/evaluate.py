@@ -32,18 +32,16 @@ class StageTimings:
     repetitions: int
     mean: dict[str, float]
     median: dict[str, float]
-    samples: dict[str, list[float]]
 
     @classmethod
     def of(cls, results: list[MatchResult]) -> "StageTimings":
-        """Per-stage (and total) samples, means and medians, in seconds, over match results of one mode."""
+        """Per-stage (and total) means and medians, in seconds, over match results of one mode."""
         samples = {stage: [r.timings[stage] for r in results] for stage in (*STAGES, "total")}
         return cls(
             mode=results[0].mode,
             repetitions=len(results),
             mean={k: float(np.mean(v)) for k, v in samples.items()},
             median={k: float(np.median(v)) for k, v in samples.items()},
-            samples=samples,
         )
 
     def summary(self) -> str:
@@ -108,7 +106,7 @@ def coarse_precision(matcher, dataset, indices, mode: str) -> tuple[int, int]:
     return hits, total
 
 
-def fine_match_errors(matcher, dataset, indices, mode: str, two_stage: bool = True) -> np.ndarray:
+def fine_match_errors(matcher, dataset, indices, mode: str, two_stage: bool) -> np.ndarray:
     """Distances |pt_B - H(pt_A)| in px over every fine match of the pairs."""
     errors = []
     for result, h in _match_pairs(matcher, (dataset[i] for i in indices), mode, two_stage):
@@ -144,16 +142,19 @@ def write_homography_csv(path: str, h: np.ndarray) -> None:
 
 
 def read_homography_csv(path: str) -> np.ndarray:
-    """The 3x3 matrix in ``path``; a ``ValueError`` names the file (and the line of an entry that is no number)."""
+    """The 3x3 matrix in ``path``; a ``ValueError`` names the file (and the line that is not three numbers)."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
                 try:
-                    rows.append([float(v) for v in line.split(",")])
+                    row = [float(v) for v in line.split(",")]
                 except ValueError:
-                    raise ValueError(f"homography file {path} line {lineno}: {line!r} holds a non-number") from None
+                    row = []
+                if len(row) != 3:
+                    raise ValueError(f"homography file {path} line {lineno}: {line!r} is not 3 comma-separated numbers")
+                rows.append(row)
     h = np.array(rows, dtype=np.float64)
     if h.shape != (3, 3):
         raise ValueError(f"homography file {path} must hold a 3x3 matrix, got {h.shape}")

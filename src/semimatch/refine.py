@@ -41,7 +41,7 @@ class FineFusion:
     Only feed-forward convolutions, no attention; every width comes from a ``MatcherConfig``.
     """
 
-    def __init__(self, config: MatcherConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, config: MatcherConfig, rng: np.random.Generator, dtype):
         d_model, c_quarter, c_half, d_fine = config.d_model, config.widths[2], config.widths[1], config.d_fine
         self.proj_quarter = he_normal(rng, d_model, c_quarter, 1, dtype)
         self.proj_quarter_bias = T.parameter(np.zeros(d_model), dtype=dtype)

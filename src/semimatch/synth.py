@@ -113,7 +113,7 @@ def _fit_corners(h: np.ndarray, size: int, margin: float = 0.02) -> np.ndarray:
     return normalize_homography(fix @ h)
 
 
-def render_pair(seed: int, index: int, cfg: SynthConfig = SynthConfig()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def render_pair(seed: int, index: int, cfg: SynthConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic (image_a, image_b, homography) triple for (seed, index)."""
     rng = np.random.default_rng([seed, index])
     size = cfg.size

@@ -125,9 +125,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, grad={self.requires_grad})"
 
@@ -201,12 +198,6 @@ class Tensor:
 
     def __getitem__(self, key):
         return GatherND.apply(self, index=key)
-
-    @property
-    def T(self):
-        if self.ndim != 2:
-            raise ValueError("T is defined for 2-D tensors; use transpose(perm)")
-        return Transpose.apply(self, perm=(1, 0))
 
     # -- method sugar ------------------------------------------------------
     def reshape(self, *shape):
@@ -846,14 +837,13 @@ class Conv2d(Function):
             if self.records:
                 bands.append((r0, r1, cols))
             del cols  # freed before the next band is built
-        if bias is not None:
-            out += bias[:, None]
+        out += bias[:, None]
         if self.records:
-            self.saved = (bands, kernel, (cin, h + 2 * pad, wp), stride, pad, bias is not None)
+            self.saved = (bands, kernel, (cin, h + 2 * pad, wp), stride, pad)
         return out.reshape(cout, oh, ow)
 
     def backward(self, grad):
-        bands, kernel, padded_shape, stride, pad, has_bias = self.saved
+        bands, kernel, padded_shape, stride, pad = self.saved
         cout, cin, kh, kw = kernel.shape
         ow = grad.shape[2]
         g2 = grad.reshape(cout, -1)
@@ -868,9 +858,7 @@ class Conv2d(Function):
             dband = dxp[:, r0 * stride:(r1 - 1) * stride + kh]
             for t, tap in enumerate(_tap_slices(r1 - r0, ow, kh, kw, stride)):
                 dband[tap] += dcols[:, t]
-        dbias = grad.sum(axis=(1, 2)) if has_bias else None
-        grads = (_unpad_plane(dxp, pad), dkernel.reshape(kernel.shape))
-        return grads + (dbias,) if has_bias else grads
+        return _unpad_plane(dxp, pad), dkernel.reshape(kernel.shape), grad.sum(axis=(1, 2))
 
 
 def _im2col_rows(x: np.ndarray, r0: int, r1: int, kh: int, kw: int, stride: int, pad: int,
@@ -966,14 +954,13 @@ class WinogradConv2d(Function):
     def forward(self, x, kernel, bias):
         bands = [] if self.records else None
         out = np.ascontiguousarray(_winograd(x, kernel, bands))  # a copy only for partial tiles
-        if bias is not None:
-            out += bias[:, None, None]
+        out += bias[:, None, None]
         if self.records:
-            self.saved = (bands, kernel, bias is not None)
+            self.saved = (bands, kernel)
         return out
 
     def backward(self, grad):
-        bands, kernel, has_bias = self.saved
+        bands, kernel = self.saved
         _, g, at = _winograd_matrices(grad.dtype)
         cout, h, w = grad.shape
         th, tw = -(-h // 4), -(-w // 4)
@@ -987,8 +974,7 @@ class WinogradConv2d(Function):
             du = part if du is None else du + part
         dkernel = np.ascontiguousarray((g.T @ du.reshape(36, -1)).T).reshape(kernel.shape)
         dx = _winograd(grad, np.ascontiguousarray(kernel[:, :, ::-1, ::-1].swapaxes(0, 1)))
-        grads = (np.ascontiguousarray(dx), dkernel)
-        return grads + (grad.sum(axis=(1, 2)),) if has_bias else grads
+        return np.ascontiguousarray(dx), dkernel, grad.sum(axis=(1, 2))
 
 
 class DepthwiseConv2d(Function):
@@ -1102,13 +1088,13 @@ def gather_nd(x: Tensor, index: tuple) -> Tensor:
     return GatherND.apply(x, index=index)
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D convolution over a (C, H, W) map with zero padding.
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
+    """2-D convolution over a (C, H, W) map with zero padding, plus a per-channel bias.
 
-    Kernel is (out_c, in_c, kh, kw) with odd kh, kw; output spatial dims are
-    floor((H + 2·pad − kh) / stride) + 1. Stride-1, pad-1 3x3 kernels with at
-    least ``WINOGRAD_MIN_CHANNELS`` input and output channels run Winograd
-    F(4x4, 3x3), the rest im2col; each call counts once under "conv2d".
+    Kernel is (out_c, in_c, kh, kw) with odd kh, kw and bias (out_c,); output
+    spatial dims are floor((H + 2·pad − kh) / stride) + 1. Stride-1, pad-1 3x3
+    kernels with at least ``WINOGRAD_MIN_CHANNELS`` input and output channels
+    run Winograd F(4x4, 3x3), the rest im2col; each call counts once under "conv2d".
     """
     kh, kw = kernel.shape[-2:]
     if kh % 2 == 0 or kw % 2 == 0:

@@ -68,7 +68,7 @@ class AdamW:
         for p in self.params:
             p.grad = None
 
-    def step(self, lr_scale: float = 1.0) -> None:
+    def step(self, lr_scale: float) -> None:
         self.t += 1
         b1, b2 = ADAM_BETAS
         bias1 = 1.0 - b1**self.t

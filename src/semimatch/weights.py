@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -27,7 +28,7 @@ class WeightFormatError(ValueError):
     pass
 
 
-def serialize_weights(named_tensors, config: dict | None = None) -> bytes:
+def serialize_weights(named_tensors, config: dict) -> bytes:
     """The container as one ``bytes``: tensors are joined from memoryviews, so
     a tensor is copied only where its dtype or layout needs a cast."""
     entries = []
@@ -47,7 +48,7 @@ def serialize_weights(named_tensors, config: dict | None = None) -> bytes:
         offset += arr.nbytes
     manifest = {
         "format_version": FORMAT_VERSION,
-        "config": config or {},
+        "config": config,
         "tensors": entries,
     }
     body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
@@ -55,8 +56,10 @@ def serialize_weights(named_tensors, config: dict | None = None) -> bytes:
 
 
 def deserialize_weights(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
-    """Returns (config, {name: array}). Validates offsets before any copy and
-    reads the payload through a memoryview, so each tensor is copied once."""
+    """Returns (config, {name: array}). Validates offsets and lengths before any
+    copy: each tensor starts where the last one ended, and its length is a
+    non-negative integer equal to its element count times its item size. The
+    payload is read through a memoryview, so each tensor is copied once."""
     if not blob.startswith(MAGIC):
         raise WeightFormatError("not a weight container (bad magic)")
     head = len(MAGIC)
@@ -77,14 +80,20 @@ def deserialize_weights(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
         for entry in manifest["tensors"]:
             if entry["name"] in tensors:
                 raise ValueError(f"tensor {entry['name']} is listed twice")
+            if entry["dtype"] not in _DTYPES:
+                raise ValueError(f"unknown dtype {entry['dtype']}")
+            dtype = np.dtype(_DTYPES[entry["dtype"]])
+            # a negative length would move the cursor back, so two tensors could read the same bytes
+            if not all(type(entry[key]) is int and entry[key] >= 0 for key in ("offset", "length")):
+                raise ValueError(f"tensor {entry['name']} offset and length must be non-negative integers")
+            if entry["length"] != math.prod(entry["shape"]) * dtype.itemsize:
+                raise ValueError(f"tensor {entry['name']} length does not match its shape and dtype")
             if entry["offset"] != cursor:
                 raise ValueError(f"tensor {entry['name']} offset overlaps or leaves a gap")
             end = entry["offset"] + entry["length"]
             if end > len(payload):
                 raise ValueError(f"tensor {entry['name']} extends past payload")
-            if entry["dtype"] not in _DTYPES:
-                raise ValueError(f"unknown dtype {entry['dtype']}")
-            arr = np.frombuffer(payload[entry["offset"]:end], dtype=_DTYPES[entry["dtype"]])
+            arr = np.frombuffer(payload[entry["offset"]:end], dtype=dtype)
             tensors[entry["name"]] = arr.reshape(entry["shape"]).copy()
             cursor = end
         config = dict(manifest["config"])

@@ -220,6 +220,20 @@ class TestWeightContainer:
         with pytest.raises(WeightFormatError, match="unknown matcher config key 'lr'"):
             load_matcher(str(path))
 
+    @pytest.mark.parametrize("shape,length", [
+        ([0], -16),  # breaks the length rule too
+        ([-1, 4], -16),  # -16 is its element count (-4) times 4 bytes
+        ([0], False),
+    ])
+    def test_length_that_is_negative_or_no_int_is_rejected(self, shape, length):
+        # accepted, a length of -16 would move the cursor back and "b" would read "a"'s bytes again
+        entries = [{"name": "a", "dtype": "f4", "shape": [4], "offset": 0, "length": 16},
+                   {"name": "rewind", "dtype": "f4", "shape": shape, "offset": 16, "length": length},
+                   {"name": "b", "dtype": "f4", "shape": [4], "offset": 0, "length": 16}]
+        manifest = json.dumps({"format_version": 1, "config": {}, "tensors": entries}).encode()
+        with pytest.raises(WeightFormatError, match="tensor rewind offset and length must be non-negative integers"):
+            deserialize_weights(container(manifest, np.arange(4, dtype="<f4").tobytes()))
+
     def test_repeated_tensor_name_rejected(self, tmp_path):
         # without the check the later copy would silently win
         named = list(toy_matcher("seed0").named_tensors())
@@ -649,6 +663,21 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("invalid input") and f"{bad} line 2" in err and "'0,1,abc'" in err
         assert not (tmp_path / "trained.smw").exists()
+
+    def test_ragged_homography_file_fails_named_before_any_pair_is_used(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "data"
+        assert main(["synth", "--count", "2", "--size", "32", "--out", str(data)]) == 0
+        bad = data / "pair0001_H.csv"
+        bad.write_text("1,0,0\n0,1\n0,0,1\n")
+        weights = tmp_path / "tiny.smw"
+        save_matcher(str(weights), Matcher(TINY, seed=0))
+        calls = []
+        monkeypatch.setattr(Matcher, "match_pair", lambda *args, **kwargs: calls.append("match_pair"))
+        capsys.readouterr()
+        assert main(["eval-homography", "--data", str(data), "--weights", str(weights)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input") and f"{bad} line 2: '0,1' is not 3 comma-separated numbers" in err
+        assert calls == []
 
     def test_missing_b_image_fails_before_any_pair_is_used(self, tmp_path, capsys, monkeypatch):
         data = tmp_path / "data"

@@ -4,7 +4,7 @@ from semimatch import synth
 from semimatch.geometry import apply_homography
 from semimatch.refine import cell_centers
 from semimatch.supervision import build_gt_homography
-from semimatch.synth import SyntheticPairs, make_texture, random_homography, render_pair
+from semimatch.synth import SynthConfig, SyntheticPairs, make_texture, random_homography, render_pair
 
 
 class TestTexture:
@@ -36,19 +36,19 @@ class TestRandomHomography:
 
 class TestRenderPair:
     def test_deterministic_per_seed_and_index(self):
-        a1, b1, h1 = render_pair(3, 7)
-        a2, b2, h2 = render_pair(3, 7)
+        a1, b1, h1 = render_pair(3, 7, SynthConfig())
+        a2, b2, h2 = render_pair(3, 7, SynthConfig())
         np.testing.assert_array_equal(a1, a2)
         np.testing.assert_array_equal(b1, b2)
         np.testing.assert_array_equal(h1, h2)
 
     def test_different_indices_differ(self):
-        a1, _, _ = render_pair(3, 0)
-        a2, _, _ = render_pair(3, 1)
+        a1, _, _ = render_pair(3, 0, SynthConfig())
+        a2, _, _ = render_pair(3, 1, SynthConfig())
         assert np.abs(a1 - a2).max() > 0.01
 
     def test_images_in_unit_range(self):
-        a, b, _ = render_pair(0, 0)
+        a, b, _ = render_pair(0, 0, SynthConfig())
         for img in (a, b):
             assert img.shape == (64, 64)
             assert img.min() >= 0.0 and img.max() <= 1.0
@@ -58,7 +58,7 @@ class TestRenderPair:
         monkeypatch.setattr(synth, "GAIN_RANGE", (1.0, 1.0))
         monkeypatch.setattr(synth, "BIAS_MAX", 0.0)
         monkeypatch.setattr(synth, "NOISE_SIGMA", 0.0)
-        a, b, h = render_pair(11, 2)
+        a, b, h = render_pair(11, 2, SynthConfig())
         gt = build_gt_homography(h, (64, 64), (64, 64))
         # compare at warped cell centers, bilinear interpolation of B
         errs = []

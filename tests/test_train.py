@@ -25,7 +25,7 @@ class TestOptimizer:
         for _ in range(200):
             opt.zero_grad()
             ((p - 1.0) * (p - 1.0)).sum().backward()
-            opt.step()
+            opt.step(1.0)
         assert abs(float(p.data[0]) - 1.0) < 0.05
 
     def test_weight_decay_applies_to_matrices_only(self):
@@ -34,7 +34,7 @@ class TestOptimizer:
         opt = AdamW([w, b], lr=0.0, weight_decay=0.5)
         w.grad = np.zeros_like(w.data)
         b.grad = np.zeros_like(b.data)
-        opt.step()
+        opt.step(1.0)
         np.testing.assert_array_equal(w.data, 1.0)  # lr 0: no update at all
         np.testing.assert_array_equal(b.data, 1.0)
 
