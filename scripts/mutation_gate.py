@@ -148,6 +148,15 @@ MUTANTS = [
     Mutant("the shared softmax helper skips the max shift", "src/semimatch/tensor.py",
            "    x -= peak\n", "",
            ("tests/test_tensor.py::TestSoftmax::test_large_logits_stable",)),
+    Mutant("two tensors are made in swapped order", "src/semimatch/transform.py",
+           'self.q_proj = params.make("q_proj.kernel", (d, d), xavier, trainable=True)\n'
+           '        self.k_proj = params.make("k_proj.kernel", (d, d), xavier, trainable=True)',
+           'self.k_proj = params.make("k_proj.kernel", (d, d), xavier, trainable=True)\n'
+           '        self.q_proj = params.make("q_proj.kernel", (d, d), xavier, trainable=True)',
+           ("tests/test_io_cli.py::TestWeightContainer::test_seed0_paper_container_digest_is_pinned",)),
+    Mutant("from_arrays accepts names no tensor takes", "src/semimatch/pipeline.py",
+           "if params.arrays:", "if False:",
+           ("tests/test_io_cli.py::TestWeightContainer::test_missing_tensor_fails_before_compute[unknown]",)),
     Mutant("softmax backward writes into a shared gradient", "src/semimatch/tensor.py",
            "_softmax_vjp_inplace(grad.astype(np.result_type(grad, y)), y, axis)", "_softmax_vjp_inplace(grad, y, axis)",
            ("tests/test_tensor.py::TestSoftmax::test_backward_leaves_a_shared_gradient_intact",)),

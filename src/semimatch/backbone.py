@@ -17,6 +17,7 @@ import numpy as np
 from . import tensor as T
 from .config import STAGE_STRIDES, MatcherConfig
 from .lanes import pairs
+from .params import Params, he_normal
 from .tensor import Tensor
 
 BN_EPS = 1e-5
@@ -38,11 +39,11 @@ class BatchNormStats:
     deploy network bit-for-bit comparable with the training-mode network.
     """
 
-    def __init__(self, channels: int, dtype):
-        self.mean = T.tensor(np.zeros(channels), dtype=dtype)
-        self.var = T.tensor(np.ones(channels), dtype=dtype)
-        self.scale = T.parameter(np.ones(channels), dtype=dtype)
-        self.shift = T.parameter(np.zeros(channels), dtype=dtype)
+    def __init__(self, channels: int, params: Params):
+        self.mean = params.make("bn_mean", (channels,), 0.0, trainable=False)
+        self.var = params.make("bn_var", (channels,), 1.0, trainable=False)
+        self.scale = params.make("bn_scale", (channels,), 1.0, trainable=True)
+        self.shift = params.make("bn_shift", (channels,), 0.0, trainable=True)
         self.eps = BN_EPS
 
     def apply(self, x: Tensor) -> Tensor:
@@ -51,46 +52,27 @@ class BatchNormStats:
         bias = self.shift - self.scale * T.tensor(self.mean.data * inv_std, dtype=x.dtype)
         return x * weight.reshape((-1, 1, 1)) + bias.reshape((-1, 1, 1))
 
-    def named_tensors(self, prefix: str):
-        yield f"{prefix}.bn_mean", self.mean
-        yield f"{prefix}.bn_var", self.var
-        yield f"{prefix}.bn_scale", self.scale
-        yield f"{prefix}.bn_shift", self.shift
-
-
-def he_normal(rng: np.random.Generator, out_c: int, in_c: int, k: int, dtype) -> Tensor:
-    """An (out_c, in_c, k, k) conv kernel parameter drawn from N(0, 2 / fan_in)."""
-    std = math.sqrt(2.0 / (in_c * k * k))
-    return T.parameter(rng.normal(0.0, std, size=(out_c, in_c, k, k)), dtype=dtype)
-
 
 class ConvBranch:
-    def __init__(self, in_c: int, out_c: int, k: int, rng: np.random.Generator, dtype):
-        self.kernel = he_normal(rng, out_c, in_c, k, dtype)
-        self.bias = T.parameter(np.zeros(out_c), dtype=dtype)
-        self.bn = BatchNormStats(out_c, dtype=dtype)
-        self.k = k
+    def __init__(self, in_c: int, out_c: int, k: int, params: Params):
+        self.kernel = params.make("kernel", (out_c, in_c, k, k), he_normal, trainable=True)
+        self.bias = params.make("bias", (out_c,), 0.0, trainable=True)
+        self.bn = BatchNormStats(out_c, params)
 
     def apply(self, x: Tensor, stride: int) -> Tensor:
-        out = T.conv2d(x, self.kernel, self.bias, stride=stride, pad=(self.k - 1) // 2)
+        out = T.conv2d(x, self.kernel, self.bias, stride=stride, pad=(self.kernel.shape[-1] - 1) // 2)
         return self.bn.apply(out)
-
-    def named_tensors(self, prefix: str):
-        yield f"{prefix}.kernel", self.kernel
-        yield f"{prefix}.bias", self.bias
-        yield from self.bn.named_tensors(prefix)
 
 
 class RepVGGBlock:
     """3x3 + 1x1 + optional identity branches, summed then ReLU."""
 
-    def __init__(self, in_c: int, out_c: int, stride: int, rng: np.random.Generator, dtype=np.float32):
-        self.in_c = in_c
+    def __init__(self, in_c: int, out_c: int, stride: int, params: Params):
         self.out_c = out_c
         self.stride = stride
-        self.conv3x3 = ConvBranch(in_c, out_c, 3, rng, dtype)
-        self.conv1x1 = ConvBranch(in_c, out_c, 1, rng, dtype)
-        self.identity = BatchNormStats(out_c, dtype=dtype) if (in_c == out_c and stride == 1) else None
+        self.conv3x3 = ConvBranch(in_c, out_c, 3, params.scope("conv3x3"))
+        self.conv1x1 = ConvBranch(in_c, out_c, 1, params.scope("conv1x1"))
+        self.identity = BatchNormStats(out_c, params.scope("identity")) if (in_c == out_c and stride == 1) else None
 
     def forward(self, x: Tensor) -> Tensor:
         out = self.conv3x3.apply(x, self.stride) + self.conv1x1.apply(x, self.stride)
@@ -124,12 +106,6 @@ class RepVGGBlock:
             kernel, bias = self.fold()
         return kernel.data, bias.data
 
-    def named_tensors(self, prefix: str):
-        yield from self.conv3x3.named_tensors(f"{prefix}.conv3x3")
-        yield from self.conv1x1.named_tensors(f"{prefix}.conv1x1")
-        if self.identity is not None:
-            yield from self.identity.named_tensors(f"{prefix}.identity")
-
 
 @dataclass
 class FusedBlock:
@@ -141,15 +117,11 @@ class FusedBlock:
 class Backbone:
     """Built from a ``MatcherConfig``'s ``widths`` and ``blocks``."""
 
-    def __init__(self, config: MatcherConfig, rng: np.random.Generator, dtype=np.float32):
-        self.stages: list[list[RepVGGBlock]] = []
-        c_in = 1  # grayscale input
-        for width, n_blocks, stride in zip(config.widths, config.blocks, STAGE_STRIDES):
-            stage = []
-            for b in range(n_blocks):
-                stage.append(RepVGGBlock(c_in, width, stride if b == 0 else 1, rng, dtype))
-                c_in = width
-            self.stages.append(stage)
+    def __init__(self, config: MatcherConfig, params: Params):
+        c_in = (1, *config.widths)  # a stage's input width: grayscale, then the previous stage's output
+        self.stages = [[RepVGGBlock(c_in[s] if b == 0 else width, width, stride if b == 0 else 1,
+                                    params.scope(f"stage{s}.block{b}")) for b in range(n_blocks)]
+                       for s, (width, n_blocks, stride) in enumerate(zip(config.widths, config.blocks, STAGE_STRIDES))]
 
     def fold(self) -> "FusedBackbone":
         """Every block folded into one conv. With gradients on, the kernels
@@ -161,11 +133,6 @@ class Backbone:
     def fuse(self) -> "FusedBackbone":
         with T.no_grad():
             return self.fold()
-
-    def named_tensors(self):
-        for s, stage in enumerate(self.stages):
-            for b, block in enumerate(stage):
-                yield from block.named_tensors(f"backbone.stage{s}.block{b}")
 
 
 class FusedBackbone:
@@ -226,4 +193,3 @@ def pad_to_multiple(image: np.ndarray, multiple: int) -> tuple[np.ndarray, tuple
     if ph or pw:
         image = np.pad(image, ((0, ph), (0, pw)))
     return image, (h, w)
-

@@ -20,6 +20,7 @@ from . import tensor as T
 from .backbone import COARSE_STRIDE, Backbone, FusedBackbone, pad_to_multiple
 from .config import MatcherConfig
 from .matching import MODES, CoarseMatch, match_coarse
+from .params import Params, WeightFormatError
 from .refine import FineFusion, FineMatch, cell_centers, refine
 from .tensor import Tensor
 from .transform import FeatureTransform
@@ -50,13 +51,26 @@ class MatchResult:
 
 
 class Matcher:
-    def __init__(self, config: MatcherConfig, seed: int = 0, dtype=np.float32):
-        self.config = config
-        self.dtype = dtype
-        rng = np.random.default_rng(seed)
-        self.backbone = Backbone(config, rng, dtype=dtype)
-        self.transform = FeatureTransform(config, rng, dtype=dtype)
-        self.fusion = FineFusion(config, rng, dtype=dtype)
+    def __init__(self, config: MatcherConfig, seed: int, dtype=np.float32):
+        """Every tensor drawn from the ``seed`` generator, in the order made."""
+        self._build(config, Params(dtype, np.random.default_rng(seed), None))
+
+    @classmethod
+    def from_arrays(cls, config: MatcherConfig, arrays: dict[str, np.ndarray], dtype) -> Matcher:
+        """Every tensor taken from ``arrays`` (name -> array), with no draw (``Params``
+        checks each); a name that no tensor takes raises ``WeightFormatError``."""
+        params = Params(dtype, None, dict(arrays))
+        matcher = cls.__new__(cls)
+        matcher._build(config, params)
+        if params.arrays:
+            raise WeightFormatError(f"container has unknown tensors: {sorted(params.arrays)[:5]}")
+        return matcher
+
+    def _build(self, config: MatcherConfig, params: Params) -> None:
+        self.config, self.dtype, self.params = config, params.dtype, params
+        self.backbone = Backbone(config, params.scope("backbone"))
+        self.transform = FeatureTransform(config, params.scope("transform"))
+        self.fusion = FineFusion(config, params.scope("fine_fusion"))
 
     @property
     def inv_temperature(self) -> float:
@@ -69,12 +83,11 @@ class Matcher:
         return self.config.fine_patch_width
 
     def named_tensors(self):
-        yield from self.backbone.named_tensors()
-        yield from self.transform.named_tensors()
-        yield from self.fusion.named_tensors()
+        """(name, tensor) of every tensor, in the order made."""
+        return self.params.tensors.items()
 
     def trainable_parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_tensors() if t.requires_grad]
+        return [t for t in self.params.tensors.values() if t.requires_grad]
 
     def fuse(self) -> FusedBackbone:
         return self.backbone.fuse()

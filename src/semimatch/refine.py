@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .backbone import COARSE_STRIDE, he_normal
+from .backbone import COARSE_STRIDE
 from .config import MatcherConfig
 from .matching import CoarseMatch
+from .params import Params, he_normal
 from .tensor import Tensor
 
 # window cell (row r, col c) corresponds to offset (dx, dy) = (c-1, r-1)
@@ -41,14 +42,14 @@ class FineFusion:
     Only feed-forward convolutions, no attention; every width comes from a ``MatcherConfig``.
     """
 
-    def __init__(self, config: MatcherConfig, rng: np.random.Generator, dtype):
+    def __init__(self, config: MatcherConfig, params: Params):
         d_model, c_quarter, c_half, d_fine = config.d_model, config.widths[2], config.widths[1], config.d_fine
-        self.proj_quarter = he_normal(rng, d_model, c_quarter, 1, dtype)
-        self.proj_quarter_bias = T.parameter(np.zeros(d_model), dtype=dtype)
-        self.conv_mid = he_normal(rng, c_half, d_model, 3, dtype)
-        self.conv_mid_bias = T.parameter(np.zeros(c_half), dtype=dtype)
-        self.conv_out = he_normal(rng, d_fine, c_half, 3, dtype)
-        self.conv_out_bias = T.parameter(np.zeros(d_fine), dtype=dtype)
+        self.proj_quarter = params.make("proj_quarter.kernel", (d_model, c_quarter, 1, 1), he_normal, trainable=True)
+        self.proj_quarter_bias = params.make("proj_quarter.bias", (d_model,), 0.0, trainable=True)
+        self.conv_mid = params.make("conv_mid.kernel", (c_half, d_model, 3, 3), he_normal, trainable=True)
+        self.conv_mid_bias = params.make("conv_mid.bias", (c_half,), 0.0, trainable=True)
+        self.conv_out = params.make("conv_out.kernel", (d_fine, c_half, 3, 3), he_normal, trainable=True)
+        self.conv_out_bias = params.make("conv_out.bias", (d_fine,), 0.0, trainable=True)
 
     def forward(self, f_coarse_t: Tensor, f_quarter: Tensor, f_half: Tensor) -> Tensor:
         if f_quarter.shape[1:] != tuple(2 * n for n in f_coarse_t.shape[1:]):
@@ -62,14 +63,6 @@ class FineFusion:
         x = x + f_half
         x = T.conv2d(x.relu(), self.conv_out, self.conv_out_bias, pad=1)
         return T.bilinear_upsample(x, 2)
-
-    def named_tensors(self):
-        yield "fine_fusion.proj_quarter.kernel", self.proj_quarter
-        yield "fine_fusion.proj_quarter.bias", self.proj_quarter_bias
-        yield "fine_fusion.conv_mid.kernel", self.conv_mid
-        yield "fine_fusion.conv_mid.bias", self.conv_mid_bias
-        yield "fine_fusion.conv_out.kernel", self.conv_out
-        yield "fine_fusion.conv_out.bias", self.conv_out_bias
 
 
 def cell_centers(cells: np.ndarray, grid: tuple[int, int]) -> np.ndarray:

@@ -1066,10 +1066,6 @@ def tensor(data, dtype=None) -> Tensor:
     return Tensor(data, dtype=dtype)
 
 
-def parameter(data, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=True, dtype=dtype)
-
-
 def concat(parts, axis: int = 0) -> Tensor:
     return Concat.apply(*parts, axis=axis)
 

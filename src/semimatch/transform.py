@@ -30,6 +30,7 @@ from . import tensor as T
 from .config import MatcherConfig
 from .instrument import counters
 from .lanes import pairs, two_threads
+from .params import Params, box_noise, xavier
 from .tensor import Tensor
 
 
@@ -104,24 +105,22 @@ class AggAttentionBlock:
     """One aggregated attention block (self or cross flavor), shaped by a
     ``MatcherConfig``'s ``d_model``, ``n_heads`` and ``s``."""
 
-    def __init__(self, kind: str, config: MatcherConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, kind: str, config: MatcherConfig, params: Params):
         if kind not in ("self", "cross"):
             raise ValueError(f"unknown block kind {kind!r}")
         self.kind = kind
         self.config = config
         d = config.d_model
-        s = config.s
-        box = np.full((d, s, s), 1.0 / (s * s))
-        self.agg_conv = T.parameter(box + rng.normal(0.0, 0.01, size=box.shape), dtype=dtype)
-        self.q_proj = T.parameter(_xavier(rng, d, d), dtype=dtype)
-        self.k_proj = T.parameter(_xavier(rng, d, d), dtype=dtype)
-        self.v_proj = T.parameter(_xavier(rng, d, d), dtype=dtype)
-        self.out_proj = T.parameter(_xavier(rng, d, d), dtype=dtype)
-        self.fuse = T.parameter(_xavier(rng, d, 2 * d), dtype=dtype)
-        self.fc1 = T.parameter(_xavier(rng, 2 * d, d), dtype=dtype)
-        self.fc1_bias = T.parameter(np.zeros(2 * d), dtype=dtype)
-        self.fc2 = T.parameter(_xavier(rng, d, 2 * d), dtype=dtype)
-        self.fc2_bias = T.parameter(np.zeros(d), dtype=dtype)
+        self.agg_conv = params.make("agg_conv.kernel", (d, config.s, config.s), box_noise, trainable=True)
+        self.q_proj = params.make("q_proj.kernel", (d, d), xavier, trainable=True)
+        self.k_proj = params.make("k_proj.kernel", (d, d), xavier, trainable=True)
+        self.v_proj = params.make("v_proj.kernel", (d, d), xavier, trainable=True)
+        self.out_proj = params.make("out_proj.kernel", (d, d), xavier, trainable=True)
+        self.fuse = params.make("ffn.fuse.kernel", (d, 2 * d), xavier, trainable=True)
+        self.fc1 = params.make("ffn.fc1.kernel", (2 * d, d), xavier, trainable=True)
+        self.fc1_bias = params.make("ffn.fc1.bias", (2 * d,), 0.0, trainable=True)
+        self.fc2 = params.make("ffn.fc2.kernel", (d, 2 * d), xavier, trainable=True)
+        self.fc2_bias = params.make("ffn.fc2.bias", (d,), 0.0, trainable=True)
 
     def forward(self, target: Tensor, source: Tensor,
                 position_offset: tuple[float, float] = (0.0, 0.0)) -> Tensor:
@@ -160,18 +159,6 @@ class AggAttentionBlock:
         hidden = T.linear(hidden, self.fc2, self.fc2_bias)
         return target + _channels_first(hidden)
 
-    def named_tensors(self, prefix: str):
-        yield f"{prefix}.agg_conv.kernel", self.agg_conv
-        yield f"{prefix}.q_proj.kernel", self.q_proj
-        yield f"{prefix}.k_proj.kernel", self.k_proj
-        yield f"{prefix}.v_proj.kernel", self.v_proj
-        yield f"{prefix}.out_proj.kernel", self.out_proj
-        yield f"{prefix}.ffn.fuse.kernel", self.fuse
-        yield f"{prefix}.ffn.fc1.kernel", self.fc1
-        yield f"{prefix}.ffn.fc1.bias", self.fc1_bias
-        yield f"{prefix}.ffn.fc2.kernel", self.fc2
-        yield f"{prefix}.ffn.fc2.bias", self.fc2_bias
-
 
 class FeatureTransform:
     """N interleaved rounds of self/self/cross/cross aggregated attention.
@@ -180,11 +167,12 @@ class FeatureTransform:
     symmetric: transform(B, A) is the swap of transform(A, B).
     """
 
-    def __init__(self, config: MatcherConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, config: MatcherConfig, params: Params):
         self.config = config
         self.layers = [
-            (AggAttentionBlock("self", config, rng, dtype), AggAttentionBlock("cross", config, rng, dtype))
-            for _ in range(config.n_layers)
+            (AggAttentionBlock("self", config, params.scope(f"layer{i}.self")),
+             AggAttentionBlock("cross", config, params.scope(f"layer{i}.cross")))
+            for i in range(config.n_layers)
         ]
 
     def forward(self, f_a: Tensor, f_b: Tensor) -> tuple[Tensor, Tensor]:
@@ -215,11 +203,6 @@ class FeatureTransform:
                 f_a, f_b = run(partial(cross_block.forward, f_a, f_b), partial(cross_block.forward, f_b, f_a))
         return f_a, f_b
 
-    def named_tensors(self):
-        for i, (self_block, cross_block) in enumerate(self.layers):
-            yield from self_block.named_tensors(f"transform.layer{i}.self")
-            yield from cross_block.named_tensors(f"transform.layer{i}.cross")
-
 
 def transform_macs(config: MatcherConfig, height: int, width: int) -> int:
     """Multiply-adds of one image's pass through every transform block over a
@@ -230,8 +213,3 @@ def transform_macs(config: MatcherConfig, height: int, width: int) -> int:
     d, s = config.d_model, config.s
     cells, tokens = height * width, (height // s) * (width // s)
     return 2 * config.n_layers * (6 * d * d * cells + 4 * d * d * tokens + 2 * d * tokens * tokens)
-
-
-def _xavier(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
-    bound = math.sqrt(6.0 / (in_dim + out_dim))
-    return rng.uniform(-bound, bound, size=(out_dim, in_dim))

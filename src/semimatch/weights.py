@@ -15,17 +15,13 @@ import struct
 import numpy as np
 
 from .imageio import atomic_write
+from .params import WeightFormatError
 from .pipeline import Matcher, MatcherConfig
-from .tensor import NumericError
 
 MAGIC = b"SMWT1\n"
 FORMAT_VERSION = 1
 
 _DTYPES = {"f4": "<f4", "f8": "<f8"}
-
-
-class WeightFormatError(ValueError):
-    pass
 
 
 def serialize_weights(named_tensors, config: dict) -> bytes:
@@ -109,7 +105,7 @@ def save_matcher(path: str, matcher) -> None:
 
 
 def load_matcher(path: str):
-    """Rebuild a Matcher from a container; every tensor must be present and finite."""
+    """Build a Matcher from a container's tensors, drawing nothing (``Matcher.from_arrays``)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     digest = model_hash(blob)
@@ -119,22 +115,7 @@ def load_matcher(path: str):
         config = MatcherConfig.from_dict(config_dict)
     except (KeyError, ValueError) as exc:
         raise WeightFormatError(f"embedded config: {exc}") from None
-    matcher = Matcher(config)
-    expected = dict(matcher.named_tensors())
-    missing = sorted(set(expected) - set(tensors))
-    if missing:
-        raise WeightFormatError(f"container is missing tensors: {missing[:5]}")
-    extra = sorted(set(tensors) - set(expected))
-    if extra:
-        raise WeightFormatError(f"container has unknown tensors: {extra[:5]}")
-    for name, target in expected.items():
-        arr = tensors[name]
-        if tuple(arr.shape) != target.shape:
-            raise WeightFormatError(f"tensor {name} has shape {arr.shape}, expected {target.shape}")
-        if not np.isfinite(arr).all():
-            raise NumericError(f"tensor {name} holds non-finite values")
-        target.data = arr.astype(target.dtype, copy=False)
-    return matcher, digest
+    return Matcher.from_arrays(config, tensors, np.float32), digest
 
 
 def model_hash(blob: bytes) -> str:

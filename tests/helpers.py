@@ -7,7 +7,18 @@ from collections import Counter
 import numpy as np
 
 from semimatch import tensor as T
+from semimatch.params import Params
 from semimatch.weights import _DTYPES, FORMAT_VERSION, MAGIC
+
+
+def parameter(data, dtype=None) -> T.Tensor:
+    """A leaf tensor that records gradients."""
+    return T.Tensor(data, requires_grad=True, dtype=dtype)
+
+
+def drawn(rng: np.random.Generator, dtype=np.float32) -> Params:
+    """A registry drawing from ``rng``, for building one module on its own."""
+    return Params(dtype, rng, None)
 
 
 def numeric_gradient(build_loss, arrays, which, h=1e-4):
@@ -85,7 +96,7 @@ def assert_batch_axis_exact(op, x, *shared, seed=0):
     weights = np.random.default_rng(seed).standard_normal(stacked.shape)
 
     def gradients(inputs, w):
-        leaves = [T.parameter(inputs, dtype=np.float64)] + [T.parameter(s, dtype=np.float64) for s in shared]
+        leaves = [parameter(inputs, dtype=np.float64)] + [parameter(s, dtype=np.float64) for s in shared]
         (op(*leaves) * T.tensor(w)).sum().backward()
         return [leaf.grad for leaf in leaves]
 

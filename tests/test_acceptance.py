@@ -22,7 +22,7 @@ from semimatch.train import TrainConfig, pair_losses, train_toy
 from semimatch.transform import rope_encode
 
 from conftest import ACCEPTANCE_LINES
-from helpers import numeric_gradient, weighted_sum
+from helpers import drawn, numeric_gradient, parameter, weighted_sum
 
 TOY_TRAIN_STEPS = 800
 TOY_HELDOUT = 50
@@ -47,7 +47,7 @@ def test_criterion_01_reparameterization_losslessness(rng):
             in_c = int(gen.integers(1, 7))
             out_c = in_c if trial % 2 == 0 else int(gen.integers(1, 7))
             stride = 1 if trial % 3 else 2
-            block = RepVGGBlock(in_c, out_c, stride, gen, dtype=dtype)
+            block = RepVGGBlock(in_c, out_c, stride, drawn(gen, dtype))
             for stats in (block.conv3x3.bn, block.conv1x1.bn, block.identity):
                 if stats is None:
                     continue
@@ -143,7 +143,7 @@ def test_criterion_02_gradient_correctness(rng):
     start = time.perf_counter()
     failures = []
     for name, arrays, fn in _op_cases(rng):
-        leaves = [T.parameter(a, dtype=np.float64) for a in arrays]
+        leaves = [parameter(a, dtype=np.float64) for a in arrays]
         fn(*leaves).backward()
         for which, leaf in enumerate(leaves):
             fd = numeric_gradient(

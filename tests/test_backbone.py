@@ -6,7 +6,7 @@ from semimatch.backbone import Backbone, RepVGGBlock, pad_to_multiple
 from semimatch.instrument import counters
 from semimatch.pipeline import MatcherConfig
 
-from helpers import tape_size, weighted_sum
+from helpers import drawn, parameter, tape_size, weighted_sum
 
 TOY = MatcherConfig.toy()
 
@@ -28,7 +28,7 @@ def fused_forward(block, x):
 
 class TestFuseBlock:
     def test_pure_identity_block_is_dirac(self, rng):
-        block = RepVGGBlock(3, 3, 1, rng)
+        block = RepVGGBlock(3, 3, 1, drawn(rng))
         block.conv3x3.kernel.data[:] = 0
         block.conv1x1.kernel.data[:] = 0
         kernel, bias = block.fuse()
@@ -38,7 +38,7 @@ class TestFuseBlock:
         np.testing.assert_allclose(bias, 0.0, atol=1e-7)
 
     def test_1x1_branch_pads_to_center(self, rng):
-        block = RepVGGBlock(2, 4, 2, rng)  # stride 2: no identity branch
+        block = RepVGGBlock(2, 4, 2, drawn(rng))  # stride 2: no identity branch
         block.conv3x3.kernel.data[:] = 0
         w = rng.standard_normal((4, 2, 1, 1)).astype(np.float32)
         block.conv1x1.kernel.data[:] = w
@@ -52,7 +52,7 @@ class TestFuseBlock:
             in_c = int(rng.integers(1, 6))
             out_c = in_c if trial % 2 == 0 else int(rng.integers(1, 6))
             stride = 1 if trial % 3 else 2
-            block = RepVGGBlock(in_c, out_c, stride, rng)
+            block = RepVGGBlock(in_c, out_c, stride, drawn(rng))
             randomize_block_stats(block, rng)
             worst = 0.0
             for _ in range(5):
@@ -66,16 +66,17 @@ class TestFuseBlock:
     @pytest.mark.parametrize("in_c,out_c,stride", [(4, 4, 1), (3, 5, 1), (4, 4, 2)],
                              ids=["identity", "no-identity", "stride-2"])
     def test_fold_matches_multi_branch_with_gradients(self, rng, in_c, out_c, stride):
-        block = RepVGGBlock(in_c, out_c, stride, rng, dtype=np.float64)
+        registry = drawn(rng, np.float64)
+        block = RepVGGBlock(in_c, out_c, stride, registry)
         randomize_block_stats(block, rng)
         assert (block.identity is not None) == (in_c == out_c and stride == 1)
-        params = [t for _, t in block.named_tensors("b") if t.requires_grad]
+        params = [t for t in registry.tensors.values() if t.requires_grad]
         x_data = rng.standard_normal((in_c, 9, 8))
         results = []
         for run in (block.forward, lambda x: T.conv2d(x, *block.fold(), stride=stride, pad=1).relu()):
             for p in params:
                 p.grad = None
-            x = T.parameter(x_data, dtype=np.float64)
+            x = parameter(x_data, dtype=np.float64)
             out = run(x)
             weighted_sum(out, 3).backward()
             results.append((out.data, x.grad, [p.grad for p in params]))
@@ -84,12 +85,12 @@ class TestFuseBlock:
             assert np.abs(got - want).max() <= 1e-10 * max(np.abs(want).max(), 1.0)
 
     def test_fold_records_two_ops(self, rng):
-        block = RepVGGBlock(4, 4, 1, rng)
+        block = RepVGGBlock(4, 4, 1, drawn(rng))
         kernel, bias = block.fold()
         assert tape_size(kernel) == tape_size(bias) == 1
 
     def test_forward_equivalence_float64(self, rng):
-        block = RepVGGBlock(4, 4, 1, rng, dtype=np.float64)
+        block = RepVGGBlock(4, 4, 1, drawn(rng, np.float64))
         randomize_block_stats(block, rng)
         x = T.tensor(rng.standard_normal((4, 8, 8)), dtype=np.float64)
         with T.no_grad():
@@ -99,7 +100,7 @@ class TestFuseBlock:
 
 class TestBackboneForward:
     def test_default_config_coarse_shape(self, rng):
-        backbone = Backbone(MatcherConfig(), rng)
+        backbone = Backbone(MatcherConfig(), drawn(rng))
         with T.no_grad():
             image = T.tensor(rng.random((1, 64, 64), dtype=np.float64).astype(np.float32))
             pyramid = backbone.fold().forward_deploy(image)
@@ -108,7 +109,7 @@ class TestBackboneForward:
         assert pyramid.f_quarter.shape == (128, 16, 16)
 
     def test_zero_image_gives_constant_maps(self, rng):
-        backbone = Backbone(TOY, rng)
+        backbone = Backbone(TOY, drawn(rng))
         with T.no_grad():
             pyramid = backbone.fold().forward_deploy(T.tensor(np.zeros((1, 32, 32), dtype=np.float32)))
         for level in (pyramid.f_half, pyramid.f_quarter, pyramid.f_coarse):
@@ -116,7 +117,7 @@ class TestBackboneForward:
             np.testing.assert_allclose(spread, 0.0, atol=1e-6)
 
     def test_train_equals_deploy(self, rng):
-        backbone = Backbone(TOY, rng)
+        backbone = Backbone(TOY, drawn(rng))
         for stage in backbone.stages:
             for block in stage:
                 randomize_block_stats(block, rng)
@@ -130,7 +131,7 @@ class TestBackboneForward:
             assert np.abs(a.data - b.data).max() <= 1e-4
 
     def test_deploy_runs_one_conv_per_block(self, rng):
-        backbone = Backbone(TOY, rng)
+        backbone = Backbone(TOY, drawn(rng))
         fused = backbone.fuse()
         counters.reset("conv2d")
         with T.no_grad():
@@ -140,7 +141,7 @@ class TestBackboneForward:
     @pytest.mark.parametrize("config,winograd", [(MatcherConfig(), 17), (TOY, 0)])
     def test_wide_stride_one_blocks_run_winograd(self, rng, config, winograd):
         # paper widths: every stride-1 block past the 1-channel stem is >= 64 wide
-        fused = Backbone(config, rng).fuse()
+        fused = Backbone(config, drawn(rng)).fuse()
         counters.reset("conv2d", "conv2d_winograd")
         with T.no_grad():
             fused.forward_deploy(T.tensor(rng.random((1, 32, 32)).astype(np.float32)))
@@ -149,7 +150,7 @@ class TestBackboneForward:
 
     def test_forward_train_records_at_most_four_ops_per_block(self, rng):
         # per block: fold kernel, fold bias, conv, relu
-        backbone = Backbone(TOY, rng)
+        backbone = Backbone(TOY, drawn(rng))
         pyramid = backbone.fold().forward_deploy(T.tensor(rng.random((1, 32, 32)).astype(np.float32)))
         assert tape_size(pyramid.f_coarse) <= 4 * sum(TOY.blocks)
 
@@ -158,7 +159,7 @@ class TestBackboneForward:
         # runs the folded form, which costs the same as deploy
         import time
 
-        backbone = Backbone(TOY, rng)
+        backbone = Backbone(TOY, drawn(rng))
         image = T.tensor(rng.random((1, 256, 256)).astype(np.float32))
         fused = backbone.fuse()
 
@@ -183,7 +184,7 @@ class TestBackboneForward:
         assert deploy_time <= multi_time
 
     def test_rejects_bad_dims(self, rng):
-        backbone = Backbone(TOY, rng)
+        backbone = Backbone(TOY, drawn(rng))
         with pytest.raises(ValueError, match="divisible"):
             backbone.fold().forward_deploy(T.tensor(np.zeros((1, 60, 64), dtype=np.float32)))
 

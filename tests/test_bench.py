@@ -16,6 +16,8 @@ from semimatch.pipeline import Matcher, MatcherConfig
 from semimatch.synth import SynthConfig, render_pair
 from semimatch.transform import FeatureTransform
 
+from helpers import drawn
+
 TINY = MatcherConfig(widths=(4, 4, 8, 8), blocks=(1, 1, 1, 1), n_layers=1, n_heads=2, s=2,
                      d_fine=8, fine_patch_width=8)
 
@@ -128,7 +130,7 @@ class RecordingBackbone(FusedBackbone):
 
 
 def recorder_for(config):
-    return RecordingBackbone(Backbone(config, np.random.default_rng(0)).fuse())
+    return RecordingBackbone(Backbone(config, drawn(np.random.default_rng(0))).fuse())
 
 
 def images(*arrays):
@@ -197,7 +199,7 @@ class TestConcurrentBackbones:
             pyr_a, pyr_b = recorder.forward_pair(*images(np.zeros((256, 256)), np.ones((256, 256))))
         assert pyr_a.data.flat[0] == 0.0 and pyr_b.data.flat[0] == 1.0
         config = MatcherConfig()
-        transform = FeatureTransform(config, np.random.default_rng(0))
+        transform = FeatureTransform(config, drawn(np.random.default_rng(0)))
         maps = [T.tensor(np.full((config.d_model, 16, 16), v, dtype=np.float32)) for v in (0.1, 0.2)]
         with T.no_grad():  # ~840 M multiply-adds per image: two lanes where two CPUs exist
             out_a, out_b = transform.forward(*maps)
@@ -220,12 +222,12 @@ class TestConcurrentBackbones:
         monkeypatch.setattr(lanes, "ThreadPoolExecutor", no_thread)
         assert T.grad_enabled()
         config = MatcherConfig.toy()
-        backbone = Backbone(config, np.random.default_rng(0))
+        backbone = Backbone(config, drawn(np.random.default_rng(0)))
         recorder = RecordingBackbone(backbone.fold(), run=True)
         pyr_a, pyr_b = recorder.forward_pair(*images(np.zeros((32, 32)), np.ones((32, 32))))
         assert recorder.threads[1.0] is threading.current_thread()
         assert pyr_b.f_coarse.requires_grad
-        transform = FeatureTransform(config, np.random.default_rng(0))
+        transform = FeatureTransform(config, drawn(np.random.default_rng(0)))
         for shape_b in ((config.d_model, 4, 4), (config.d_model, 4, 8)):  # stacked, then per image
             out_a, out_b = transform.forward(pyr_a.f_coarse, T.tensor(np.ones(shape_b, dtype=np.float32)))
             assert out_a.requires_grad and out_b.shape == shape_b
@@ -242,8 +244,8 @@ class TestConcurrentBackbones:
         monkeypatch.setattr(lanes, "free_cpus", lambda: 2)
         monkeypatch.setattr(lanes, "ThreadPoolExecutor", CountingExecutor)
         config = MatcherConfig.toy()  # two layers: four pairs in one transform pass
-        transform = FeatureTransform(config, np.random.default_rng(0))
-        recorder = RecordingBackbone(Backbone(config, np.random.default_rng(0)).fuse(), run=True)
+        transform = FeatureTransform(config, drawn(np.random.default_rng(0)))
+        recorder = RecordingBackbone(Backbone(config, drawn(np.random.default_rng(0))).fuse(), run=True)
         maps = [T.tensor(np.full((config.d_model, 8, 8), v, dtype=np.float32)) for v in (0.1, 0.2)]
         before = threading.active_count()
         with T.no_grad():

@@ -137,14 +137,24 @@ class TestWeightContainer:
         )
         assert blob == blob2
 
-    def test_missing_tensor_fails_before_compute(self, tmp_path):
-        matcher = Matcher(TINY, seed=0)
-        names = list(matcher.named_tensors())[1:]  # drop one tensor
-        blob = serialize_weights(names, matcher.config.to_dict())
-        # rebuild offsets are still contiguous, so the container itself is valid
+    @pytest.mark.parametrize("case,message", [
+        ("missing", r"container is missing tensors: \['backbone.stage0.block0.conv3x3.kernel'\]"),
+        ("unknown", r"container has unknown tensors: \['extra.kernel'\]"),
+        ("shape", r"tensor backbone.stage0.block0.conv3x3.kernel has shape \(4, 1, 3\), expected \(4, 1, 3, 3\)"),
+    ], ids=["missing", "unknown", "shape"])
+    def test_missing_tensor_fails_before_compute(self, tmp_path, case, message):
+        named = dict(Matcher(TINY, seed=0).named_tensors())
+        first = "backbone.stage0.block0.conv3x3.kernel"
+        if case == "missing":
+            del named[first]
+        elif case == "unknown":
+            named["extra.kernel"] = T.tensor(np.zeros(3, dtype=np.float32))
+        else:
+            named[first] = T.tensor(named[first].data[..., 0])
+        # offsets are rebuilt contiguous, so the container itself is valid
         path = tmp_path / "w.smw"
-        path.write_bytes(blob)
-        with pytest.raises(WeightFormatError, match="missing"):
+        path.write_bytes(serialize_weights(named.items(), TINY.to_dict()))
+        with pytest.raises(WeightFormatError, match=message):
             load_matcher(str(path))
 
     def test_save_load_preserves_outputs(self, tmp_path, rng):
@@ -175,6 +185,21 @@ class TestWeightContainer:
         assert digest == model_hash(TOY_WEIGHTS.read_bytes()) and digest.startswith("8cc3b6b1")
         assert matcher.config == MatcherConfig.toy()
         assert serialize_weights(matcher.named_tensors(), matcher.config.to_dict()) == TOY_WEIGHTS.read_bytes()
+
+    @pytest.mark.parametrize("mode", ["full", "optimized"])
+    def test_float64_twin_of_the_committed_toy_matches_like_float32(self, mode):
+        # 1e-5 px is twice the largest fine-point gap measured on render_pair(1, 0..3);
+        # tau=0 lets full mode keep every mutual pair, as optimized mode does
+        config, arrays = deserialize_weights(TOY_WEIGHTS.read_bytes())
+        twin = Matcher.from_arrays(MatcherConfig.from_dict(config), arrays, np.float64)
+        assert all(t.dtype == np.float64 for _, t in twin.named_tensors())
+        image_a, image_b, _ = render_pair(1, 0, SynthConfig(size=256))
+        tau = 0.0 if mode == "full" else None
+        want = toy_matcher("trained").match_pair(image_a, image_b, mode=mode, tau=tau)
+        got = twin.match_pair(image_a, image_b, mode=mode, tau=tau)
+        assert want.coarse and [(m.i, m.j) for m in got.coarse] == [(m.i, m.j) for m in want.coarse]
+        assert [m.pt_a for m in got.fine] == [m.pt_a for m in want.fine]
+        np.testing.assert_allclose([m.pt_b for m in got.fine], [m.pt_b for m in want.fine], rtol=0, atol=1e-5)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("config", [MatcherConfig(), MatcherConfig.toy(), TINY], ids=["paper", "toy", "tiny"])
@@ -271,8 +296,10 @@ print(json.dumps({"grown": grown, "payload": sum(a.nbytes for a in arrays),
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux reports it")
 class TestWeightMemory:
-    """Paper-size containers cost one payload copy to write and two to load,
-    each measured above the peak of a fresh process whose matcher is built."""
+    """Paper-size containers cost one payload copy to write and two to load:
+    a load holds the file bytes while it parses them into the tensors. A write
+    is measured above the peak of a fresh process whose matcher is drawn, a
+    load above that of a fresh process."""
 
     @staticmethod
     def probe(call: str, path) -> dict:

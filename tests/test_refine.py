@@ -16,10 +16,12 @@ from semimatch.refine import (
     stage2_windows,
 )
 
+from helpers import drawn
+
 
 def make_fusion(rng):
     # the coarse, 1/4 and 1/2 widths (d_model=8, 6, 4) that pyramid_inputs builds, and d_fine=5
-    return FineFusion(MatcherConfig(widths=(4, 4, 6, 8), n_heads=2, d_fine=5), rng, np.float32)
+    return FineFusion(MatcherConfig(widths=(4, 4, 6, 8), n_heads=2, d_fine=5), drawn(rng))
 
 
 def pyramid_inputs(rng, d_model=8, c_quarter=6, c_half=4, h8=4, w8=4):

@@ -14,6 +14,8 @@ from semimatch.supervision import (
     total_loss,
 )
 
+from helpers import parameter
+
 
 class TestBuildGtHomography:
     def test_identity_maps_diagonal(self):
@@ -124,7 +126,7 @@ class TestCoarseLoss:
         gt = build_gt_homography(np.eye(3), (16, 16), (16, 16))
         s_data = np.where(np.eye(4, dtype=bool), -100.0, 0.0)
         assert np.all(dual_softmax_probs(s_data)[gt.pairs_a, gt.pairs_b] < 1e-30)
-        s = T.parameter(s_data, dtype=np.float64)
+        s = parameter(s_data, dtype=np.float64)
         loss = coarse_loss(s, gt)
         assert np.isfinite(float(loss.data))
         loss.backward()

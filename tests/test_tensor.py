@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from semimatch import tensor as T
 from semimatch.instrument import counters
 
-from helpers import assert_batch_axis_exact, assert_gradients_close, numeric_gradient, weighted_sum
+from helpers import assert_batch_axis_exact, assert_gradients_close, numeric_gradient, parameter, weighted_sum
 
 
 def naive_conv2d(x, kernel, bias, stride, pad):
@@ -52,7 +52,7 @@ def naive_maxpool(x, k, stride):
 
 def check_backward(op, arrays):
     """Float64 analytic gradients of weighted_sum(op(*arrays)) against finite differences."""
-    params = [T.parameter(a, dtype=np.float64) for a in arrays]
+    params = [parameter(a, dtype=np.float64) for a in arrays]
     weighted_sum(op(*params), 5).backward()
 
     def loss(*values):
@@ -149,7 +149,7 @@ class TestWinogradConv2d:
         weights = T.tensor(rng.standard_normal((72, h, w)), dtype=np.float64)
         grads = []
         for op in (T.conv2d, T.Conv2d.apply):  # dispatched to Winograd, then im2col
-            params = [T.parameter(a, dtype=np.float64) for a in arrays]
+            params = [parameter(a, dtype=np.float64) for a in arrays]
             (op(*params, stride=1, pad=1) * weights).sum().backward()
             grads.append([p.grad for p in params])
         for got, want in zip(*grads):
@@ -162,7 +162,7 @@ class TestWinogradConv2d:
         def loss(*values):
             return (T.conv2d(*values, stride=1, pad=1) * weights).sum()
 
-        params = [T.parameter(a, dtype=np.float64) for a in arrays]
+        params = [parameter(a, dtype=np.float64) for a in arrays]
         loss(*params).backward()
         for which, p in enumerate(params):
             direction = rng.standard_normal(p.shape)
@@ -218,7 +218,7 @@ def conv_call(op, arrays, dtype, stride=1, pad=1, grad=False):
     if not grad:
         with T.no_grad():
             return op(*(T.tensor(a, dtype=dtype) for a in arrays), stride=stride, pad=pad).data
-    params = [T.parameter(a, dtype=dtype) for a in arrays]
+    params = [parameter(a, dtype=dtype) for a in arrays]
     weighted_sum(op(*params, stride=stride, pad=pad), 3).backward()
     return [p.grad for p in params]
 
@@ -369,14 +369,14 @@ class TestMaxPool2d:
             T.maxpool2d(T.tensor(rng.random((1, 3, 3))), 4)
 
     def test_gradient_routes_to_first_argmax(self):
-        x = T.parameter(np.array([[[1.0, 2.0], [2.0, 0.0]]]))
+        x = parameter(np.array([[[1.0, 2.0], [2.0, 0.0]]]))
         out = T.maxpool2d(x, 2)
         out.sum().backward()
         # two tied maxima: row-major first occurrence wins
         np.testing.assert_array_equal(x.grad, [[[0.0, 1.0], [0.0, 0.0]]])
 
     def test_gradient_magnitude_preserved_per_window(self, rng):
-        x = T.parameter(rng.standard_normal((2, 8, 8)) + np.linspace(0, 1, 128).reshape(2, 8, 8))
+        x = parameter(rng.standard_normal((2, 8, 8)) + np.linspace(0, 1, 128).reshape(2, 8, 8))
         out = T.maxpool2d(x, 4, 4)
         weighted_sum(out, 7).backward()
         w = np.random.default_rng(7).standard_normal(out.shape)
@@ -439,14 +439,14 @@ class TestSoftmax:
         assert np.all(out.data >= 0) and np.all(out.data <= 1)
 
     def test_gradient_of_sum_is_zero(self, rng):
-        x = T.parameter(rng.standard_normal((3, 5)), dtype=np.float64)
+        x = parameter(rng.standard_normal((3, 5)), dtype=np.float64)
         T.softmax(x, axis=-1).sum().backward()
         np.testing.assert_allclose(x.grad, 0.0, atol=1e-12)
 
     def test_backward_leaves_a_shared_gradient_intact(self, rng):
         # Add hands one gradient array to both parents; softmax's backward must not write into it
-        x = T.parameter(rng.standard_normal((3, 5)), dtype=np.float64)
-        other = T.parameter(np.zeros((3, 5)), dtype=np.float64)
+        x = parameter(rng.standard_normal((3, 5)), dtype=np.float64)
+        other = parameter(np.zeros((3, 5)), dtype=np.float64)
         w = rng.standard_normal((3, 5))
         ((T.softmax(x, axis=-1) + other) * T.tensor(w, dtype=np.float64)).sum().backward()
         np.testing.assert_array_equal(other.grad, w)
@@ -592,7 +592,7 @@ def check_fused_against_composite(fused, composite, arrays):
     """Float64 forward values and gradients of a fused op equal its composite's."""
     results = []
     for op in (fused, composite):
-        leaves = [T.parameter(a, dtype=np.float64) for a in arrays]
+        leaves = [parameter(a, dtype=np.float64) for a in arrays]
         out = op(*leaves)
         weighted_sum(out, 11).backward()
         results.append((out.data, [leaf.grad for leaf in leaves]))
@@ -710,7 +710,7 @@ class TestScatterAndPad:
             chans = rng.integers(0, 3, (5, 4))
             chans[1, 2] = chans[4, 3] = chans[0, 0]
             index = (chans, rows, cols)
-        out = T.gather_nd(T.parameter(rng.standard_normal(shape).astype(np.float32)), index)
+        out = T.gather_nd(parameter(rng.standard_normal(shape).astype(np.float32)), index)
         grad = rng.standard_normal(out.shape).astype(np.float32)
         (got,) = out._ctx.backward(grad)
         want = np.zeros(shape, dtype=np.float32)
@@ -728,7 +728,7 @@ class TestScatterAndPad:
             np.testing.assert_array_equal(got, x)
 
     def test_repeated_advanced_index_accumulates_its_gradient(self):
-        x = T.parameter(np.zeros(4))
+        x = parameter(np.zeros(4))
         x[np.array([1, 1, 2])].sum().backward()
         np.testing.assert_array_equal(x.grad, [0.0, 2.0, 1.0, 0.0])
 
@@ -741,7 +741,7 @@ class TestScatterAndPad:
         ((2, 5, 6, 7), (None, 1)),
     ], ids=["window", "reversed-stack", "first-map", "ellipsis", "ellipsis-int", "new-axis"])
     def test_basic_index_gradient_equals_slice_add(self, rng, shape, key):
-        x = T.parameter(rng.standard_normal(shape))
+        x = parameter(rng.standard_normal(shape))
         out = x[key]
         grad = rng.standard_normal(out.shape)
         (got,) = out._ctx.backward(grad)
@@ -757,7 +757,7 @@ class TestScatterAndPad:
     def test_basic_index_backward_allocates_only_its_result(self, rng, key):
         # the transform's stacked pair at 256² in the paper config; an index
         # array over the whole source would take 2x its bytes on its own
-        pair = T.parameter(rng.standard_normal((2, 256, 32, 32)).astype(np.float32))
+        pair = parameter(rng.standard_normal((2, 256, 32, 32)).astype(np.float32))
         out = pair[key]
         grad = np.ones(out.shape, dtype=np.float32)
         tracemalloc.start()
@@ -799,12 +799,12 @@ def toposort_backward(root):
 
 class TestBackward:
     def test_sum_gradient_is_ones(self, rng):
-        x = T.parameter(rng.standard_normal((3, 4)))
+        x = parameter(rng.standard_normal((3, 4)))
         x.sum().backward()
         np.testing.assert_array_equal(x.grad, np.ones((3, 4), dtype=np.float32))
 
     def test_backward_requires_scalar(self, rng):
-        x = T.parameter(rng.standard_normal(3))
+        x = parameter(rng.standard_normal(3))
         with pytest.raises(ValueError, match="scalar"):
             (x * 2.0).backward()
 
@@ -817,7 +817,7 @@ class TestBackward:
     def test_relu_gradient_is_zero_at_zeros_and_nans(self, rng, dtype):
         a = np.array([-2.0, -0.0, 0.0, 1e-30, 3.0, np.nan, np.inf, -np.inf], dtype=dtype)
         g = rng.standard_normal(a.shape).astype(dtype)
-        x = T.parameter(a)
+        x = parameter(a)
         previous = T.set_finite_checks(False)
         try:
             out = x.relu()
@@ -837,8 +837,8 @@ class TestBackward:
             out = T.vanilla_attention(tokens, tokens, tokens, heads=1)
             return weighted_sum(out, 3)
 
-        xt = T.parameter(x0, dtype=np.float64)
-        kt = T.parameter(k0, dtype=np.float64)
+        xt = parameter(x0, dtype=np.float64)
+        kt = parameter(k0, dtype=np.float64)
         feat = T.conv2d(xt, kt, zero_bias, stride=1, pad=1)
         tokens = feat.reshape((4, 36)).transpose((1, 0))
         weighted_sum(T.vanilla_attention(tokens, tokens, tokens, heads=1), 3).backward()
@@ -860,8 +860,8 @@ class TestBackward:
             joined = left * right - x
             return weighted_sum(joined + (x * x).sum(axis=0, keepdims=True) * w, 4)
 
-        x = T.parameter(x0, dtype=np.float64)
-        w = T.parameter(w0, dtype=np.float64)
+        x = parameter(x0, dtype=np.float64)
+        w = parameter(w0, dtype=np.float64)
         loss = build(x, w)
         oracle = toposort_backward(loss)
         loss.backward()
@@ -881,7 +881,7 @@ class TestBackward:
                 calls.append(grad.copy())
                 return (grad,)
 
-        x = T.parameter(rng.standard_normal(4), dtype=np.float64)
+        x = parameter(rng.standard_normal(4), dtype=np.float64)
         shared = Identity.apply(x)
         ((shared * 2.0) + (shared * 3.0) + shared.exp()).sum().backward()
         assert len(calls) == 1
@@ -889,7 +889,7 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, 5.0 + np.exp(x.data))
 
     def test_gradients_accumulate_across_backward_calls(self, rng):
-        x = T.parameter(rng.standard_normal(3), dtype=np.float64)
+        x = parameter(rng.standard_normal(3), dtype=np.float64)
         (x * 2.0).sum().backward()
         (x * 3.0).sum().backward()
         np.testing.assert_allclose(x.grad, 5.0)
@@ -905,7 +905,7 @@ class TestTensorBasics:
             T.tensor([1.0, 0.0]).log()
 
     def test_no_grad_blocks_taping(self, rng):
-        x = T.parameter(rng.random(3))
+        x = parameter(rng.random(3))
         with T.no_grad():
             y = x * 2.0
         assert y._ctx is None and not y.requires_grad

@@ -8,7 +8,7 @@ from semimatch.supervision import LossWeights, total_loss
 from semimatch.synth import SynthConfig, SyntheticPairs, render_pair
 from semimatch.train import AdamW, DivergenceError, TrainConfig, _mean, loss_curve_csv, pair_losses, train_toy
 
-from helpers import op_census
+from helpers import op_census, parameter
 
 TINY = MatcherConfig(widths=(4, 4, 8, 8), blocks=(1, 1, 1, 1), n_layers=1, n_heads=2, s=2,
                      d_fine=8, fine_patch_width=8)
@@ -20,7 +20,7 @@ def tiny_dataset(count=4):
 
 class TestOptimizer:
     def test_adamw_moves_toward_minimum(self):
-        p = T.parameter(np.array([4.0], dtype=np.float32))
+        p = parameter(np.array([4.0], dtype=np.float32))
         opt = AdamW([p], lr=0.1, weight_decay=0.0)
         for _ in range(200):
             opt.zero_grad()
@@ -29,8 +29,8 @@ class TestOptimizer:
         assert abs(float(p.data[0]) - 1.0) < 0.05
 
     def test_weight_decay_applies_to_matrices_only(self):
-        w = T.parameter(np.ones((2, 2), dtype=np.float32))
-        b = T.parameter(np.ones(2, dtype=np.float32))
+        w = parameter(np.ones((2, 2), dtype=np.float32))
+        b = parameter(np.ones(2, dtype=np.float32))
         opt = AdamW([w, b], lr=0.0, weight_decay=0.5)
         w.grad = np.zeros_like(w.data)
         b.grad = np.zeros_like(b.data)

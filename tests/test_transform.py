@@ -16,7 +16,7 @@ from semimatch.transform import (
     transform_macs,
 )
 
-from helpers import tape_size, weighted_sum
+from helpers import drawn, parameter, tape_size, weighted_sum
 
 CFG = MatcherConfig.toy()  # s=2, n_layers=2, n_heads=4, d_model=32
 
@@ -132,14 +132,14 @@ class TestAggregation:
 
 class TestAggAttentionBlock:
     def test_output_shape_matches_input(self, rng):
-        block = AggAttentionBlock("self", CFG, rng)
+        block = AggAttentionBlock("self", CFG, drawn(rng))
         f = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
         with T.no_grad():
             out = block.forward(f, f)
         assert out.shape == f.shape
 
     def test_one_hot_attention_returns_value_row(self, rng):
-        block = AggAttentionBlock("cross", CFG, rng)
+        block = AggAttentionBlock("cross", CFG, drawn(rng))
         d = CFG.d_model
         eye = np.eye(d, dtype=np.float32)
         block.q_proj.data[:] = eye * 1e3  # blow the aligned logit up to a one-hot
@@ -158,7 +158,7 @@ class TestAggAttentionBlock:
         np.testing.assert_allclose(got, want, atol=1e-4)
 
     def test_cross_block_sensitive_to_source(self, rng):
-        block = AggAttentionBlock("cross", CFG, rng)
+        block = AggAttentionBlock("cross", CFG, drawn(rng))
         target = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
         source = rng.standard_normal((32, 8, 8)).astype(np.float32)
         with T.no_grad():
@@ -167,7 +167,7 @@ class TestAggAttentionBlock:
         assert np.abs(out1.data - out2.data).max() > 0
 
     def test_cross_block_never_applies_position_encoding(self, rng):
-        block = AggAttentionBlock("cross", CFG, rng)
+        block = AggAttentionBlock("cross", CFG, drawn(rng))
         f = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
         g = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
         counters.reset("rope")
@@ -179,7 +179,7 @@ class TestAggAttentionBlock:
         """Relative encoding: translating the coordinate frame under both
         feature maps leaves the attention output unchanged."""
         cfg = MatcherConfig(widths=(8, 8, 8, 8), n_layers=1, n_heads=2, s=2)  # d_model=8
-        block = AggAttentionBlock("self", cfg, rng)
+        block = AggAttentionBlock("self", cfg, drawn(rng))
         base = T.tensor(rng.standard_normal((8, 8, 8)).astype(np.float32))
         with T.no_grad():
             out1 = block.forward(base, base).data
@@ -187,7 +187,7 @@ class TestAggAttentionBlock:
         assert np.abs(out1 - out2).max() < 1e-4
 
     def test_cross_block_invariant_to_position_offset(self, rng):
-        block = AggAttentionBlock("cross", CFG, rng)
+        block = AggAttentionBlock("cross", CFG, drawn(rng))
         f = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
         g = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
         with T.no_grad():
@@ -196,7 +196,7 @@ class TestAggAttentionBlock:
         np.testing.assert_array_equal(out1.data, out2.data)
 
     def test_cross_block_aggregates_queries_once(self, rng):
-        block = AggAttentionBlock("cross", CFG, rng)
+        block = AggAttentionBlock("cross", CFG, drawn(rng))
         f = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
         g = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
         counters.reset("depthwise_conv2d")
@@ -211,26 +211,27 @@ class TestAggAttentionBlock:
         # fused linear / layer norm / rotary / attention (heads inside): one
         # tape op each; 8 of them are layout (tokens in and out, FFN channel-last)
         toy = MatcherConfig.toy()
-        block = AggAttentionBlock(kind, toy, rng)
-        f = T.parameter(rng.standard_normal((toy.d_model, 8, 8)).astype(np.float32))
-        g = f if kind == "self" else T.parameter(rng.standard_normal(f.shape).astype(np.float32))
+        block = AggAttentionBlock(kind, toy, drawn(rng))
+        f = parameter(rng.standard_normal((toy.d_model, 8, 8)).astype(np.float32))
+        g = f if kind == "self" else parameter(rng.standard_normal(f.shape).astype(np.float32))
         assert tape_size(block.forward(f, g)) <= ops
 
     @pytest.mark.parametrize("kind,kv_grid", [("self", (8, 12)), ("cross", (12, 4))])
     def test_matches_split_merge_block_float64(self, rng, kind, kv_grid):
         cfg = replace(CFG, n_layers=1)
-        block = AggAttentionBlock(kind, cfg, rng, dtype=np.float64)
+        registry = drawn(rng, np.float64)
+        block = AggAttentionBlock(kind, cfg, registry)
         f = rng.standard_normal((32, 8, 12))
         g = f if kind == "self" else rng.standard_normal((32, *kv_grid))
         results = []
         for forward in (block.forward, lambda t, u: split_merge_block(block, t, u)):
-            target = T.parameter(f, dtype=np.float64)
-            source = target if kind == "self" else T.parameter(g, dtype=np.float64)
-            for _, p in block.named_tensors("block"):
+            target = parameter(f, dtype=np.float64)
+            source = target if kind == "self" else parameter(g, dtype=np.float64)
+            for p in registry.tensors.values():
                 p.grad = None
             out = forward(target, source)
             weighted_sum(out, 5).backward()
-            grads = [target.grad, source.grad] + [p.grad for _, p in block.named_tensors("block")]
+            grads = [target.grad, source.grad] + [p.grad for p in registry.tensors.values()]
             results.append((out.data, grads))
         (out, grads), (want, want_grads) = results
         assert out.shape == (32, 8, 12)
@@ -293,12 +294,13 @@ def per_image_transform(transform, f_a, f_b):
 class TestFeatureTransform:
     @pytest.mark.parametrize("grid_a,grid_b", [((8, 8), (8, 8)), ((8, 12), (8, 12)), ((8, 12), (12, 8))])
     def test_matches_per_image_reference_float64(self, rng, grid_a, grid_b):
-        transform = FeatureTransform(CFG, rng, dtype=np.float64)
+        registry = drawn(rng, np.float64)
+        transform = FeatureTransform(CFG, registry)
         maps = rng.standard_normal((32, *grid_a)), rng.standard_normal((32, *grid_b))
-        params = [p for _, p in transform.named_tensors()]
+        params = list(registry.tensors.values())
         results = []
         for forward in (transform.forward, lambda a, b: per_image_transform(transform, a, b)):
-            f_a, f_b = (T.parameter(m, dtype=np.float64) for m in maps)
+            f_a, f_b = (parameter(m, dtype=np.float64) for m in maps)
             for p in params:
                 p.grad = None
             out_a, out_b = forward(f_a, f_b)
@@ -311,7 +313,7 @@ class TestFeatureTransform:
 
     @pytest.mark.parametrize("grid_b,attention_calls", [((8, 8), 2), ((8, 12), 4)])
     def test_same_shape_maps_run_one_self_and_one_cross_call_per_layer(self, rng, grid_b, attention_calls):
-        transform = FeatureTransform(CFG, rng)
+        transform = FeatureTransform(CFG, drawn(rng))
         f_a = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
         f_b = T.tensor(rng.standard_normal((32, *grid_b)).astype(np.float32))
         counters.reset("softmax")
@@ -323,14 +325,14 @@ class TestFeatureTransform:
         # two layers of 27 (self) + 25 (cross) + 1 (source reversal), 4 to stack
         # and unstack the pair, 1 for the sum joining the outputs: 111. Four
         # block calls per layer made it 209.
-        transform = FeatureTransform(CFG, rng)
-        f_a, f_b = (T.parameter(rng.standard_normal((32, 8, 8)).astype(np.float32)) for _ in range(2))
+        transform = FeatureTransform(CFG, drawn(rng))
+        f_a, f_b = (parameter(rng.standard_normal((32, 8, 8)).astype(np.float32)) for _ in range(2))
         out_a, out_b = transform.forward(f_a, f_b)
         assert CFG.n_layers == 2
         assert tape_size(out_a + out_b) <= 111
 
     def test_zero_layers_is_identity(self, rng):
-        transform = FeatureTransform(replace(CFG, n_layers=0), rng)
+        transform = FeatureTransform(replace(CFG, n_layers=0), drawn(rng))
         fa = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
         fb = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
         oa, ob = transform.forward(fa, fb)
@@ -338,7 +340,7 @@ class TestFeatureTransform:
         np.testing.assert_array_equal(ob.data, fb.data)
 
     def test_swapping_inputs_swaps_outputs(self, rng):
-        transform = FeatureTransform(CFG, rng)
+        transform = FeatureTransform(CFG, drawn(rng))
         fa = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
         fb = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
         with T.no_grad():
@@ -348,7 +350,7 @@ class TestFeatureTransform:
         np.testing.assert_array_equal(ob.data, ob2.data)
 
     def test_score_entries_reduced_by_s4(self, rng):
-        transform = FeatureTransform(CFG, rng)
+        transform = FeatureTransform(CFG, drawn(rng))
         fa = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
         fb = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
         counters.reset("attn_score_entries")
@@ -359,8 +361,9 @@ class TestFeatureTransform:
         assert counters["attn_score_entries"] == blocks * tokens * tokens
 
     def test_weight_names_follow_contract(self, rng):
-        transform = FeatureTransform(CFG, rng)
-        names = [name for name, _ in transform.named_tensors()]
+        registry = drawn(rng)
+        FeatureTransform(CFG, registry.scope("transform"))
+        names = list(registry.tensors)
         assert "transform.layer0.self.agg_conv.kernel" in names
         assert "transform.layer1.cross.q_proj.kernel" in names
         assert all(n.startswith("transform.layer") for n in names)
@@ -407,7 +410,7 @@ class TestTransformLanes:
 
     @pytest.mark.parametrize("grid_a,grid_b", [((8, 8), (8, 8)), ((8, 12), (12, 8))])
     def test_lanes_equal_in_order_bitwise(self, rng, monkeypatch, grid_a, grid_b):
-        transform = FeatureTransform(CFG, rng)
+        transform = FeatureTransform(CFG, drawn(rng))
         f_a = T.tensor(rng.standard_normal((32, *grid_a)).astype(np.float32))
         f_b = T.tensor(rng.standard_normal((32, *grid_b)).astype(np.float32))
         with T.no_grad():
@@ -424,7 +427,7 @@ class TestTransformLanes:
     @pytest.mark.parametrize("config,grid,threaded", [(CFG, 32, False), (PAPER, 16, True)],
                              ids=["toy-256", "paper-128"])
     def test_image_b_on_a_worker_only_above_the_work_rule(self, monkeypatch, config, grid, threaded):
-        transform = FeatureTransform(config, np.random.default_rng(0))
+        transform = FeatureTransform(config, drawn(np.random.default_rng(0)))
         f_a, f_b = (T.tensor(np.full((config.d_model, grid, grid), v, dtype=np.float32)) for v in (0.1, 0.2))
         recorder = LaneRecorder(monkeypatch, f_b)
         with T.no_grad():
@@ -438,7 +441,7 @@ class TestTransformLanes:
 
     def test_work_is_the_smaller_grid(self, rng, monkeypatch):
         monkeypatch.setattr(lanes, "CONCURRENT_MACS", transform_macs(CFG, 16, 16))
-        transform = FeatureTransform(CFG, rng)
+        transform = FeatureTransform(CFG, drawn(rng))
         f_a = T.tensor(rng.standard_normal((32, 16, 16)).astype(np.float32))
         f_b = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
         recorder = LaneRecorder(monkeypatch, f_b)
@@ -448,8 +451,8 @@ class TestTransformLanes:
 
     def test_recorded_call_stays_stacked(self, rng, monkeypatch):
         monkeypatch.setattr(lanes, "CONCURRENT_MACS", 0)
-        transform = FeatureTransform(CFG, rng)
-        f_a, f_b = (T.parameter(rng.standard_normal((32, 8, 8)).astype(np.float32)) for _ in range(2))
+        transform = FeatureTransform(CFG, drawn(rng))
+        f_a, f_b = (parameter(rng.standard_normal((32, 8, 8)).astype(np.float32)) for _ in range(2))
         recorder = LaneRecorder(monkeypatch, f_b)
         out_a, out_b = transform.forward(f_a, f_b)
         assert tape_size(out_a + out_b) <= 111  # the bound of test_tape_size_per_transform_call
@@ -458,7 +461,7 @@ class TestTransformLanes:
 
     def test_inf_in_image_b_lane_raises_and_leaves_no_thread(self, rng, monkeypatch):
         monkeypatch.setattr(lanes, "CONCURRENT_MACS", 0)
-        transform = FeatureTransform(CFG, rng)
+        transform = FeatureTransform(CFG, drawn(rng))
         f_a = T.tensor(np.zeros((32, 8, 8), dtype=np.float32))
         f_b = T.tensor(np.full((32, 8, 8), 3e38, dtype=np.float32))  # overflows in image B's block calls
         before = threading.active_count()
@@ -469,7 +472,7 @@ class TestTransformLanes:
         assert threading.active_count() == before
 
     def test_score_entries_unchanged_under_lanes(self, rng, monkeypatch):
-        transform = FeatureTransform(CFG, rng)
+        transform = FeatureTransform(CFG, drawn(rng))
         fa, fb = (T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32)) for _ in range(2))
         entries = []
         for rule in (lanes.CONCURRENT_MACS, 0):
