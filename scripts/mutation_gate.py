@@ -41,8 +41,15 @@ MUTANTS = [
            "future = worker.submit(", "future = ThreadPoolExecutor(max_workers=1).submit(",
            ("tests/test_bench.py::TestConcurrentBackbones::test_each_stage_opens_one_worker_and_leaves_no_thread",)),
     Mutant("two_threads ignores recording", "src/semimatch/lanes.py",
-           "return not grad_enabled() and CONCURRENT_MACS <= work", "return CONCURRENT_MACS <= work",
+           "return not grad_enabled() and threshold <= work", "return threshold <= work",
            ("tests/test_bench.py::TestConcurrentBackbones::test_recorded_calls_start_no_thread",)),
+    Mutant("the fusion pair returns (fine_b, fine_a)", "src/semimatch/pipeline.py",
+           "return fine_a, fine_b", "return fine_b, fine_a",
+           ("tests/test_bench.py::TestFusionLanes::test_lanes_equal_in_order_bitwise",)),
+    Mutant("the transform is decided by the ladder threshold", "src/semimatch/transform.py",
+           "not lanes.two_threads(work, lanes.STACKED_MACS)", "not lanes.two_threads(work, lanes.IN_ORDER_MACS)",
+           ("tests/test_bench.py::test_toy_256_runs_backbone_and_fusion_on_two_lanes_and_the_transform_stacked",
+            "tests/test_transform.py::TestTransformLanes::test_image_b_on_a_worker_only_above_the_work_rule")),
     Mutant("FusedBackbone.macs ignores the block stride", "src/semimatch/backbone.py",
            "height, width = (height - 1) // block.stride + 1, (width - 1) // block.stride + 1",
            "height, width = height, width",
@@ -139,7 +146,7 @@ MUTANTS = [
            "if len(row) != 3:", "if not row:",
            ("tests/test_io_cli.py::TestCli::test_ragged_homography_file_fails_named_before_any_pair_is_used",)),
     Mutant("two_threads ignores the BLAS thread count", "src/semimatch/lanes.py",
-           "CONCURRENT_MACS <= work and blas_one_thread() and free_cpus()", "CONCURRENT_MACS <= work and free_cpus()",
+           "threshold <= work and blas_one_thread() and free_cpus()", "threshold <= work and free_cpus()",
            ("tests/test_bench.py::TestConcurrentBackbones::test_blas_at_its_default_starts_no_thread",)),
     Mutant("DirectoryPairs checks no image when it opens", "src/semimatch/evaluate.py",
            "check_image(path)", "pass",

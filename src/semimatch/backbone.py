@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import STAGE_STRIDES, MatcherConfig
-from .lanes import pairs
+from . import lanes
 from .params import Params, he_normal
 from .tensor import Tensor
 
@@ -152,9 +152,10 @@ class FusedBackbone:
 
     def forward_pair(self, image_a: Tensor, image_b: Tensor) -> tuple[FeaturePyramid, FeaturePyramid]:
         """Both images' pyramids, image B on a worker thread when one pass over
-        the smaller image reaches the pair rule (``lanes.pairs``)."""
+        the smaller image reaches the pair rule (``lanes.pairs``) at
+        ``lanes.IN_ORDER_MACS``."""
         work = min(self.macs(*image.shape[-2:]) for image in (image_a, image_b))
-        with pairs(work) as run:
+        with lanes.pairs(work, lanes.IN_ORDER_MACS) as run:
             return run(lambda: self.forward_deploy(image_a), lambda: self.forward_deploy(image_b))
 
     def forward_deploy(self, image: Tensor) -> FeaturePyramid:

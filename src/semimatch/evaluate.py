@@ -5,8 +5,8 @@ Every report (``coarse_precision``, ``fine_match_errors``,
 loop, ``_match_pairs``, which fuses the backbone once; ``bench_pipeline``
 and ``eval_homography_dir`` summarize their results' per-stage wall-clock
 with ``StageTimings.of``. Within one ``match_pair`` the two images'
-backbone and transform may run on two threads (``lanes.pairs``), and a
-stage's time is then their joint wall time.
+backbone, transform and fine fusion may run on two threads
+(``lanes.pairs``), and a stage's time is then their joint wall time.
 """
 from __future__ import annotations
 

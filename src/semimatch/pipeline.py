@@ -4,20 +4,24 @@ The Matcher owns every parameter tensor; inference runs the fused deploy
 backbone and reports per-stage wall-clock in ``MatchResult.timings``, which
 ``evaluate.StageTimings`` summarizes for ``semimatch bench`` and
 ``semimatch eval-homography``. Where the work is large enough to gain, the
-two images' backbone passes (``FusedBackbone.forward_pair``) and their
-transform block calls (``FeatureTransform.forward``) each run on two
-threads, each stage choosing through ``lanes.pairs``; everything later runs
-on the calling thread.
+two images' backbone passes (``FusedBackbone.forward_pair``), their
+transform block calls (``FeatureTransform.forward``) and their fine fusion
+(``Matcher.fine_maps``) each run on two threads, each stage choosing
+through ``lanes.pairs`` with its own threshold; such a stage's timing is the
+two lanes' joint wall time. Coarse matching and refinement run on the
+calling thread.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import lanes
 from . import tensor as T
-from .backbone import COARSE_STRIDE, Backbone, FusedBackbone, pad_to_multiple
+from .backbone import COARSE_STRIDE, Backbone, FeaturePyramid, FusedBackbone, pad_to_multiple
 from .config import MatcherConfig
 from .matching import MODES, CoarseMatch, match_coarse
 from .params import Params, WeightFormatError
@@ -92,6 +96,18 @@ class Matcher:
     def fuse(self) -> FusedBackbone:
         return self.backbone.fuse()
 
+    def fine_maps(self, fa_t: Tensor, pyr_a: FeaturePyramid, fb_t: Tensor,
+                  pyr_b: FeaturePyramid) -> tuple[Tensor, Tensor]:
+        """Both images' normalized fine maps from their transformed coarse
+        maps and backbone pyramids, image B's on a worker thread when one
+        fusion over the smaller coarse grid (``FineFusion.macs``) reaches the
+        pair rule (``lanes.pairs``) at ``lanes.IN_ORDER_MACS``."""
+        work = self.fusion.macs(*min(fa_t.shape[1:], fb_t.shape[1:], key=math.prod))
+        with lanes.pairs(work, lanes.IN_ORDER_MACS) as run:
+            fine_a, fine_b = run(lambda: normalize_cells(self.fusion.forward(fa_t, pyr_a.f_quarter, pyr_a.f_half)),
+                                 lambda: normalize_cells(self.fusion.forward(fb_t, pyr_b.f_quarter, pyr_b.f_half)))
+        return fine_a, fine_b
+
     def match_pair(
         self,
         image_a: np.ndarray,
@@ -107,10 +123,11 @@ class Matcher:
         ``tau`` overrides the config's and is checked by the same rule; it
         applies to full mode only, so passing it with ``mode="optimized"``
         (which keeps every mutual nearest neighbour) raises ``ValueError``.
-        The two images' backbones, and each transform layer's block calls
-        for the two images, may run on two threads (``lanes.pairs``), so
-        ``timings["backbone"]`` and ``timings["transform"]`` are the two
-        lanes' joint wall time; every later stage runs on the calling thread.
+        The two images' backbones, each transform layer's block calls for
+        the two images and the two images' fine fusion may run on two threads
+        (``lanes.pairs``), so ``timings["backbone"]``, ``timings["transform"]``
+        and ``timings["fine_fusion"]`` are the two lanes' joint wall time;
+        coarse matching and refinement run on the calling thread.
         Before anything is computed, an image that is not a 2-D array with
         both sides >= 1 raises ``ValueError`` and non-finite pixels raise
         ``NumericError``.
@@ -146,8 +163,7 @@ class Matcher:
             t3 = t4 = time.perf_counter()
             fine: list[FineMatch] = []
             if coarse:  # the fine maps are only read to refine coarse matches
-                fine_a = normalize_cells(self.fusion.forward(fa_t, pyr_a.f_quarter, pyr_a.f_half))
-                fine_b = normalize_cells(self.fusion.forward(fb_t, pyr_b.f_quarter, pyr_b.f_half))
+                fine_a, fine_b = self.fine_maps(fa_t, pyr_a, fb_t, pyr_b)
                 t4 = time.perf_counter()
                 fine = refine(coarse, fine_a, fine_b, score.grid_a, score.grid_b,
                               w=self.fine_patch_width, two_stage=two_stage)

@@ -51,6 +51,14 @@ class FineFusion:
         self.conv_out = params.make("conv_out.kernel", (d_fine, c_half, 3, 3), he_normal, trainable=True)
         self.conv_out_bias = params.make("conv_out.bias", (d_fine,), 0.0, trainable=True)
 
+    def macs(self, height: int, width: int) -> int:
+        """Multiply-adds of one image's fusion over a (height, width) coarse
+        grid: each conv's kernel size times its output cells, the 1x1
+        projection and ``conv_mid`` at 1/4 resolution (2x the grid) and
+        ``conv_out`` at 1/2 (4x). Upsampling, adds and ReLUs are left out."""
+        quarter, half = 4 * height * width, 16 * height * width
+        return (self.proj_quarter.data.size + self.conv_mid.data.size) * quarter + self.conv_out.data.size * half
+
     def forward(self, f_coarse_t: Tensor, f_quarter: Tensor, f_half: Tensor) -> Tensor:
         if f_quarter.shape[1:] != tuple(2 * n for n in f_coarse_t.shape[1:]):
             raise ValueError("1/4 features do not match 2x the coarse grid")

@@ -10,7 +10,8 @@ axes counted from the end. The transform runs a layer one of two ways:
 - stacked: two coarse maps of one shape form one (2, d, H, W) stack, so
   each layer is one self-block call and one cross-block call (the source is
   the batch-reversed stack). Same-shape maps take it unless the pair rule
-  (``lanes.two_threads``, never true for recorded calls) holds;
+  (``lanes.two_threads`` at ``lanes.STACKED_MACS``, never true for recorded
+  calls) holds;
 - per image: one block call per image, the two images' calls of a block
   paired in one ``lanes.pairs`` block per pass, which runs them on two
   threads when the per-image work (``transform_macs``) reaches the pair
@@ -29,7 +30,7 @@ import numpy as np
 from . import tensor as T
 from .config import MatcherConfig
 from .instrument import counters
-from .lanes import pairs, two_threads
+from . import lanes
 from .params import Params, box_noise, xavier
 from .tensor import Tensor
 
@@ -179,9 +180,10 @@ class FeatureTransform:
         """Transform two (d, H, W) coarse maps.
 
         When the per-image work over the smaller grid meets the pair rule
-        (``lanes.two_threads``, never while recording), each block runs once
-        per image, image B's calls on one worker thread kept for the whole
-        pass (one ``lanes.pairs`` block). Otherwise maps of one shape run as
+        (``lanes.two_threads`` at ``lanes.STACKED_MACS``, never while
+        recording), each block runs once per image, image B's calls on one
+        worker thread kept for the whole pass (one ``lanes.pairs`` block).
+        Otherwise maps of one shape run as
         one (2, d, H, W) stack: each layer calls its self block once and its
         cross block once, with the batch-reversed stack as source (A<-B and
         B<-A in one call); maps of different shapes run one block call per
@@ -191,13 +193,13 @@ class FeatureTransform:
             raise ValueError("both images must share the coarse feature dim")
         grid = min(f_a.shape[1:], f_b.shape[1:], key=math.prod)
         work = transform_macs(self.config, *grid)
-        if f_a.shape == f_b.shape and not two_threads(work):
+        if f_a.shape == f_b.shape and not lanes.two_threads(work, lanes.STACKED_MACS):
             pair = T.concat([f_a, f_b]).reshape((2, *f_a.shape))
             for self_block, cross_block in self.layers:
                 pair = self_block.forward(pair, pair)
                 pair = cross_block.forward(pair, pair[::-1])
             return pair[0], pair[1]
-        with pairs(work) as run:
+        with lanes.pairs(work, lanes.STACKED_MACS) as run:
             for self_block, cross_block in self.layers:
                 f_a, f_b = run(partial(self_block.forward, f_a, f_a), partial(self_block.forward, f_b, f_b))
                 f_a, f_b = run(partial(cross_block.forward, f_a, f_b), partial(cross_block.forward, f_b, f_a))

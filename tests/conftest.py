@@ -3,6 +3,8 @@ import pytest
 
 from semimatch import tensor as T
 
+from helpers import set_openblas_threads
+
 # filled by the acceptance suite; echoed after the run so the per-criterion
 # lines survive pytest's output capture
 ACCEPTANCE_LINES: list[str] = []
@@ -18,8 +20,14 @@ def finite_checks():
 
 @pytest.fixture
 def blas_one_thread(monkeypatch):
-    """BLAS reads as one thread to the lanes' pair rule, as under benchmark/env.py."""
+    """BLAS runs one thread for the test, as under benchmark/env.py: the
+    OpenBLAS numpy loaded is set to one thread (and back after), and the
+    variable the pair rule reads where it cannot ask the library is "1"."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    previous = set_openblas_threads(1)
+    yield
+    if previous is not None:
+        set_openblas_threads(previous)
 
 
 @pytest.fixture

@@ -1,11 +1,13 @@
 """Shared oracles: central finite differences, gradient comparison and the
-plain weight serializer."""
+plain weight serializer; switches for the lanes' pair rule."""
+import ctypes
 import json
 import struct
 from collections import Counter
 
 import numpy as np
 
+from semimatch import lanes
 from semimatch import tensor as T
 from semimatch.params import Params
 from semimatch.weights import _DTYPES, FORMAT_VERSION, MAGIC
@@ -124,3 +126,30 @@ def serialize_weights_oracle(named_tensors, config: dict | None = None) -> bytes
     manifest = {"format_version": FORMAT_VERSION, "config": config or {}, "tensors": entries}
     body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     return MAGIC + struct.pack("<I", len(body)) + body + b"".join(chunks)
+
+
+def lanes_at_any_work(monkeypatch) -> None:
+    """Every stage's pair rule holds at any work; recording, BLAS and free
+    CPUs still count."""
+    monkeypatch.setattr(lanes, "IN_ORDER_MACS", 0)
+    monkeypatch.setattr(lanes, "STACKED_MACS", 0)
+
+
+def lanes_never(monkeypatch) -> None:
+    """No stage's pair rule holds: pairs run in order (the transform stacked)."""
+    monkeypatch.setattr(lanes, "IN_ORDER_MACS", 2**62)
+    monkeypatch.setattr(lanes, "STACKED_MACS", 2**62)
+
+
+def set_openblas_threads(count: int) -> int | None:
+    """Set the thread count of the OpenBLAS that numpy loaded (the library
+    the pair rule asks) and return the count it had, or None (and set
+    nothing) where the rule cannot ask it."""
+    lib = lanes._openblas()
+    if lib is None:
+        return None
+    previous = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+    lib.scipy_openblas_set_num_threads64_.restype = None
+    lib.scipy_openblas_set_num_threads64_(count)
+    return previous

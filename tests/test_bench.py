@@ -9,14 +9,15 @@ import pytest
 
 from semimatch import lanes
 from semimatch import tensor as T
-from semimatch.backbone import Backbone, FusedBackbone
+from semimatch.backbone import Backbone, FeaturePyramid, FusedBackbone
 from semimatch.evaluate import STAGES, bench_pipeline, timings_csv
 from semimatch.instrument import OpCounters, counters
 from semimatch.pipeline import Matcher, MatcherConfig
+from semimatch.refine import FineFusion
 from semimatch.synth import SynthConfig, render_pair
-from semimatch.transform import FeatureTransform
+from semimatch.transform import AggAttentionBlock, FeatureTransform, transform_macs
 
-from helpers import drawn
+from helpers import drawn, lanes_at_any_work, lanes_never, set_openblas_threads
 
 TINY = MatcherConfig(widths=(4, 4, 8, 8), blocks=(1, 1, 1, 1), n_layers=1, n_heads=2, s=2,
                      d_fine=8, fine_patch_width=8)
@@ -143,11 +144,12 @@ TWO_CPUS = lanes.free_cpus() >= 2
 @pytest.mark.usefixtures("blas_one_thread")
 class TestConcurrentBackbones:
     @pytest.mark.parametrize("config,size,threaded", [
-        (MatcherConfig.toy(), 256, False),  # ~42 M multiply-adds per image
+        (MatcherConfig.toy(), 64, False),  # ~2.7 M multiply-adds per image
+        (MatcherConfig.toy(), 256, True),  # ~42 M
         (MatcherConfig.toy(), 1024, True),
         (MatcherConfig(), 256, True),  # ~11.5 G
         (MatcherConfig(), 64, True),
-    ], ids=["toy-256", "toy-1024", "paper-256", "paper-64"])
+    ], ids=["toy-64", "toy-256", "toy-1024", "paper-256", "paper-64"])
     def test_image_b_runs_on_a_worker_only_above_the_work_rule(self, config, size, threaded):
         recorder = recorder_for(config)
         with T.no_grad():
@@ -155,7 +157,7 @@ class TestConcurrentBackbones:
         assert pyr_a.data.flat[0] == 0.0 and pyr_b.data.flat[0] == 1.0
         assert recorder.threads[0.0] is threading.current_thread()
         assert (recorder.threads[1.0] is not threading.current_thread()) == (threaded and TWO_CPUS)
-        assert (recorder.macs(size, size) >= lanes.CONCURRENT_MACS) == threaded
+        assert (recorder.macs(size, size) >= lanes.IN_ORDER_MACS) == threaded
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -167,25 +169,35 @@ class TestConcurrentBackbones:
     def test_blas_at_its_default_starts_no_thread(self, monkeypatch):
         monkeypatch.delenv("OPENBLAS_NUM_THREADS")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        monkeypatch.setattr(lanes, "CONCURRENT_MACS", 0)
+        set_openblas_threads(2)  # its default on two CPUs; the blas_one_thread fixture restores it
+        lanes_at_any_work(monkeypatch)
         monkeypatch.setattr(lanes, "free_cpus", lambda: 2)
         recorder = recorder_for(MatcherConfig.toy())
         with T.no_grad():
             recorder.forward_pair(*images(np.zeros((32, 32)), np.ones((32, 32))))
         assert recorder.threads[1.0] is threading.current_thread()
 
-    @pytest.mark.parametrize("blas_env,one_thread", [
-        ({}, False),
-        ({"OPENBLAS_NUM_THREADS": "1"}, True),
-        ({"OMP_NUM_THREADS": "1"}, True),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
-    ], ids=["default", "openblas-1", "omp-1", "openblas-2-over-omp-1"])
-    def test_blas_rule_in_a_fresh_process(self, blas_env, one_thread):
+    @pytest.mark.parametrize("blas_env,at_start,one_thread", [
+        ({}, "", not TWO_CPUS),  # OpenBLAS's default: one thread per CPU
+        ({"OPENBLAS_NUM_THREADS": "1"}, "", True),
+        ({"OMP_NUM_THREADS": "1"}, "", True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, "", False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, "assert set_openblas_threads(2) == 1", False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, "set_openblas_threads(2); lanes._openblas = lambda: None", True),
+    ], ids=["default", "openblas-1", "omp-1", "openblas-2-over-omp-1", "openblas-1-then-set-2",
+            "no-symbol-reads-the-environment"])
+    def test_blas_rule_in_a_fresh_process(self, blas_env, at_start, one_thread):
+        if at_start.startswith("assert") and set_openblas_threads(1) is None:
+            pytest.skip("numpy's BLAS has no scipy_openblas_set_num_threads64_")
         env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-        env.update(blas_env, PYTHONPATH=os.path.dirname(os.path.dirname(lanes.__file__)))
-        code = ("from semimatch import lanes, tensor as T\n"
+        env.update(blas_env, PYTHONPATH=os.pathsep.join([os.path.dirname(os.path.dirname(lanes.__file__)),
+                                                         os.path.dirname(os.path.abspath(__file__))]))
+        code = ("from helpers import set_openblas_threads\n"
+                "from semimatch import lanes, tensor as T\n"
+                f"{at_start}\n"
                 "with T.no_grad():\n"
-                "    print(lanes.blas_one_thread(), lanes.two_threads(lanes.CONCURRENT_MACS), lanes.free_cpus() >= 2)")
+                "    print(lanes.blas_one_thread(), lanes.two_threads(lanes.IN_ORDER_MACS, lanes.IN_ORDER_MACS),\n"
+                "          lanes.free_cpus() >= 2)")
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         blas, threaded, two_cpus = (word == "True" for word in proc.stdout.split())
@@ -214,7 +226,7 @@ class TestConcurrentBackbones:
         assert recorder.threads[1.0] is threading.current_thread()
 
     def test_recorded_calls_start_no_thread(self, monkeypatch):
-        monkeypatch.setattr(lanes, "CONCURRENT_MACS", 0)
+        lanes_at_any_work(monkeypatch)
 
         def no_thread(*args, **kwargs):
             raise AssertionError("a recorded call started a thread")
@@ -240,24 +252,26 @@ class TestConcurrentBackbones:
                 opened.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(lanes, "CONCURRENT_MACS", 0)
+        lanes_at_any_work(monkeypatch)
         monkeypatch.setattr(lanes, "free_cpus", lambda: 2)
         monkeypatch.setattr(lanes, "ThreadPoolExecutor", CountingExecutor)
         config = MatcherConfig.toy()  # two layers: four pairs in one transform pass
-        transform = FeatureTransform(config, drawn(np.random.default_rng(0)))
-        recorder = RecordingBackbone(Backbone(config, drawn(np.random.default_rng(0))).fuse(), run=True)
+        matcher = Matcher(config, seed=0)
+        recorder = RecordingBackbone(matcher.fuse(), run=True)
         maps = [T.tensor(np.full((config.d_model, 8, 8), v, dtype=np.float32)) for v in (0.1, 0.2)]
+        fusion_pair = fusion_inputs(config, (4, 4), (4, 4))
         before = threading.active_count()
         with T.no_grad():
-            for stage in (lambda: transform.forward(*maps),
-                          lambda: recorder.forward_pair(*images(np.zeros((32, 32)), np.ones((32, 32))))):
+            for stage in (lambda: matcher.transform.forward(*maps),
+                          lambda: recorder.forward_pair(*images(np.zeros((32, 32)), np.ones((32, 32)))),
+                          lambda: matcher.fine_maps(*fusion_pair)):
                 opened.clear()
                 stage()
                 assert len(opened) == 1
                 assert threading.active_count() == before
             for first, second in ((lambda: 1 / 0, lambda: 1), (lambda: 1, lambda: 1 / 0)):  # each lane raises
                 opened.clear()
-                with pytest.raises(ZeroDivisionError), lanes.pairs(0) as run:
+                with pytest.raises(ZeroDivisionError), lanes.pairs(0, 0) as run:
                     run(first, second)
                 assert len(opened) == 1
                 assert threading.active_count() == before
@@ -266,8 +280,9 @@ class TestConcurrentBackbones:
         matcher = Matcher(MatcherConfig.toy(), seed=0)
         fused = matcher.fuse()
         a, b, _ = render_pair(3, 0, SynthConfig(size=128))
+        lanes_never(monkeypatch)
         sequential = matcher.match_pair(a, b, mode="optimized", fused=fused)
-        monkeypatch.setattr(lanes, "CONCURRENT_MACS", 0)
+        lanes_at_any_work(monkeypatch)
         recorder = RecordingBackbone(fused, run=True)
         with T.no_grad():
             pyr_a, pyr_b = recorder.forward_pair(*images(a, b))
@@ -281,7 +296,7 @@ class TestConcurrentBackbones:
         assert len(concurrent.fine) > 0
 
     def test_inf_in_image_b_only_raises_numeric_error_and_leaves_no_thread(self, monkeypatch):
-        monkeypatch.setattr(lanes, "CONCURRENT_MACS", 0)
+        lanes_at_any_work(monkeypatch)
         matcher = Matcher(MatcherConfig.toy(), seed=0)
         # the first conv overflows float32 on a bright image and maps a black one to zeros
         matcher.backbone.stages[0][0].conv3x3.kernel.data[:] = 1e38
@@ -292,6 +307,121 @@ class TestConcurrentBackbones:
             with pytest.raises(T.NumericError, match="non-finite"):
                 matcher.match_pair(black, bright, mode="optimized")
         assert threading.active_count() == before
+
+
+def fusion_inputs(config, grid_a, grid_b, fill_b=None):
+    """``Matcher.fine_maps`` arguments for two images of the given coarse
+    grids: seeded random coarse, 1/4 and 1/2 maps, image B's coarse map set
+    to ``fill_b`` where given."""
+    rng = np.random.default_rng(5)
+    args = []
+    for grid in (grid_a, grid_b):
+        def level(channels, scale):
+            return T.tensor(rng.random((channels, grid[0] * scale, grid[1] * scale), dtype=np.float32))
+        args += [level(config.d_model, 1), FeaturePyramid(level(config.widths[1], 4), level(config.widths[2], 2), None)]
+    if fill_b is not None:
+        args[2].data[:] = fill_b
+    return args
+
+
+class FusionRecorder:
+    """Records, on ``matcher.fusion.forward``, the coarse map and the thread
+    of each call; a call on image B's coarse map ``fb_t`` is B's."""
+
+    def __init__(self, monkeypatch, matcher, fb_t=None):
+        self.fb_t, self.calls = fb_t, []
+
+        def recording(f_coarse_t, *args):
+            self.calls.append((f_coarse_t, threading.current_thread()))
+            return FineFusion.forward(matcher.fusion, f_coarse_t, *args)
+
+        monkeypatch.setattr(matcher.fusion, "forward", recording)
+
+    def b_on_worker(self) -> bool:
+        on_a = [thread for f, thread in self.calls if f is not self.fb_t]
+        on_b = [thread for f, thread in self.calls if f is self.fb_t]
+        assert on_a == [threading.current_thread()] and len(on_b) == 1
+        return on_b[0] is not threading.current_thread()
+
+    def threads(self) -> int:
+        assert len(self.calls) == 2
+        return len({thread for _, thread in self.calls})
+
+
+@pytest.mark.usefixtures("blas_one_thread")
+class TestFusionLanes:
+    @pytest.mark.parametrize("size_b", [(128, 128), (96, 112)], ids=["equal", "unequal"])
+    def test_lanes_equal_in_order_bitwise(self, monkeypatch, size_b):
+        matcher = Matcher(MatcherConfig.toy(), seed=0)
+        fused = matcher.fuse()
+        a, b, _ = render_pair(3, 0, SynthConfig(size=128))
+        b = b[:size_b[0], :size_b[1]]
+        with T.no_grad():
+            pyr_a, pyr_b = (fused.forward_deploy(T.tensor(image[None])) for image in (a, b))
+            fa_t, fb_t = matcher.transform.forward(pyr_a.f_coarse, pyr_b.f_coarse)
+        results = {}
+        for side, switch in (("in_order", lanes_never), ("lanes", lanes_at_any_work)):
+            switch(monkeypatch)
+            recorder = FusionRecorder(monkeypatch, matcher, fb_t)
+            with T.no_grad():
+                fine = matcher.fine_maps(fa_t, pyr_a, fb_t, pyr_b)
+            assert recorder.b_on_worker() == (side == "lanes" and TWO_CPUS)
+            results[side] = fine, matcher.match_pair(a, b, mode="optimized", fused=fused)
+        (fine_order, order), (fine_lanes, on_lanes) = results["in_order"], results["lanes"]
+        for got, want in zip(fine_lanes, fine_order):
+            np.testing.assert_array_equal(got.data, want.data)
+        assert fine_lanes[0].shape[1:] == a.shape and fine_lanes[1].shape[1:] == size_b
+        assert on_lanes.coarse == order.coarse and on_lanes.fine == order.fine
+        assert len(on_lanes.fine) > 0
+
+    def test_work_is_the_smaller_coarse_grid(self, monkeypatch):
+        matcher = Matcher(MatcherConfig.toy(), seed=0)
+        monkeypatch.setattr(lanes, "IN_ORDER_MACS", matcher.fusion.macs(8, 8))
+        for grid_b, threaded in (((4, 8), False), ((8, 12), True)):
+            args = fusion_inputs(matcher.config, (8, 8), grid_b)
+            recorder = FusionRecorder(monkeypatch, matcher, args[2])
+            with T.no_grad():
+                matcher.fine_maps(*args)
+            assert recorder.b_on_worker() == (threaded and TWO_CPUS)
+        assert matcher.fusion.macs(32, 32) == 30_408_704  # a 256² toy image
+
+    def test_inf_in_image_b_lane_raises_and_leaves_no_thread(self, monkeypatch):
+        lanes_at_any_work(monkeypatch)
+        matcher = Matcher(MatcherConfig.toy(), seed=0)
+        before = threading.active_count()
+        with T.no_grad(), np.errstate(over="ignore", invalid="ignore"):
+            matcher.fine_maps(*fusion_inputs(matcher.config, (4, 4), (4, 4)))  # image A alone stays finite
+            args = fusion_inputs(matcher.config, (4, 4), (4, 4), fill_b=3e38)  # overflows in B's fusion
+            recorder = FusionRecorder(monkeypatch, matcher, args[2])
+            with pytest.raises(T.NumericError, match="non-finite"):
+                matcher.fine_maps(*args)
+        assert recorder.b_on_worker() == TWO_CPUS
+        assert threading.active_count() == before
+
+
+@pytest.mark.usefixtures("blas_one_thread")
+def test_toy_256_runs_backbone_and_fusion_on_two_lanes_and_the_transform_stacked(monkeypatch):
+    matcher = Matcher(MatcherConfig.toy(), seed=0)
+    recorder = RecordingBackbone(matcher.fuse(), run=True)
+    block_calls = []
+    block_forward = AggAttentionBlock.forward
+
+    def recording_block(block, target, *args):
+        block_calls.append((target.ndim, threading.current_thread()))
+        return block_forward(block, target, *args)
+
+    monkeypatch.setattr(AggAttentionBlock, "forward", recording_block)
+    fusion = FusionRecorder(monkeypatch, matcher)
+    a, b, _ = render_pair(3, 0, SynthConfig(size=256))
+    a[0, 0], b[0, 0] = 0.25, 0.75  # the backbone recorder's keys
+    result = matcher.match_pair(a, b, mode="optimized", fused=recorder)
+    assert result.coarse
+    assert (recorder.threads[0.75] is not threading.current_thread()) == TWO_CPUS
+    assert block_calls == [(4, threading.current_thread())] * 2 * matcher.config.n_layers
+    assert fusion.threads() == (2 if TWO_CPUS else 1)
+    grid = result.grid_a
+    assert recorder.macs(256, 256) >= lanes.IN_ORDER_MACS and matcher.fusion.macs(*grid) >= lanes.IN_ORDER_MACS
+    assert transform_macs(matcher.config, *grid) < lanes.STACKED_MACS
 
 
 class SwitchingKey(str):

@@ -16,8 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semimatch
-from helpers import serialize_weights_oracle
-from semimatch import lanes
+from helpers import lanes_at_any_work, serialize_weights_oracle
 from semimatch import tensor as T
 from semimatch.backbone import COARSE_STRIDE
 from semimatch.cli import main
@@ -826,7 +825,7 @@ class TestCli:
 
     @pytest.mark.usefixtures("blas_one_thread")
     def test_inf_in_image_b_only_gives_numeric_exit(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(lanes, "CONCURRENT_MACS", 0)  # image B on the worker thread
+        lanes_at_any_work(monkeypatch)  # image B on the worker thread
         matcher = Matcher(TINY, seed=0)
         matcher.backbone.stages[0][0].conv3x3.kernel.data[:] = 1e38  # finite, so it loads
         weights, black, bright = tmp_path / "huge.smw", tmp_path / "a.pgm", tmp_path / "b.pgm"

@@ -61,3 +61,40 @@ def test_mutation_gate_snippets_occur_once():
     assert mutation_gate.count_snippets() == {m.name: 1 for m in mutation_gate.MUTANTS}
     for mutant in mutation_gate.MUTANTS:
         assert mutant.tests and all(os.path.isfile(os.path.join(REPO, t.split("::")[0])) for t in mutant.tests)
+
+
+def test_lane_table_times_both_sides_to_equal_outputs_and_ends_its_worker(tmp_path):
+    out = tmp_path / "lanes.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(REPO, "src"), env.get("PYTHONPATH")]))
+    argv = [sys.executable, os.path.join(REPO, "scripts", "lane_table.py"),
+            "--sizes", "64", "--pairs", "1", "--reps", "1", "--out", str(out)]
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    record = json.loads(out.read_text())
+    lane_table = import_script("lane_table")
+    assert set(record) == {"machine", "pairs", "reps", "rows", "crossover"}
+    assert [(r["stage"], r["config"]) for r in record["rows"]] == [
+        (stage, config) for stage in lane_table.STAGES for config in lane_table.CONFIGS]
+    for row in record["rows"]:
+        side = lane_table.OTHER_SIDE[row["stage"]]
+        assert set(row) == {"stage", "config", "size", "work", "other_side", f"{side}_ms", "lanes_ms",
+                            "lanes_wins", "pairs", "equal", "threads_after"}
+        assert row["size"] == [64, 64] and row["pairs"] == 1 and row["work"] > 0
+        assert row["equal"] is True and row["threads_after"] == 1
+    assert set(record["crossover"]) == set(lane_table.STAGES)
+
+
+def test_each_lane_threshold_lies_inside_its_committed_crossover():
+    from semimatch import lanes
+
+    lane_table = import_script("lane_table")
+    with open(os.path.join(REPO, "BENCH_lanes.json"), encoding="utf-8") as fh:
+        record = json.load(fh)
+    assert record["pairs"] >= 10
+    for stage in lane_table.STAGES:
+        rows = [row for row in record["rows"] if row["stage"] == stage]
+        assert {row["config"] for row in rows} == set(lane_table.CONFIGS)
+        bracket = lane_table.crossover(rows, getattr(lanes, lane_table.THRESHOLD[stage]))
+        assert bracket["largest_lost_work"] is not None and bracket["smallest_won_work"] is not None, stage
+        assert bracket["inside"], (stage, bracket)

@@ -406,7 +406,7 @@ class TestTransformLanes:
         # per image over the coarse grid of a 256² image (32²)
         assert transform_macs(CFG, 32, 32) == 46_137_344
         assert transform_macs(PAPER, 32, 32) == 3_372_220_416
-        assert transform_macs(CFG, 32, 32) < lanes.CONCURRENT_MACS <= transform_macs(PAPER, 16, 16)
+        assert transform_macs(CFG, 32, 32) < lanes.STACKED_MACS <= transform_macs(PAPER, 16, 16)
 
     @pytest.mark.parametrize("grid_a,grid_b", [((8, 8), (8, 8)), ((8, 12), (12, 8))])
     def test_lanes_equal_in_order_bitwise(self, rng, monkeypatch, grid_a, grid_b):
@@ -415,7 +415,7 @@ class TestTransformLanes:
         f_b = T.tensor(rng.standard_normal((32, *grid_b)).astype(np.float32))
         with T.no_grad():
             want = transform.forward(f_a, f_b)  # stacked, or per image in order
-            monkeypatch.setattr(lanes, "CONCURRENT_MACS", 0)
+            monkeypatch.setattr(lanes, "STACKED_MACS", 0)
             recorder = LaneRecorder(monkeypatch, f_b)
             got = transform.forward(f_a, f_b)
         for g, w in zip(got, want):
@@ -440,7 +440,7 @@ class TestTransformLanes:
             assert recorder.threads["b"] == []
 
     def test_work_is_the_smaller_grid(self, rng, monkeypatch):
-        monkeypatch.setattr(lanes, "CONCURRENT_MACS", transform_macs(CFG, 16, 16))
+        monkeypatch.setattr(lanes, "STACKED_MACS", transform_macs(CFG, 16, 16))
         transform = FeatureTransform(CFG, drawn(rng))
         f_a = T.tensor(rng.standard_normal((32, 16, 16)).astype(np.float32))
         f_b = T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32))
@@ -450,7 +450,7 @@ class TestTransformLanes:
         assert recorder.threads["b"] == [threading.current_thread()] * 2 * CFG.n_layers
 
     def test_recorded_call_stays_stacked(self, rng, monkeypatch):
-        monkeypatch.setattr(lanes, "CONCURRENT_MACS", 0)
+        monkeypatch.setattr(lanes, "STACKED_MACS", 0)
         transform = FeatureTransform(CFG, drawn(rng))
         f_a, f_b = (parameter(rng.standard_normal((32, 8, 8)).astype(np.float32)) for _ in range(2))
         recorder = LaneRecorder(monkeypatch, f_b)
@@ -460,7 +460,7 @@ class TestTransformLanes:
         assert recorder.threads["b"] == []
 
     def test_inf_in_image_b_lane_raises_and_leaves_no_thread(self, rng, monkeypatch):
-        monkeypatch.setattr(lanes, "CONCURRENT_MACS", 0)
+        monkeypatch.setattr(lanes, "STACKED_MACS", 0)
         transform = FeatureTransform(CFG, drawn(rng))
         f_a = T.tensor(np.zeros((32, 8, 8), dtype=np.float32))
         f_b = T.tensor(np.full((32, 8, 8), 3e38, dtype=np.float32))  # overflows in image B's block calls
@@ -475,8 +475,8 @@ class TestTransformLanes:
         transform = FeatureTransform(CFG, drawn(rng))
         fa, fb = (T.tensor(rng.standard_normal((32, 8, 8)).astype(np.float32)) for _ in range(2))
         entries = []
-        for rule in (lanes.CONCURRENT_MACS, 0):
-            monkeypatch.setattr(lanes, "CONCURRENT_MACS", rule)
+        for rule in (lanes.STACKED_MACS, 0):
+            monkeypatch.setattr(lanes, "STACKED_MACS", rule)
             counters.reset("attn_score_entries")
             with T.no_grad():
                 transform.forward(fa, fb)
