@@ -43,6 +43,10 @@ MUTANTS = [
     Mutant("two_threads ignores recording", "src/semimatch/lanes.py",
            "return not grad_enabled() and threshold <= work", "return threshold <= work",
            ("tests/test_bench.py::TestConcurrentBackbones::test_recorded_calls_start_no_thread",)),
+    Mutant("conv2d sends a recorded call to Winograd", "src/semimatch/tensor.py",
+           "and not _records((x, kernel, bias))", "and True",
+           ("tests/test_tensor.py::TestWinogradConv2d::test_dispatch_rule",
+            "tests/test_backbone.py::TestBackboneForward::test_wide_stride_one_blocks_run_winograd")),
     Mutant("the fusion pair returns (fine_b, fine_a)", "src/semimatch/pipeline.py",
            "return fine_a, fine_b", "return fine_b, fine_a",
            ("tests/test_bench.py::TestFusionLanes::test_lanes_equal_in_order_bitwise",)),

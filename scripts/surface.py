@@ -63,7 +63,6 @@ REACHED_ONLY_OUTSIDE_THE_CENSUS = {
     "tensor.Tensor.__matmul__": OPERATORS,
     "tensor.Tensor.__rsub__": OPERATORS,
     "tensor.Tensor.__repr__": OPERATORS,
-    "tensor.WinogradConv2d.backward": "training with >=64-channel layers (the paper config), which no census flow does",
 }
 
 

@@ -10,6 +10,10 @@ import math
 import numpy as np
 
 AUC_THRESHOLDS_PX = (3.0, 5.0, 10.0)  # the corner-error thresholds of every AUC report
+# RANSAC's hypothesis cap, and the probability of having drawn one all-inlier
+# sample that the adaptive budget aims for
+RANSAC_MAX_ITERS = 10000
+RANSAC_CONFIDENCE = 0.999
 
 
 class DegenerateGeometryError(ValueError):
@@ -103,22 +107,16 @@ def ransac_homography(
     *,
     threshold_px: float,
     seed: int,
-    max_iters: int = 10000,
-    confidence: float = 0.999,
 ) -> tuple[np.ndarray, np.ndarray]:
     """4-point RANSAC with symmetric transfer error and an inlier refit.
 
     Deterministic for a fixed seed; the iteration budget shrinks adaptively
-    as better hypotheses are found. Returns (homography, inlier_mask).
-    ``threshold_px`` must be finite and > 0, ``max_iters`` >= 1 and
-    ``confidence`` in [0, 1); anything else raises ``ValueError``.
+    from ``RANSAC_MAX_ITERS`` as better hypotheses are found. Returns
+    (homography, inlier_mask). ``threshold_px`` must be finite and > 0;
+    anything else raises ``ValueError``.
     """
     if not 0 < threshold_px < math.inf:  # NaN fails too
         raise ValueError(f"threshold_px must be finite and > 0, got {threshold_px}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    if not 0 <= confidence < 1:
-        raise ValueError(f"confidence must be in [0, 1), got {confidence}")
     src = np.asarray(src, dtype=np.float64).reshape(-1, 2)
     dst = np.asarray(dst, dtype=np.float64).reshape(-1, 2)
     n = src.shape[0]
@@ -127,9 +125,9 @@ def ransac_homography(
     rng = np.random.default_rng(seed)
     best_mask = None
     best_count = 0
-    needed = max_iters
+    needed = RANSAC_MAX_ITERS
     it = 0
-    while it < min(needed, max_iters):
+    while it < min(needed, RANSAC_MAX_ITERS):
         it += 1
         sample = rng.choice(n, size=4, replace=False)
         try:
@@ -145,7 +143,7 @@ def ransac_homography(
             if ratio >= 1.0:
                 break
             denom = np.log(max(1.0 - ratio**4, 1e-12))
-            needed = int(np.ceil(np.log(1.0 - confidence) / denom))
+            needed = int(np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / denom))
     if best_mask is None or best_count < 4:
         raise DegenerateGeometryError("no hypothesis reached 4 inliers")
     h = dlt_homography(src[best_mask], dst[best_mask])

@@ -20,18 +20,18 @@ summed over the batch. The fused transformer ops already run over any
 leading axes, so a stack of maps passes through an attention block as one
 batch.
 
-``conv2d`` runs im2col and one GEMM, except for stride-1, pad-1 3x3
-convolutions with at least ``WINOGRAD_MIN_CHANNELS`` input and output
+``conv2d`` runs im2col and one GEMM, except for unrecorded stride-1, pad-1
+3x3 convolutions with at least ``WINOGRAD_MIN_CHANNELS`` input and output
 channels: those run Winograd F(4x4, 3x3) (``WinogradConv2d``), which
 multiplies a transformed 6x6 input tile by a transformed kernel in 36
 products per 4x4 output tile instead of 144, one batched matmul over the
-36 tile positions. Its backward is the adjoint of the same transforms, so
-training and inference take the same path. The kernel is transformed once
-per call; nothing is cached across calls. Both kernels build their scratch
-(im2col columns, padded input rows, Winograd tiles) one band of output rows
-at a time, each band within ``CONV_SCRATCH_BYTES``: a conv's transient
-memory stays bounded at any map size. A recorded call keeps each band's
-columns or transformed tiles for backward, which loops over the same bands;
+36 tile positions. Winograd is forward-only: a recorded call (training)
+runs im2col, whose backward trains every layer. The kernel is transformed
+once per call; nothing is cached across calls. Both kernels build their
+scratch (im2col columns, padded input rows, Winograd tiles) one band of
+output rows at a time, each band within ``CONV_SCRATCH_BYTES``: a conv's
+transient memory stays bounded at any map size. A recorded im2col call
+keeps each band's columns for backward, which loops over the same bands;
 an unrecorded call keeps nothing. Toy training maps fit in one band.
 
 Gradients flow through an implicit tape: each op result keeps a context
@@ -74,6 +74,16 @@ def set_finite_checks(enabled: bool) -> bool:
 def grad_enabled() -> bool:
     """Whether ops record onto the tape (false inside ``no_grad``)."""
     return _grad_enabled
+
+
+def _records(inputs) -> bool:
+    """Whether an op on the tensors ``inputs`` goes onto the tape: gradients
+    are enabled and some input requires them."""
+    if _grad_enabled:
+        for t in inputs:
+            if t.requires_grad:
+                return True
+    return False
 
 
 @contextmanager
@@ -276,17 +286,15 @@ class Function:
     def apply(cls, *args, **kwargs) -> Tensor:
         parents = []
         values = []
-        record = False
         for a in args:
             if isinstance(a, Tensor):
                 parents.append(a)
                 values.append(a.data)
-                record = record or a.requires_grad
             else:
                 values.append(a)
         ctx = cls(*parents)
         # read by ops whose saved state is large: an unrecorded call keeps none
-        ctx.records = _grad_enabled and record
+        ctx.records = _records(parents)
         out_data = ctx.forward(*values, **kwargs)
         if _finite_checks and not np.all(np.isfinite(out_data)):
             raise NumericError(f"{cls.__name__} produced a non-finite value")
@@ -908,13 +916,12 @@ def _winograd_matrices(dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.kron(m, m).astype(dtype) for m in (_WINOGRAD_BT, _WINOGRAD_G, _WINOGRAD_AT))
 
 
-def _winograd(x: np.ndarray, kernel: np.ndarray, keep: list | None = None) -> np.ndarray:
+def _winograd(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Stride-1, pad-1 3x3 correlation of a (cin, H, W) map with a (cout, cin,
     3, 3) kernel: a (cout, H, W) view into whole 4x4 output tiles.
 
     The kernel is transformed once; the input tiles are transformed in bands
-    of tile rows. Given ``keep``, each band appends ``(t0, t1, v)``: its tile
-    rows and its transformed tiles V, (36, cin, (t1 − t0)·⌈W/4⌉).
+    of tile rows.
     """
     bt, g, at = _winograd_matrices(x.dtype)
     cout, cin = kernel.shape[:2]
@@ -936,45 +943,18 @@ def _winograd(x: np.ndarray, kernel: np.ndarray, keep: list | None = None) -> np
         del xp, tiles  # freed before U·V: the band budget counts one phase at a time
         m = (at @ (u @ v).reshape(36, -1)).reshape(4, 4, cout, n, tw)
         y[:, t0:t1] = m.transpose(2, 3, 0, 4, 1)
-        if keep is not None:
-            keep.append((t0, t1, v))
         del v, m
     return y.reshape(cout, 4 * th, 4 * tw)[:, :h, :w]
 
 
 class WinogradConv2d(Function):
-    """Stride-1, pad-1 3x3 convolution through Winograd F(4x4, 3x3).
-
-    Backward is the adjoint of the same maps: dx is the Winograd correlation
-    of the gradient with the flipped, in/out-swapped kernel; dkernel is
-    kron(G, G)ᵀ applied to Σ over tiles of (kron(Aᵀ, Aᵀ)ᵀ · gradient tile)
-    · Vᵀ, summed band by band over the V each band of the forward kept.
-    """
+    """Stride-1, pad-1 3x3 convolution through Winograd F(4x4, 3x3), forward
+    only: ``conv2d`` sends it no recorded call."""
 
     def forward(self, x, kernel, bias):
-        bands = [] if self.records else None
-        out = np.ascontiguousarray(_winograd(x, kernel, bands))  # a copy only for partial tiles
+        out = np.ascontiguousarray(_winograd(x, kernel))  # a copy only for partial tiles
         out += bias[:, None, None]
-        if self.records:
-            self.saved = (bands, kernel)
         return out
-
-    def backward(self, grad):
-        bands, kernel = self.saved
-        _, g, at = _winograd_matrices(grad.dtype)
-        cout, h, w = grad.shape
-        th, tw = -(-h // 4), -(-w // 4)
-        gp = np.zeros((cout, th, 4, tw, 4), dtype=grad.dtype)
-        gp.reshape(cout, 4 * th, 4 * tw)[:, :h, :w] = grad
-        du = None
-        for t0, t1, v in bands:
-            gtiles = gp[:, t0:t1].transpose(2, 4, 0, 1, 3).reshape(16, -1)
-            dm = (at.T @ gtiles).reshape(36, cout, (t1 - t0) * tw)
-            part = dm @ v.swapaxes(1, 2)
-            du = part if du is None else du + part
-        dkernel = np.ascontiguousarray((g.T @ du.reshape(36, -1)).T).reshape(kernel.shape)
-        dx = _winograd(grad, np.ascontiguousarray(kernel[:, :, ::-1, ::-1].swapaxes(0, 1)))
-        return np.ascontiguousarray(dx), dkernel, grad.sum(axis=(1, 2))
 
 
 class DepthwiseConv2d(Function):
@@ -1088,9 +1068,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     """2-D convolution over a (C, H, W) map with zero padding, plus a per-channel bias.
 
     Kernel is (out_c, in_c, kh, kw) with odd kh, kw and bias (out_c,); output
-    spatial dims are floor((H + 2·pad − kh) / stride) + 1. Stride-1, pad-1 3x3
-    kernels with at least ``WINOGRAD_MIN_CHANNELS`` input and output channels
-    run Winograd F(4x4, 3x3), the rest im2col; each call counts once under "conv2d".
+    spatial dims are floor((H + 2·pad − kh) / stride) + 1. An unrecorded call
+    with a stride-1, pad-1 3x3 kernel and at least ``WINOGRAD_MIN_CHANNELS``
+    input and output channels runs Winograd F(4x4, 3x3), forward-only; the
+    rest, recorded calls included, run im2col. Each call counts once under "conv2d".
     """
     kh, kw = kernel.shape[-2:]
     if kh % 2 == 0 or kw % 2 == 0:
@@ -1101,7 +1082,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     if x.shape[0] != cin:
         raise ValueError(f"conv2d: input has {x.shape[0]} channels, kernel expects {cin}")
     counters.add("conv2d")
-    if (kh, kw, stride, pad) == (3, 3, 1, 1) and min(cin, cout) >= WINOGRAD_MIN_CHANNELS:
+    if ((kh, kw, stride, pad) == (3, 3, 1, 1) and min(cin, cout) >= WINOGRAD_MIN_CHANNELS
+            and not _records((x, kernel, bias))):
         counters.add("conv2d_winograd")
         return WinogradConv2d.apply(x, kernel, bias)
     return Conv2d.apply(x, kernel, bias, stride=stride, pad=pad)

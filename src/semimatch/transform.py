@@ -17,8 +17,9 @@ axes counted from the end. The transform runs a layer one of two ways:
   threads when the per-image work (``transform_macs``) reaches the pair
   rule. Maps of different shapes always take it.
 Both ways compute the same function, as every op treats the maps of a
-stack independently; only the gradients of shared weights are summed in
-another order.
+stack independently: the outputs are bitwise equal from 8x8 coarse grids
+up, and at a 4x4 paper grid (one aggregated token) they differ by rounding,
+up to 8.8e-6. The gradients of shared weights are summed in another order.
 """
 from __future__ import annotations
 
@@ -123,13 +124,9 @@ class AggAttentionBlock:
         self.fc2 = params.make("ffn.fc2.kernel", (d, 2 * d), xavier, trainable=True)
         self.fc2_bias = params.make("ffn.fc2.bias", (d,), 0.0, trainable=True)
 
-    def forward(self, target: Tensor, source: Tensor,
-                position_offset: tuple[float, float] = (0.0, 0.0)) -> Tensor:
+    def forward(self, target: Tensor, source: Tensor) -> Tensor:
         """Attend from ``target`` to ``source``: (d, H, W) maps, or (B, d, H, W)
-        stacks where map i attends to map i of the source.
-
-        position_offset shifts the coordinate frame; with relative encoding
-        the output must not depend on it (and cross blocks never encode)."""
+        stacks where map i attends to map i of the source."""
         if target.shape[:-2] != source.shape[:-2]:
             raise ValueError(f"feature dims differ: {target.shape} vs {source.shape}")
         if self.kind == "self" and target is not source:
@@ -145,7 +142,7 @@ class AggAttentionBlock:
         v = T.linear(kv_tokens, self.v_proj)
 
         if self.kind == "self":
-            positions = _grid_positions(ah, aw, s) + np.asarray(position_offset, dtype=np.float64)
+            positions = _grid_positions(ah, aw, s)
             q = rope_encode(q, positions, self.config.n_heads)
             k = rope_encode(k, positions, self.config.n_heads)
 

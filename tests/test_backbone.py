@@ -141,11 +141,16 @@ class TestBackboneForward:
     @pytest.mark.parametrize("config,winograd", [(MatcherConfig(), 17), (TOY, 0)])
     def test_wide_stride_one_blocks_run_winograd(self, rng, config, winograd):
         # paper widths: every stride-1 block past the 1-channel stem is >= 64 wide
-        fused = Backbone(config, drawn(rng)).fuse()
+        backbone = Backbone(config, drawn(rng))
+        image = T.tensor(rng.random((1, 32, 32)).astype(np.float32))
         counters.reset("conv2d", "conv2d_winograd")
         with T.no_grad():
-            fused.forward_deploy(T.tensor(rng.random((1, 32, 32)).astype(np.float32)))
+            backbone.fuse().forward_deploy(image)
         assert counters["conv2d"] == sum(config.blocks)
+        assert counters["conv2d_winograd"] == winograd
+        # training runs the folded form on the tape, all im2col: Winograd is forward-only
+        assert backbone.fold().forward_deploy(image).f_coarse.requires_grad
+        assert counters["conv2d"] == 2 * sum(config.blocks)
         assert counters["conv2d_winograd"] == winograd
 
     def test_forward_train_records_at_most_four_ops_per_block(self, rng):
