@@ -128,9 +128,22 @@ MUTANTS = [
     Mutant("the serializer skips the little-endian cast", "src/semimatch/weights.py",
            "arr = np.ascontiguousarray(tensor.data, dtype=_DTYPES[code])", "arr = np.ascontiguousarray(tensor.data)",
            ("tests/test_io_cli.py::TestWeightContainer::test_strided_and_big_endian_tensors_are_cast_like_the_oracle",)),
-    Mutant("deserialize_weights returns views of the blob", "src/semimatch/weights.py",
-           'tensors[entry["name"]] = arr.reshape(entry["shape"]).copy()', 'tensors[entry["name"]] = arr.reshape(entry["shape"])',
+    Mutant("read_weights returns read-only views of the bytes it reads", "src/semimatch/weights.py",
+           'if fh.readinto(arr) != entry["length"]:',
+           'if (arr := np.frombuffer(fh.read(entry["length"]), dtype).reshape(entry["shape"])).nbytes != entry["length"]:',
            ("tests/test_io_cli.py::TestWeightContainer::test_loaded_tensors_own_writable_memory",)),
+    Mutant("a tensor is read before its entry is checked against the payload end", "src/semimatch/weights.py",
+           "if cursor > payload_len:\n"
+           "                    raise ValueError(f\"tensor {entry['name']} extends past payload\")\n"
+           "                arr = np.empty(entry[\"shape\"], dtype)\n"
+           "                if fh.readinto(arr) != entry[\"length\"]:\n"
+           "                    raise ValueError(f\"tensor {entry['name']} was cut short: the file shrank while it was read\")",
+           "arr = np.empty(entry[\"shape\"], dtype)\n"
+           "                if fh.readinto(arr) != entry[\"length\"]:\n"
+           "                    raise ValueError(f\"tensor {entry['name']} was cut short: the file shrank while it was read\")\n"
+           "                if cursor > payload_len:\n"
+           "                    raise ValueError(f\"tensor {entry['name']} extends past payload\")",
+           ("tests/test_io_cli.py::TestWeightContainer::test_each_format_error_is_named[payload-short]",)),
     Mutant("stage 2 weighs out-of-image window cells", "src/semimatch/refine.py",
            "bias = np.where(masks, 0.0, -1e30)", "bias = np.zeros(masks.shape)",
            ("tests/test_refine.py::TestStage2::test_masked_cells_get_no_weight",)),

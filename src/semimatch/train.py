@@ -118,8 +118,7 @@ def pair_losses(matcher, image_a: np.ndarray, image_b: np.ndarray, h: np.ndarray
     gt = build_gt_homography(h, image_a.shape, image_b.shape)
     l_c = coarse_loss(score.s, gt)
 
-    fine_a = normalize_cells(matcher.fusion.forward(fa_t, pyr_a.f_quarter, pyr_a.f_half))
-    fine_b = normalize_cells(matcher.fusion.forward(fb_t, pyr_b.f_quarter, pyr_b.f_half))
+    fine_a, fine_b = matcher.fine_maps(fa_t, pyr_a, fb_t, pyr_b)
     l_f1, l_f2 = _fine_losses(fine_a, fine_b, gt, matcher.fine_patch_width, cfg, rng)
     return l_c, l_f1, l_f2
 

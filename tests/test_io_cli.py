@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import semimatch
 from helpers import lanes_at_any_work, serialize_weights_oracle
 from semimatch import tensor as T
+from semimatch import weights
 from semimatch.backbone import COARSE_STRIDE
 from semimatch.cli import main
 from semimatch.config import Settings, apply_overrides, load_settings, parse_config_text
@@ -31,9 +32,9 @@ from semimatch.train import TrainConfig
 from semimatch.weights import (
     MAGIC,
     WeightFormatError,
-    deserialize_weights,
     load_matcher,
     model_hash,
+    read_weights,
     save_matcher,
     serialize_weights,
 )
@@ -55,6 +56,37 @@ def read_match_dump(text: str) -> tuple[dict[str, str], np.ndarray]:
 def container(manifest: bytes, payload: bytes = b"") -> bytes:
     """A weight container holding the given raw manifest bytes."""
     return MAGIC + struct.pack("<I", len(manifest)) + manifest + payload
+
+
+def one_tensor(payload: bytes = bytes(16), **changes) -> bytes:
+    """A container of one f4 tensor ``x`` of shape [4] (16 bytes) over ``payload``;
+    each change replaces a manifest field or, failing that, an entry field, and a
+    change to None removes the field."""
+    entry = {"name": "x", "dtype": "f4", "shape": [4], "offset": 0, "length": 16}
+    manifest = {"format_version": 1, "config": {}, "tensors": [entry]}
+    for key, value in changes.items():
+        fields = manifest if key in manifest else entry
+        if value is None:
+            del fields[key]
+        else:
+            fields[key] = value
+    return container(json.dumps(manifest).encode(), payload)
+
+
+# (container bytes, message) of each way a container can break the format, in the reader's order of checks
+FORMAT_ERRORS = {
+    "truncated-header": (MAGIC + b"\x01", "truncated container header"),
+    "truncated-manifest": (MAGIC + struct.pack("<I", 100) + b"{}", "truncated manifest"),
+    "body-not-json": (container(b"{not json"), r"malformed manifest \(JSONDecodeError"),
+    "body-not-utf8": (container(b"\xff"), r"\(UnicodeDecodeError"),
+    "no-config": (one_tensor(config=None), "KeyError: 'config'"),
+    "version-2": (one_tensor(format_version=2), "unsupported format version 2"),
+    "dtype-f2": (one_tensor(dtype="f2"), "unknown dtype f2"),
+    "length": (one_tensor(bytes(12), length=12), "tensor x length does not match its shape and dtype"),
+    "offset": (one_tensor(bytes(20), offset=4), "tensor x offset overlaps or leaves a gap"),
+    "payload-short": (one_tensor(bytes(8)), "tensor x extends past payload"),
+    "payload-long": (one_tensor(bytes(17)), "payload longer than manifest describes"),
+}
 
 
 # manifests that are not a valid tensor table: each must be a format error
@@ -127,10 +159,13 @@ class TestImageIO:
 
 
 class TestWeightContainer:
-    def test_round_trip_bit_identical(self):
+    def test_round_trip_bit_identical(self, tmp_path):
         matcher = Matcher(TINY, seed=0)
         blob = serialize_weights(matcher.named_tensors(), matcher.config.to_dict())
-        config, tensors = deserialize_weights(blob)
+        path = tmp_path / "w.smw"
+        path.write_bytes(blob)
+        config, tensors, digest = read_weights(str(path))
+        assert digest == model_hash(blob)
         blob2 = serialize_weights(
             ((name, type("W", (), {"data": arr})) for name, arr in tensors.items()), config
         )
@@ -167,9 +202,33 @@ class TestWeightContainer:
         r2 = loaded.match_pair(image, image, mode="full")
         assert [(m.i, m.j) for m in r1.coarse] == [(m.i, m.j) for m in r2.coarse]
 
-    def test_bad_magic(self):
+    def test_bad_magic(self, tmp_path):
+        path = tmp_path / "w.smw"
+        path.write_bytes(b"nope")
         with pytest.raises(WeightFormatError, match="magic"):
-            deserialize_weights(b"nope")
+            read_weights(str(path))
+
+    @pytest.mark.parametrize("case", FORMAT_ERRORS)
+    def test_each_format_error_is_named(self, tmp_path, case):
+        blob, message = FORMAT_ERRORS[case]
+        path = tmp_path / "w.smw"
+        path.write_bytes(blob)
+        with pytest.raises(WeightFormatError, match=message):
+            load_matcher(str(path))
+
+    def test_a_file_that_shrinks_while_it_is_read_is_a_format_error(self, tmp_path, monkeypatch):
+        # the payload end is taken from fstat; a file cut after that must not leave np.empty's bytes in a tensor
+        path = tmp_path / "w.smw"
+        path.write_bytes(TOY_WEIGHTS.read_bytes())
+
+        def fstat_then_cut(fd):
+            stat = os.fstat(fd)
+            os.truncate(path, stat.st_size - 4)
+            return stat
+
+        monkeypatch.setattr(weights, "os", SimpleNamespace(fstat=fstat_then_cut))
+        with pytest.raises(WeightFormatError, match="was cut short: the file shrank while it was read"):
+            read_weights(str(path))
 
     def test_non_finite_tensor_rejected_at_load_naming_it(self, tmp_path):
         matcher = Matcher(TINY, seed=0)
@@ -189,7 +248,7 @@ class TestWeightContainer:
     def test_float64_twin_of_the_committed_toy_matches_like_float32(self, mode):
         # 1e-5 px is twice the largest fine-point gap measured on render_pair(1, 0..3);
         # tau=0 lets full mode keep every mutual pair, as optimized mode does
-        config, arrays = deserialize_weights(TOY_WEIGHTS.read_bytes())
+        config, arrays, _ = read_weights(str(TOY_WEIGHTS))
         twin = Matcher.from_arrays(MatcherConfig.from_dict(config), arrays, np.float64)
         assert all(t.dtype == np.float64 for _, t in twin.named_tensors())
         image_a, image_b, _ = render_pair(1, 0, SynthConfig(size=256))
@@ -212,21 +271,23 @@ class TestWeightContainer:
         matcher = Matcher(MatcherConfig(), seed=0)
         assert model_hash(serialize_weights(matcher.named_tensors(), matcher.config.to_dict())) == PAPER_SEED0_SHA256
 
-    def test_strided_and_big_endian_tensors_are_cast_like_the_oracle(self, rng):
+    def test_strided_and_big_endian_tensors_are_cast_like_the_oracle(self, tmp_path, rng):
         base = rng.standard_normal((5, 7)).astype(np.float32)
         # a big-endian float32 array is not np.float32, so both write it as f8
         arrays = {"transposed": base.T, "big_endian": base.astype(">f4"), "strided_f8": base.astype(np.float64)[:, ::2]}
         named = [(name, SimpleNamespace(data=arr)) for name, arr in arrays.items()]
         blob = serialize_weights(named, {})
         assert blob == serialize_weights_oracle(named, {})
-        _, tensors = deserialize_weights(blob)
+        path = tmp_path / "w.smw"
+        path.write_bytes(blob)
+        _, tensors, _ = read_weights(str(path))
         for name, arr in arrays.items():
             np.testing.assert_array_equal(tensors[name], arr)
 
     def test_loaded_tensors_own_writable_memory(self, tmp_path):
         path = tmp_path / "w.smw"
         save_matcher(str(path), Matcher(TINY, seed=0))
-        _, tensors = deserialize_weights(path.read_bytes())
+        _, tensors, _ = read_weights(str(path))
         loaded, _ = load_matcher(str(path))
         for name, arr in [*tensors.items(), *((name, t.data) for name, t in loaded.named_tensors())]:
             assert arr.flags.owndata and arr.flags.writeable, name
@@ -249,14 +310,16 @@ class TestWeightContainer:
         ([-1, 4], -16),  # -16 is its element count (-4) times 4 bytes
         ([0], False),
     ])
-    def test_length_that_is_negative_or_no_int_is_rejected(self, shape, length):
+    def test_length_that_is_negative_or_no_int_is_rejected(self, tmp_path, shape, length):
         # accepted, a length of -16 would move the cursor back and "b" would read "a"'s bytes again
         entries = [{"name": "a", "dtype": "f4", "shape": [4], "offset": 0, "length": 16},
                    {"name": "rewind", "dtype": "f4", "shape": shape, "offset": 16, "length": length},
                    {"name": "b", "dtype": "f4", "shape": [4], "offset": 0, "length": 16}]
         manifest = json.dumps({"format_version": 1, "config": {}, "tensors": entries}).encode()
+        path = tmp_path / "w.smw"
+        path.write_bytes(container(manifest, np.arange(4, dtype="<f4").tobytes()))
         with pytest.raises(WeightFormatError, match="tensor rewind offset and length must be non-negative integers"):
-            deserialize_weights(container(manifest, np.arange(4, dtype="<f4").tobytes()))
+            read_weights(str(path))
 
     def test_repeated_tensor_name_rejected(self, tmp_path):
         # without the check the later copy would silently win
@@ -295,8 +358,8 @@ print(json.dumps({"grown": grown, "payload": sum(a.nbytes for a in arrays),
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux reports it")
 class TestWeightMemory:
-    """Paper-size containers cost one payload copy to write and two to load:
-    a load holds the file bytes while it parses them into the tensors. A write
+    """Paper-size containers cost one payload copy to write and one to load:
+    a load reads each tensor from the file straight into its own array. A write
     is measured above the peak of a fresh process whose matcher is drawn, a
     load above that of a fresh process."""
 
@@ -313,11 +376,11 @@ class TestWeightMemory:
         report = self.probe(call, tmp_path / "paper.smw")
         assert report["grown"] <= 1.25 * report["payload"], report
 
-    def test_loading_holds_two_payload_copies_and_owns_its_tensors(self, tmp_path):
+    def test_loading_holds_one_payload_copy_and_owns_its_tensors(self, tmp_path):
         path = tmp_path / "paper.smw"
         self.probe("save_matcher", path)
         report = self.probe("load_matcher", path)
-        assert report["grown"] <= 2.25 * report["payload"] and report["owned"], report
+        assert report["grown"] <= 1.25 * report["payload"] and report["owned"], report
 
 
 class TestConfig:
