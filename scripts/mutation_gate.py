@@ -44,9 +44,15 @@ MUTANTS = [
            "return not grad_enabled() and threshold <= work", "return threshold <= work",
            ("tests/test_bench.py::TestConcurrentBackbones::test_recorded_calls_start_no_thread",)),
     Mutant("conv2d sends a recorded call to Winograd", "src/semimatch/tensor.py",
-           "and not _records((x, kernel, bias))", "and True",
+           "if not self.records and (kh, kw, stride, pad)", "if (kh, kw, stride, pad)",
            ("tests/test_tensor.py::TestWinogradConv2d::test_dispatch_rule",
             "tests/test_backbone.py::TestBackboneForward::test_wide_stride_one_blocks_run_winograd")),
+    Mutant("Function.apply records under no_grad", "src/semimatch/tensor.py",
+           "ctx.records = _grad_enabled and any(", "ctx.records = any(",
+           ("tests/test_tensor.py::TestTensorBasics::test_tape_rule",)),
+    Mutant("match_pair accepts 0-255 pixels", "src/semimatch/pipeline.py",
+           "if low < 0 or high > 1:", "if low < 0 or high > 255:",
+           ("tests/test_bench.py::TestMatchPair::test_pixels_outside_unit_range_raise_before_any_compute",)),
     Mutant("the fusion pair returns (fine_b, fine_a)", "src/semimatch/pipeline.py",
            "return fine_a, fine_b", "return fine_b, fine_a",
            ("tests/test_bench.py::TestFusionLanes::test_lanes_equal_in_order_bitwise",)),

@@ -129,8 +129,8 @@ class Matcher:
         and ``timings["fine_fusion"]`` are the two lanes' joint wall time;
         coarse matching and refinement run on the calling thread.
         Before anything is computed, an image that is not a 2-D array with
-        both sides >= 1 raises ``ValueError`` and non-finite pixels raise
-        ``NumericError``.
+        both sides >= 1 raises ``ValueError``, non-finite pixels raise
+        ``NumericError`` and then pixels outside [0, 1] raise ``ValueError``.
         """
         for name, image in (("image_a", image_a), ("image_b", image_b)):
             if np.ndim(image) != 2 or min(np.shape(image)) < 1:
@@ -138,6 +138,9 @@ class Matcher:
                                  f"got shape {np.shape(image)}")
             if not np.isfinite(image).all():
                 raise T.NumericError(f"{name} holds non-finite pixels")
+            low, high = np.min(image), np.max(image)
+            if low < 0 or high > 1:
+                raise ValueError(f"{name} has pixels in [{low}, {high}], outside [0, 1]: divide 8-bit pixels by 255")
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         if tau is not None and mode == "optimized":

@@ -20,14 +20,14 @@ summed over the batch. The fused transformer ops already run over any
 leading axes, so a stack of maps passes through an attention block as one
 batch.
 
-``conv2d`` runs im2col and one GEMM, except for unrecorded stride-1, pad-1
-3x3 convolutions with at least ``WINOGRAD_MIN_CHANNELS`` input and output
-channels: those run Winograd F(4x4, 3x3) (``WinogradConv2d``), which
-multiplies a transformed 6x6 input tile by a transformed kernel in 36
-products per 4x4 output tile instead of 144, one batched matmul over the
-36 tile positions. Winograd is forward-only: a recorded call (training)
-runs im2col, whose backward trains every layer. The kernel is transformed
-once per call; nothing is cached across calls. Both kernels build their
+``conv2d`` runs one op, ``Conv2d``: im2col and one GEMM, except that an
+unrecorded stride-1, pad-1 3x3 call with at least ``WINOGRAD_MIN_CHANNELS``
+input and output channels runs Winograd F(4x4, 3x3), which multiplies a
+transformed 6x6 input tile by a transformed kernel in 36 products per 4x4
+output tile instead of 144, one batched matmul over the 36 tile positions.
+Winograd is forward-only: a recorded call (training) runs im2col, whose
+backward trains every layer. The kernel is transformed once per call;
+nothing is cached across calls. Both kernels build their
 scratch (im2col columns, padded input rows, Winograd tiles) one band of
 output rows at a time, each band within ``CONV_SCRATCH_BYTES``: a conv's
 transient memory stays bounded at any map size. A recorded im2col call
@@ -74,16 +74,6 @@ def set_finite_checks(enabled: bool) -> bool:
 def grad_enabled() -> bool:
     """Whether ops record onto the tape (false inside ``no_grad``)."""
     return _grad_enabled
-
-
-def _records(inputs) -> bool:
-    """Whether an op on the tensors ``inputs`` goes onto the tape: gradients
-    are enabled and some input requires them."""
-    if _grad_enabled:
-        for t in inputs:
-            if t.requires_grad:
-                return True
-    return False
 
 
 @contextmanager
@@ -293,8 +283,9 @@ class Function:
             else:
                 values.append(a)
         ctx = cls(*parents)
-        # read by ops whose saved state is large: an unrecorded call keeps none
-        ctx.records = _records(parents)
+        # the one tape rule, read by ops whose saved state is large (an unrecorded
+        # call keeps none) and by Conv2d, whose unrecorded calls may run Winograd
+        ctx.records = _grad_enabled and any(t.requires_grad for t in parents)
         out_data = ctx.forward(*values, **kwargs)
         if _finite_checks and not np.all(np.isfinite(out_data)):
             raise NumericError(f"{cls.__name__} produced a non-finite value")
@@ -800,8 +791,8 @@ def _tap_slices(oh: int, ow: int, kh: int, kw: int, stride: int) -> list[tuple]:
     return [(Ellipsis, r, c) for r in rows for c in cols]
 
 
-# Conv2d and WinogradConv2d build their scratch (im2col columns, Winograd
-# tiles) for one band of output rows at a time, each band within this many
+# Conv2d builds its scratch (im2col columns or Winograd tiles) for one band
+# of output rows (or tile rows) at a time, each band within this many
 # bytes, so a conv's transient memory does not grow with the map. Read at
 # call time; the per-shape peaks are in CHANGES.md.
 CONV_SCRATCH_BYTES = 16 * 2**20
@@ -822,7 +813,8 @@ def _unpad_plane(x: np.ndarray, pad: int) -> np.ndarray:
 
 
 class Conv2d(Function):
-    """im2col convolution of a (C, H, W) map, one GEMM per band of output rows.
+    """Convolution of a (C, H, W) map: Winograd for the unrecorded calls that
+    ``conv2d`` names, else im2col, one GEMM per band of output rows.
 
     Each band pads its own input rows and builds its columns, (cin·kh·kw,
     band cells) ordered like the kernel's rows; the GEMM writes into the
@@ -833,6 +825,11 @@ class Conv2d(Function):
     def forward(self, x, kernel, bias, stride, pad):
         cin, h, w = x.shape
         cout, _, kh, kw = kernel.shape
+        if not self.records and (kh, kw, stride, pad) == (3, 3, 1, 1) and min(cin, cout) >= WINOGRAD_MIN_CHANNELS:
+            counters.add("conv2d_winograd")
+            out = np.ascontiguousarray(_winograd(x, kernel))  # a copy only for partial tiles
+            out += bias[:, None, None]
+            return out
         (oh, ow), _ = _taps(x.shape, kh, kw, stride, pad)
         wp = w + 2 * pad
         weights = kernel.reshape(cout, -1)
@@ -947,16 +944,6 @@ def _winograd(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return y.reshape(cout, 4 * th, 4 * tw)[:, :h, :w]
 
 
-class WinogradConv2d(Function):
-    """Stride-1, pad-1 3x3 convolution through Winograd F(4x4, 3x3), forward
-    only: ``conv2d`` sends it no recorded call."""
-
-    def forward(self, x, kernel, bias):
-        out = np.ascontiguousarray(_winograd(x, kernel))  # a copy only for partial tiles
-        out += bias[:, None, None]
-        return out
-
-
 class DepthwiseConv2d(Function):
     def forward(self, x, kernel, stride, pad):
         cin = x.shape[-3]
@@ -1068,24 +1055,20 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     """2-D convolution over a (C, H, W) map with zero padding, plus a per-channel bias.
 
     Kernel is (out_c, in_c, kh, kw) with odd kh, kw and bias (out_c,); output
-    spatial dims are floor((H + 2·pad − kh) / stride) + 1. An unrecorded call
-    with a stride-1, pad-1 3x3 kernel and at least ``WINOGRAD_MIN_CHANNELS``
-    input and output channels runs Winograd F(4x4, 3x3), forward-only; the
-    rest, recorded calls included, run im2col. Each call counts once under "conv2d".
+    spatial dims are floor((H + 2·pad − kh) / stride) + 1. The one op, ``Conv2d``,
+    runs Winograd F(4x4, 3x3) for an unrecorded stride-1, pad-1 3x3 call with at
+    least ``WINOGRAD_MIN_CHANNELS`` input and output channels and im2col for the
+    rest, recorded calls included. Each call counts once under "conv2d".
     """
     kh, kw = kernel.shape[-2:]
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("conv2d expects odd kernel sizes")
     if stride < 1 or pad < 0:
         raise ValueError("conv2d expects stride >= 1 and pad >= 0")
-    cout, cin = kernel.shape[:2]
+    cin = kernel.shape[1]
     if x.shape[0] != cin:
         raise ValueError(f"conv2d: input has {x.shape[0]} channels, kernel expects {cin}")
     counters.add("conv2d")
-    if ((kh, kw, stride, pad) == (3, 3, 1, 1) and min(cin, cout) >= WINOGRAD_MIN_CHANNELS
-            and not _records((x, kernel, bias))):
-        counters.add("conv2d_winograd")
-        return WinogradConv2d.apply(x, kernel, bias)
     return Conv2d.apply(x, kernel, bias, stride=stride, pad=pad)
 
 

@@ -103,6 +103,21 @@ class TestMatchPair:
             matcher.match_pair(*images, mode="optimized")
         assert counters["conv2d"] == 0
 
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
+    def test_pixels_outside_unit_range_raise_before_any_compute(self, matcher, pair, side, dtype):
+        images = list(pair)
+        images[side] = np.round(images[side] * 255).astype(dtype)  # 8-bit values, not divided by 255
+        counters.reset("conv2d")
+        with pytest.raises(ValueError, match=f"{('image_a', 'image_b')[side]} has pixels in .*divide 8-bit"):
+            matcher.match_pair(*images, mode="optimized")
+        assert counters["conv2d"] == 0
+
+    def test_pixels_at_exactly_zero_and_one_pass(self, matcher, pair):
+        images = [np.zeros_like(pair[0]), np.ones_like(pair[1])]
+        images[0][0, 0], images[1][0, 0] = 1.0, 0.0
+        matcher.match_pair(*images, mode="optimized")
+
     def test_no_coarse_matches_skips_fine_fusion(self, matcher, pair):
         # full-mode confidences are products of two softmaxes, below 1 unless both
         # are one-hot, so tau = 1 leaves nothing to refine

@@ -2,6 +2,7 @@
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -24,6 +25,22 @@ def test_script_exits_zero(tmp_path, script, args):
     argv = [sys.executable, os.path.join(REPO, "scripts", script), *(a.format(tmp=tmp_path / "demo") for a in args)]
     proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_output_hashes_against_a_tree_names_the_keys_that_differ(tmp_path):
+    # a copy of src/ whose default inv_temperature is doubled changes every toy coarse match list
+    shutil.copytree(os.path.join(REPO, "src"), tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    pipeline = tmp_path / "src" / "semimatch" / "pipeline.py"
+    source = pipeline.read_text()
+    assert source.count("return 10.0 / self.config.d_model") == 1
+    pipeline.write_text(source.replace("return 10.0 / self.config.d_model", "return 20.0 / self.config.d_model"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    argv = [sys.executable, os.path.join(REPO, "scripts", "output_hashes.py"), "--size", "64", "--steps", "1",
+            "--against", str(tmp_path)]
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    named = {line.split()[1] for line in proc.stdout.splitlines() if line.startswith("differs ")}
+    assert {f"toy/{mode}/pair{i}/coarse" for mode in ("optimized", "full") for i in range(4)} <= named
 
 
 def import_script(name: str):

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import importlib
 import math
@@ -209,7 +210,7 @@ BANDED_ROWS = [1, 2, 3]
 
 
 class TestBandedConv:
-    """Conv2d and WinogradConv2d in bands of output rows against one band."""
+    """Conv2d's im2col and Winograd kernels in bands of output rows against one band."""
 
     @pytest.mark.parametrize("rows", BANDED_ROWS)
     @pytest.mark.parametrize("h,w,k,stride,pad", [
@@ -248,10 +249,13 @@ class TestBandedConv:
 
     def test_unrecorded_call_keeps_nothing(self, rng):
         x, k, b = (rng.standard_normal(s).astype(np.float32) for s in ((64, 9, 9), (64, 64, 3, 3), (64,)))
-        ctx = T.Conv2d()
-        ctx.records = False
-        ctx.forward(x, k, b, stride=2, pad=1)
-        assert ctx.saved == ()
+        for stride in (2, 1):  # im2col, then Winograd
+            ctx = T.Conv2d()
+            ctx.records = False
+            counters.reset("conv2d_winograd")
+            ctx.forward(x, k, b, stride=stride, pad=1)
+            assert counters["conv2d_winograd"] == int(stride == 1)
+            assert ctx.saved == ()
 
     @pytest.mark.parametrize("stride", [2, 1])  # im2col, then Winograd
     def test_no_grad_peak_is_output_plus_budget(self, rng, stride):
@@ -887,6 +891,18 @@ class TestTensorBasics:
             y = x * 2.0
         assert y._ctx is None and not y.requires_grad
 
+    @pytest.mark.parametrize("grad,param,records", [
+        (True, False, False),  # gradients on, no input requires them
+        (True, True, True),  # gradients on, one of two inputs is a parameter
+        (False, True, False),  # no_grad, with a parameter
+    ])
+    def test_tape_rule(self, rng, grad, param, records):
+        a, b = T.tensor(rng.random(3)), (parameter if param else T.tensor)(rng.random(3))
+        with contextlib.nullcontext() if grad else T.no_grad():
+            y = a * b
+        assert y.requires_grad is records
+        assert (y._ctx is not None) is records
+
 
 # Every autodiff op, with the tests that check its forward and backward in
 # float64 against finite differences or an oracle, as pytest node ids.
@@ -896,8 +912,11 @@ OP_CHECKS = {
     **{op: (CRITERION_02,) for op in (
         T.Add, T.Sub, T.Mul, T.Div, T.Neg, T.Pow, T.Exp, T.Log, T.Sqrt, T.ReLU, T.ELU, T.ClampMin, T.Sum,
         T.Reshape, T.Transpose, T.Concat, T.GatherND, T.MatMul, T.Softmax, T.LayerNorm)},
+    # unrecorded calls at Winograd widths run Winograd, forward only: forward checks for those
     T.Conv2d: (CRITERION_02, "test_tensor.py::TestConv2d::test_backward_matches_finite_differences",
-               "test_tensor.py::TestBandedConv::test_im2col_forward_and_gradients"),
+               "test_tensor.py::TestBandedConv::test_im2col_forward_and_gradients",
+               "test_tensor.py::TestWinogradConv2d::test_forward_matches_taps_oracle",
+               "test_tensor.py::TestBandedConv::test_winograd_forward_and_gradients"),
     T.DepthwiseConv2d: (CRITERION_02,
                         "test_tensor.py::TestDepthwiseConv2d::test_backward_matches_finite_differences",
                         "test_tensor.py::TestBatchAxis::test_depthwise_conv2d_stride_one_pad_one",
@@ -908,9 +927,6 @@ OP_CHECKS = {
     T.Attention: (CRITERION_02, "test_tensor.py::TestFusedOps::test_attention_matches_composite"),
     T.Rotary: (CRITERION_02, "test_tensor.py::TestFusedOps::test_rotary_on_heads_matches_composite"),
     T.Linear: ("test_tensor.py::TestFusedOps::test_linear_matches_composite",),
-    # a forward-only op (conv2d sends it no recorded call): forward checks only
-    T.WinogradConv2d: ("test_tensor.py::TestWinogradConv2d::test_forward_matches_taps_oracle",
-                       "test_tensor.py::TestBandedConv::test_winograd_forward_and_gradients"),
     T.FoldKernels: (FOLD_CHECK,),
     T.FoldBiases: (FOLD_CHECK,),
     T.DualSoftmaxNLL: (
