@@ -150,6 +150,12 @@ MUTANTS = [
            "                if cursor > payload_len:\n"
            "                    raise ValueError(f\"tensor {entry['name']} extends past payload\")",
            ("tests/test_io_cli.py::TestWeightContainer::test_each_format_error_is_named[payload-short]",)),
+    Mutant("the reader swaps the 0.25/0.75 blend weights", "src/semimatch/refine.py",
+           "_NEAR, _FAR = 0.75, 0.25", "_NEAR, _FAR = 0.25, 0.75",
+           ("tests/test_refine.py::TestHalfResReader::test_patches_and_scores_match_full_res_oracle",)),
+    Mutant("the reader drops the renormalization after the blend", "src/semimatch/refine.py",
+           "return normalize_cells(T.linear(_taps(fine, rows, cols)", "return (T.linear(_taps(fine, rows, cols)",
+           ("tests/test_refine.py::TestHalfResReader::test_patches_and_scores_match_full_res_oracle",)),
     Mutant("stage 2 weighs out-of-image window cells", "src/semimatch/refine.py",
            "bias = np.where(masks, 0.0, -1e30)", "bias = np.zeros(masks.shape)",
            ("tests/test_refine.py::TestStage2::test_masked_cells_get_no_weight",)),

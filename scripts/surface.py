@@ -35,6 +35,7 @@ TOY_WEIGHTS = os.path.join(REPO, "benchmark", "toy_weights.smw")
 CRITERION_01 = "named by acceptance criterion 01: the multi-branch block that the fused one must equal"
 CRITERION_02 = "named by acceptance criterion 02: an op whose gradient it checks"
 CRITERION_08 = "named by acceptance criterion 08: held-out coarse precision and fine error of toy training"
+FULL_RES_ORACLE = "direct read of a full-resolution map: the oracle of refinement's 1/2-res reader in the tests"
 COUNTERS = "counter API for the tests and the benchmark"
 OPERATORS = "operator and debugging protocol of Tensor"
 REACHED_ONLY_OUTSIDE_THE_CENSUS = {
@@ -51,10 +52,12 @@ REACHED_ONLY_OUTSIDE_THE_CENSUS = {
     "synth.SyntheticPairs.__getitem__": CRITERION_08,
     "synth.SyntheticPairs.__init__": CRITERION_08,
     "synth.SyntheticPairs.__len__": CRITERION_08,
-    **{f"tensor.{op}.{step}": CRITERION_02 for op in ("ClampMin", "ELU", "Exp", "Log", "Neg", "Pow")
+    "refine.local_scores": FULL_RES_ORACLE + "; criterion 05 calls it",
+    "refine.stage2_windows": FULL_RES_ORACLE,
+    **{f"tensor.{op}.{step}": CRITERION_02 for op in ("ClampMin", "Div", "ELU", "Exp", "Log", "Neg", "Pow", "Sqrt")
        for step in ("forward", "backward")},
     **{f"tensor.Tensor.{name}": CRITERION_02
-       for name in ("__neg__", "__pow__", "__truediv__", "clamp_min", "elu", "exp", "log")},
+       for name in ("__neg__", "__pow__", "__rtruediv__", "__truediv__", "clamp_min", "elu", "exp", "log", "sqrt")},
     "tensor._axis_size": CRITERION_02 + " (mean over an axis)",
     "tensor.linear_attention": CRITERION_02,
     "tensor._swap_last": CRITERION_02 + " (linear_attention's transpose)",

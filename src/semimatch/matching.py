@@ -49,6 +49,17 @@ def correlate(f_a: Tensor, f_b: Tensor, inv_temperature: float) -> ScoreMatrix:
     )
 
 
+def normalize_cells(features: Tensor) -> Tensor:
+    """Scale each cell's feature vector to norm sqrt(d).
+
+    Correlation scores then become d * cosine similarity, so the configured
+    inverse temperature bounds the softmax logits regardless of raw feature
+    magnitude. One fused op: refinement also normalizes every patch and
+    pixel it blends, and a training step records each call.
+    """
+    return T.scale_to_norm(features, float(np.sqrt(features.shape[0])))
+
+
 def dual_softmax(score: ScoreMatrix) -> ScoreMatrix:
     """Fill p = rowsoftmax(s) * colsoftmax(s), elementwise."""
     counters.add("dual_softmax")

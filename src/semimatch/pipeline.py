@@ -9,7 +9,8 @@ transform block calls (``FeatureTransform.forward``) and their fine fusion
 (``Matcher.fine_maps``) each run on two threads, each stage choosing
 through ``lanes.pairs`` with its own threshold; such a stage's timing is the
 two lanes' joint wall time. Coarse matching and refinement run on the
-calling thread.
+calling thread. The fine stage stops at 1/2 resolution: no full-resolution
+fine map is built.
 """
 from __future__ import annotations
 
@@ -23,23 +24,11 @@ from . import lanes
 from . import tensor as T
 from .backbone import COARSE_STRIDE, Backbone, FeaturePyramid, FusedBackbone, pad_to_multiple
 from .config import MatcherConfig
-from .matching import MODES, CoarseMatch, match_coarse
+from .matching import MODES, CoarseMatch, match_coarse, normalize_cells
 from .params import Params, WeightFormatError
 from .refine import FineFusion, FineMatch, cell_centers, refine
 from .tensor import Tensor
 from .transform import FeatureTransform
-
-
-def normalize_cells(features: Tensor) -> Tensor:
-    """Scale each cell's feature vector to norm sqrt(d).
-
-    Correlation scores then become d * cosine similarity, so the configured
-    inverse temperature bounds the softmax logits regardless of raw feature
-    magnitude.
-    """
-    d = features.shape[0]
-    sq = (features * features).sum(axis=0, keepdims=True)
-    return features * (float(np.sqrt(d)) / (sq + 1e-12).sqrt())
 
 
 @dataclass
@@ -98,8 +87,10 @@ class Matcher:
 
     def fine_maps(self, fa_t: Tensor, pyr_a: FeaturePyramid, fb_t: Tensor,
                   pyr_b: FeaturePyramid) -> tuple[Tensor, Tensor]:
-        """Both images' normalized fine maps from their transformed coarse
-        maps and backbone pyramids, image B's on a worker thread when one
+        """Both images' normalized (d_fine, H/2, W/2) fine maps from their
+        transformed coarse maps and backbone pyramids; refinement reads
+        full-resolution pixels from them as blends of their taps
+        (``refine.blend_patches``). Image B's runs on a worker thread when one
         fusion over the smaller coarse grid (``FineFusion.macs``) reaches the
         pair rule (``lanes.pairs``) at ``lanes.IN_ORDER_MACS``."""
         work = self.fusion.macs(*min(fa_t.shape[1:], fb_t.shape[1:], key=math.prod))

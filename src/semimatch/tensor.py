@@ -4,7 +4,8 @@ Everything the matching pipeline computes is composed from the ops in this
 module: convolutions, pooling, softmax, bilinear upsampling and the usual
 elementwise/movement ops. The transformer and backbone op chains run as
 single fused ops with hand-written backward passes: ``Linear``,
-``LayerNorm``, ``Rotary``, ``Attention`` (softmax(q·kᵀ·scale)·v per head,
+``LayerNorm``, ``ScaleToNorm`` (each vector along axis 0 to one norm),
+``Rotary``, ``Attention`` (softmax(q·kᵀ·scale)·v per head,
 each head a contiguous slice of the feature axis, so callers never split
 or merge heads), ``FoldKernels`` and ``FoldBiases`` (batch-normed conv
 branches folded into one kernel and bias) and ``DualSoftmaxNLL`` (the
@@ -502,6 +503,14 @@ class GatherND(Function):
 
     def forward(self, a, index):
         self.saved = (a.shape, index)
+        *lead, last = index if isinstance(index, tuple) else (index,)
+        if isinstance(last, np.ndarray) and last.dtype.kind in "iu" and all(
+                isinstance(part, slice) and part == slice(None) for part in lead):
+            # one integer array after full slices: np.take writes the result in
+            # order, where a[index] builds it transposed and copying it back
+            # costs ~10x the gather (one 480x640 paper image's patch taps,
+            # (64, 76800) -> (64, 2992, 36): 84 vs 8 ms on one core)
+            return np.take(a, last, axis=len(lead))
         return np.ascontiguousarray(a[index])
 
     def backward(self, grad):
@@ -624,6 +633,21 @@ class LayerNorm(Function):
         y, inv_std = self.saved
         inner = grad.mean(axis=-1, keepdims=True) + y * (grad * y).mean(axis=-1, keepdims=True)
         return (inv_std * (grad - inner),)
+
+
+class ScaleToNorm(Function):
+    """Each vector along axis 0 scaled to norm ``norm``: x · norm / sqrt(Σ₀ x² + 1e-12)."""
+
+    def forward(self, x, norm):
+        eps = np.asarray(1e-12, dtype=x.dtype)
+        scale = np.asarray(norm, dtype=x.dtype) / np.sqrt((x * x).sum(axis=0, keepdims=True) + eps)
+        self.saved = (x, scale, norm)
+        return x * scale
+
+    def backward(self, grad):
+        x, scale, norm = self.saved
+        # y = x·s with s = norm·(Σ₀ x² + ε)^(-1/2), whose gradient in x is -x·s³/norm²
+        return (grad * scale - x * ((grad * x).sum(axis=0, keepdims=True) * (scale ** 3 / norm ** 2)),)
 
 
 def _rotate_pairs(x: np.ndarray) -> np.ndarray:
@@ -1104,6 +1128,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 def layer_norm(x: Tensor) -> Tensor:
     """Parameter-free layer normalization over the last axis, ``LAYER_NORM_EPS`` under the square root."""
     return LayerNorm.apply(x)
+
+
+def scale_to_norm(x: Tensor, norm: float) -> Tensor:
+    """Each vector along axis 0 of ``x`` scaled to norm ``norm`` (1e-12 under the square root)."""
+    return ScaleToNorm.apply(x, norm=norm)
 
 
 def rotary(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:

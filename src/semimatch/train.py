@@ -16,8 +16,7 @@ from . import refine as R
 from . import tensor as T
 from .backbone import COARSE_STRIDE
 from .config import TrainConfig
-from .matching import correlate
-from .pipeline import normalize_cells
+from .matching import correlate, normalize_cells
 from .supervision import (
     EmptySupervisionError,
     GroundTruth,
@@ -132,9 +131,9 @@ def _fine_losses(fine_a: Tensor, fine_b: Tensor, gt: GroundTruth, w: int,
     if n_pairs > cfg.max_fine_matches:
         order = rng.choice(n_pairs, size=cfg.max_fine_matches, replace=False)
     cells_a = gt.pairs_a[order]
-    origins_a = R.patch_origins(cells_a, gt.grid_a, fine_a.shape, w)
-    origins_b = R.patch_origins(gt.pairs_b[order], gt.grid_b, fine_b.shape, w)
-    scores = R.local_scores(fine_a, fine_b, origins_a, origins_b, w)
+    origins_a = R.patch_origins(cells_a, gt.grid_a, R.full_shape(fine_a), w)
+    origins_b = R.patch_origins(gt.pairs_b[order], gt.grid_b, R.full_shape(fine_b), w)
+    scores = R.blended_scores(fine_a, fine_b, origins_a, origins_b, w)
 
     # stage-1 targets: patch-A center pixel against the rounded warp in B
     centers = R.cell_centers(cells_a, gt.grid_a)

@@ -13,7 +13,7 @@ from semimatch.backbone import Backbone, FeaturePyramid, FusedBackbone
 from semimatch.evaluate import STAGES, bench_pipeline, timings_csv
 from semimatch.instrument import OpCounters, counters
 from semimatch.pipeline import Matcher, MatcherConfig
-from semimatch.refine import FineFusion
+from semimatch.refine import FineFusion, full_shape
 from semimatch.synth import SynthConfig, render_pair
 from semimatch.transform import AggAttentionBlock, FeatureTransform, transform_macs
 
@@ -385,7 +385,7 @@ class TestFusionLanes:
         (fine_order, order), (fine_lanes, on_lanes) = results["in_order"], results["lanes"]
         for got, want in zip(fine_lanes, fine_order):
             np.testing.assert_array_equal(got.data, want.data)
-        assert fine_lanes[0].shape[1:] == a.shape and fine_lanes[1].shape[1:] == size_b
+        assert full_shape(fine_lanes[0])[1:] == a.shape and full_shape(fine_lanes[1])[1:] == size_b
         assert on_lanes.coarse == order.coarse and on_lanes.fine == order.fine
         assert len(on_lanes.fine) > 0
 

@@ -2,21 +2,27 @@ import numpy as np
 import pytest
 
 from semimatch import tensor as T
-from semimatch.matching import CoarseMatch
+from semimatch.matching import CoarseMatch, normalize_cells
 from semimatch.pipeline import MatcherConfig
 from semimatch.refine import (
     FineFusion,
+    blend_patches,
+    blend_pixels,
+    blended_scores,
+    blended_windows,
     cell_centers,
+    full_shape,
     local_scores,
     nearest_cells,
     patch_origins,
     refine,
     stage1_pixels,
     stage2_offsets,
+    stage2_pixel_offsets,
     stage2_windows,
 )
 
-from helpers import drawn
+from helpers import assert_gradients_close, drawn, numeric_gradient, parameter, weighted_sum
 
 
 def make_fusion(rng):
@@ -97,12 +103,13 @@ def brute_force_window(fine, x, y):
 
 
 class TestFineFusion:
-    def test_output_is_8x_coarse_dims(self, rng):
+    def test_output_is_4x_coarse_dims(self, rng):
+        # the 1/2-res map: refinement blends the full-res pixels it reads
         fusion = make_fusion(rng)
         f_t, f_q, f_h = pyramid_inputs(rng)
         with T.no_grad():
             out = fusion.forward(f_t, f_q, f_h)
-        assert out.shape == (5, 32, 32)
+        assert out.shape == (5, 16, 16)
 
     def test_zero_input_gives_constant_bias_output(self, rng):
         fusion = make_fusion(rng)
@@ -131,10 +138,11 @@ class TestFineFusion:
             out = fusion.forward(T.tensor(bumped), f_q, f_h).data
         changed = np.abs(out - base).max(axis=0) > 1e-7
         rows, cols = np.nonzero(changed)
-        # support radius through up2/conv3/up2/conv3/up2 starting from one cell:
-        # [i, i] -> [8i - 20, 8i + 27]
-        assert rows.min() >= 8 * 3 - 20 and rows.max() <= 8 * 3 + 27
-        assert cols.min() >= 8 * 2 - 20 and cols.max() <= 8 * 2 + 27
+        # support through up2/conv3/up2/conv3 starting from one cell, each up2
+        # taking [a, b] to [2a - 2, 2b + 3] and each conv3 widening by one:
+        # [i, i] -> [4i - 9, 4i + 12]
+        assert rows.min() >= 4 * 3 - 9 and rows.max() <= 4 * 3 + 12
+        assert cols.min() >= 4 * 2 - 9 and cols.max() <= 4 * 2 + 12
         assert changed.any()
 
 
@@ -312,31 +320,34 @@ class TestStage2:
 
 class TestRefine:
     def test_self_pair_mean_error_below_hundredth_pixel(self, rng):
-        fine = T.tensor(rng.standard_normal((64, 32, 32)).astype(np.float32))
+        # stage 1 only: neighbouring full-res pixels blend shared 1/2-res taps,
+        # so stage 2 on a self pair leans toward the heavier shared tap;
+        # TestHalfResReader checks stage 2 against the full-res read instead
+        fine = T.tensor(rng.standard_normal((64, 16, 16)).astype(np.float32))
         matches = [CoarseMatch(i, i, 1.0) for i in range(16)]
-        out = refine(matches, fine, fine, (4, 4), (4, 4), w=8)
+        out = refine(matches, fine, fine, (4, 4), (4, 4), w=8, two_stage=False)
         assert len(out) == 16
         errs = [np.hypot(m.pt_b[0] - m.pt_a[0], m.pt_b[1] - m.pt_a[1]) for m in out]
         assert np.mean(errs) < 0.01
 
     def test_at_most_one_fine_match_per_coarse(self, rng):
-        fine_a = T.tensor(rng.standard_normal((6, 32, 32)).astype(np.float32))
-        fine_b = T.tensor(rng.standard_normal((6, 32, 32)).astype(np.float32))
+        fine_a = T.tensor(rng.standard_normal((6, 16, 16)).astype(np.float32))
+        fine_b = T.tensor(rng.standard_normal((6, 16, 16)).astype(np.float32))
         matches = [CoarseMatch(i, (i * 5) % 16, 0.5) for i in range(16)]
         out = refine(matches, fine_a, fine_b, (4, 4), (4, 4), w=8)
         assert len(out) <= len(matches)
 
     def test_one_fine_match_per_distinct_pixel_pair(self, rng):
-        # a 16-px patch spans the whole 16x16 map, so every coarse match reads one patch pair
-        fine_a = T.tensor(rng.standard_normal((6, 16, 16)).astype(np.float32))
-        fine_b = T.tensor(rng.standard_normal((6, 16, 16)).astype(np.float32))
+        # a 16-px patch spans the whole 16x16 image (an 8x8 map), so every coarse match reads one patch pair
+        fine_a = T.tensor(rng.standard_normal((6, 8, 8)).astype(np.float32))
+        fine_b = T.tensor(rng.standard_normal((6, 8, 8)).astype(np.float32))
         matches = [CoarseMatch(0, 0, 0.9), CoarseMatch(1, 3, 0.8), CoarseMatch(2, 1, 0.7)]
         out = refine(matches, fine_a, fine_b, (2, 2), (2, 2), w=16)
         assert out == refine(matches[:1], fine_a, fine_b, (2, 2), (2, 2), w=16) and len(out) == 1
 
     def test_final_point_within_patch_footprint(self, rng):
-        fine_a = T.tensor(rng.standard_normal((6, 32, 32)).astype(np.float32))
-        fine_b = T.tensor(rng.standard_normal((6, 32, 32)).astype(np.float32))
+        fine_a = T.tensor(rng.standard_normal((6, 16, 16)).astype(np.float32))
+        fine_b = T.tensor(rng.standard_normal((6, 16, 16)).astype(np.float32))
         matches = [CoarseMatch(i, j, 0.5) for i in range(16) for j in [(i * 7) % 16]]
         w = 8
         out = refine(matches, fine_a, fine_b, (4, 4), (4, 4), w=w)
@@ -346,8 +357,8 @@ class TestRefine:
             assert abs(match.pt_b[1] - cy) <= w / 2 * np.sqrt(2) + 1
 
     def test_mirrored_inputs_give_mirrored_stage1(self, rng):
-        fine_a = T.tensor(rng.standard_normal((6, 32, 32)).astype(np.float32))
-        fine_b = T.tensor(rng.standard_normal((6, 32, 32)).astype(np.float32))
+        fine_a = T.tensor(rng.standard_normal((6, 16, 16)).astype(np.float32))
+        fine_b = T.tensor(rng.standard_normal((6, 16, 16)).astype(np.float32))
         matches = [CoarseMatch(3, 9, 1.0), CoarseMatch(12, 2, 1.0)]
         fwd = refine(matches, fine_a, fine_b, (4, 4), (4, 4), w=8, two_stage=False)
         mirrored = [CoarseMatch(m.j, m.i, m.confidence) for m in matches]
@@ -357,7 +368,7 @@ class TestRefine:
             assert tuple(int(v) for v in f.pt_b) == b.pt_a
 
     def test_stage1_only_returns_integer_points(self, rng):
-        fine = T.tensor(rng.standard_normal((6, 16, 16)).astype(np.float32))
+        fine = T.tensor(rng.standard_normal((6, 8, 8)).astype(np.float32))
         out = refine([CoarseMatch(0, 3, 1.0)], fine, fine, (2, 2), (2, 2), w=8, two_stage=False)
         assert float(out[0].pt_b[0]).is_integer() and float(out[0].pt_b[1]).is_integer()
 
@@ -369,3 +380,69 @@ class TestRefine:
         for k, (a, b) in enumerate(pairs):
             single = local_scores(T.tensor(a), T.tensor(b), np.zeros((1, 2), int), np.zeros((1, 2), int), w=4)
             np.testing.assert_allclose(batch[k], single.data[0], atol=1e-6)
+
+
+def half_and_full(rng, d, height, width, dtype=np.float32):
+    """A normalized seeded (d, height, width) map, as refinement receives it,
+    and the renormalized full-res map its reader stands for."""
+    half = normalize_cells(T.tensor(rng.standard_normal((d, height, width)).astype(dtype)))
+    return half, normalize_cells(T.bilinear_upsample(half, 2))
+
+
+def even_origins(full, w):
+    """Every even (x0, y0) at which a w-by-w patch fits the (d, H, W) map, all four borders included."""
+    _, height, width = full.shape
+    ys, xs = np.meshgrid(np.arange(0, height - w + 1, 2), np.arange(0, width - w + 1, 2), indexing="ij")
+    return np.stack([xs.ravel(), ys.ravel()], axis=1)
+
+
+class TestHalfResReader:
+    """The reader against a direct read of normalize(upsample x2(map)), odd and even sizes."""
+
+    @pytest.mark.parametrize("height,width", [(4, 4), (7, 9), (8, 5)])
+    @pytest.mark.parametrize("w", [2, 8])
+    def test_patches_and_scores_match_full_res_oracle(self, rng, height, width, w):
+        half, full = half_and_full(rng, 5, height, width)
+        assert full.shape == full_shape(half)
+        origins = even_origins(full, w)
+        dy, dx = np.divmod(np.arange(w * w), w)
+        want = full.data[:, origins[:, 1:] + dy, origins[:, :1] + dx]
+        np.testing.assert_allclose(blend_patches(half, origins, w).data, want, rtol=0, atol=1e-5)
+        others = origins[rng.permutation(len(origins))]
+        np.testing.assert_allclose(blended_scores(half, half, origins, others, w).data,
+                                   local_scores(full, full, origins, others, w).data, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("height,width", [(4, 4), (7, 9), (8, 5)])
+    def test_pixels_and_windows_match_full_res_oracle(self, rng, height, width):
+        half, full = half_and_full(rng, 5, height, width)
+        _, full_h, full_w = full.shape
+        ys, xs = np.divmod(np.arange(full_h * full_w), full_w)  # every pixel: windows on all borders leave the map
+        np.testing.assert_allclose(blend_pixels(half, xs, ys).data, full.data[:, ys, xs], rtol=0, atol=1e-5)
+        pixels = np.stack([xs, ys], axis=1)
+        windows, masks = blended_windows(half, pixels)
+        want_windows, want_masks = stage2_windows(full, pixels)
+        np.testing.assert_array_equal(masks, want_masks)
+        assert not masks.all()
+        np.testing.assert_allclose(windows.data, want_windows.data, rtol=0, atol=1e-5)
+        feats = full.data[:, ys, xs].T
+        want = stage2_offsets(T.tensor(feats), want_windows, want_masks).data
+        got = stage2_pixel_offsets(half, half, pixels, pixels).data
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+
+    def test_gradients_through_the_blended_path_match_finite_differences(self, rng):
+        # training backpropagates stage 1 and stage 2 through the reader into the 1/2-res map
+        d, height, width, w = 3, 5, 6, 4
+        raw = rng.standard_normal((d, height, width))
+        origins = np.array([[0, 0], [8, 6], [4, 2]])
+        pixels_a = np.array([[0, 0], [11, 9], [5, 4]])
+        pixels_b = np.array([[11, 0], [0, 9], [6, 3]])
+
+        def loss(raw_a):
+            fine = normalize_cells(raw_a)
+            scores = blended_scores(fine, fine, origins, origins[::-1].copy(), w)
+            return weighted_sum(scores, 1) + weighted_sum(stage2_pixel_offsets(fine, fine, pixels_a, pixels_b), 2)
+
+        leaf = parameter(raw, dtype=np.float64)
+        loss(leaf).backward()
+        numeric = numeric_gradient(lambda a: float(loss(T.tensor(a)).data), [raw], 0, h=1e-6)
+        assert_gradients_close(leaf.grad, numeric, rtol=1e-5, atol=1e-8)

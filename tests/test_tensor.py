@@ -547,6 +547,10 @@ def composite_layer_norm(x, eps=1e-5):
     return centered / (var + eps).sqrt()
 
 
+def composite_scale_to_norm(x, norm):
+    return x * (norm / ((x * x).sum(axis=0, keepdims=True) + 1e-12).sqrt())
+
+
 def composite_rotary(x, cos, sin):
     paired = x.reshape((*x.shape[:-1], x.shape[-1] // 2, 2))
     rotated = T.concat([-paired[..., 1:2], paired[..., 0:1]], axis=-1).reshape(x.shape)
@@ -595,6 +599,16 @@ class TestFusedOps:
     def test_layer_norm_matches_composite(self, rng, shape):
         x = rng.standard_normal(shape) * 3.0 + 1.5
         check_fused_against_composite(T.layer_norm, composite_layer_norm, [x])
+
+    @pytest.mark.parametrize("shape", [(6,), (5, 3, 4)])
+    def test_scale_to_norm_matches_composite(self, rng, shape):
+        x = rng.standard_normal(shape) * 3.0
+        check_fused_against_composite(lambda t: T.scale_to_norm(t, 2.5), lambda t: composite_scale_to_norm(t, 2.5), [x])
+
+    def test_scale_to_norm_equals_composite_bitwise_in_float32(self, rng):
+        # normalize_cells runs it on the coarse maps, whose matches must not move
+        x = T.tensor(rng.standard_normal((16, 9, 13)).astype(np.float32))
+        np.testing.assert_array_equal(T.scale_to_norm(x, 4.0).data, composite_scale_to_norm(x, 4.0).data)
 
     def test_rotary_on_heads_matches_composite(self, rng):
         angles = rng.uniform(-np.pi, np.pi, (5, 8))  # per token, broadcast over 3 heads
@@ -698,6 +712,22 @@ class TestScatterAndPad:
         np.add.at(want, index, grad)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("lead", [0, 1, 2])
+    def test_one_array_after_full_slices_equals_the_fancy_index(self, rng, lead):
+        # the np.take path: forward, contiguity and the repeat-accumulating backward
+        shape = (3, 4, 35)
+        flat = rng.integers(-shape[lead], shape[lead], (6, 5))
+        flat[2, 1] = flat[0, 0]
+        index = (slice(None),) * lead + (flat,)
+        x = rng.standard_normal(shape).astype(np.float32)
+        out = T.gather_nd(parameter(x), index)
+        np.testing.assert_array_equal(out.data, x[index])
+        assert out.data.flags.c_contiguous
+        grad = rng.standard_normal(out.shape).astype(np.float32)
+        want = np.zeros(shape, dtype=np.float32)
+        np.add.at(want, index, grad)
+        np.testing.assert_array_equal(out._ctx.backward(grad)[0], want)
 
     @pytest.mark.parametrize("pad", [1, 2])
     def test_pad_plane_equals_np_pad(self, rng, pad):
@@ -927,6 +957,7 @@ OP_CHECKS = {
     T.Attention: (CRITERION_02, "test_tensor.py::TestFusedOps::test_attention_matches_composite"),
     T.Rotary: (CRITERION_02, "test_tensor.py::TestFusedOps::test_rotary_on_heads_matches_composite"),
     T.Linear: ("test_tensor.py::TestFusedOps::test_linear_matches_composite",),
+    T.ScaleToNorm: ("test_tensor.py::TestFusedOps::test_scale_to_norm_matches_composite",),
     T.FoldKernels: (FOLD_CHECK,),
     T.FoldBiases: (FOLD_CHECK,),
     T.DualSoftmaxNLL: (
